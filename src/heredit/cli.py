@@ -527,7 +527,11 @@ def run(job: JobSpec) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point.  Exit codes: 2 usage, 3 validation, 4 format, 5 budget."""
+    """Entry point.
+
+    Exit codes: 0 success, 1 internal error, 2 usage, 3 validation,
+    4 format, 5 budget, 6 operating-system error (e.g. an unwritable --out).
+    """
     try:
         job = parse_inputs(sys.argv[1:] if argv is None else argv)
         return run(job)

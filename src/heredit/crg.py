@@ -97,14 +97,6 @@ def gray_crg(r: int, s: int) -> CRG:
     return CRG(("W",) * r + ("B",) * s, ("G",) * (m * (m - 1) // 2))
 
 
-def as_gray_counts(k: CRG) -> tuple[int, int] | None:
-    """Return (r, s) when ``k`` is K(r, s) up to vertex order, else None."""
-    if any(c != "G" for c in k.ecolors):
-        return None
-    r = sum(1 for c in k.vcolors if c == "W")
-    return r, k.m - r
-
-
 def swap_colors(k: CRG) -> CRG:
     """Exchange white and black on vertices and edges; gray stays fixed."""
     flip_v = {"W": "B", "B": "W"}

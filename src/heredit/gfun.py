@@ -2,13 +2,33 @@
 probability simplex, the closed form for all-gray CRGs, p-cores, and
 weighted degree statistics of optimal weight vectors.
 
-Everything here is exact rational arithmetic.  The solver enumerates
-candidate supports; for each support it solves the equality-constrained
-stationarity system by Gaussian elimination over fractions and keeps the
-feasible solutions.  Singleton supports always solve, so the minimum is
+Everything here is exact.  Write p = a/b in lowest terms; then N = b*M_K(p)
+is an integer matrix with entries a (white), b-a (black) and 0 (gray).  The
+solver enumerates candidate supports S and on each solves the bordered
+stationarity system [[N_S, -1], [1^T, 0]] [x; mu] = [0; 1] by Bareiss's
+integer-preserving elimination (E. H. Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
+Every intermediate is an integer minor, and the solution comes out as
+x = y/det and g = mu/b = y_mu/(det*b); a Fraction is built only for
+feasible supports.  Singleton supports always solve, so the minimum is
 always attained, and a global minimizer with inclusion-minimal support
 always has a uniquely solvable system, which makes skipping singular
 systems safe.
+
+Supports of two or more vertices whose sub-CRG breaks the p-core structure
+are skipped before solving: for p < 1/2, those with a black edge or with a
+white edge at a white vertex; for p > 1/2, the color-swapped rule; at
+p = 1/2 both rules, so only all-gray supports are solved.  The filter is
+exact.  The witness returned has the smallest support P among optimal
+weightings, and the sub-CRG K[P] is a p-core: restricting the witness shows
+g(K[P]) = g(K), and a proper sub-CRG of K[P] with the same g would give an
+optimal weighting of smaller support.  By the p-core structure theorem
+(E. Marchant and A. Thomason, "Extremal graphs and multigraphs with two
+weighted colours", 2010; R. Martin, "The edit distance function and
+symmetrization", 2013) a p-core has no black edge and white edges only
+between black vertices when p <= 1/2, and the color-swapped structure when
+p >= 1/2.  So P passes the filter, its system is uniquely solvable by the
+argument above, and no skipped support can produce the winning key.
 """
 
 from __future__ import annotations
@@ -27,7 +47,6 @@ MAX_QP_SIZE = 12
 MAX_PCORE_SIZE = 10
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -67,65 +86,93 @@ class GResult:
         }
 
 
-def build_matrix(k: CRG, p: Fraction) -> PMatrix:
+def _scaled_matrix(k: CRG, p: Fraction) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The denominator b of p = a/b and the integer matrix N = b * M_K(p).
+
+    Entries are a for white, b - a for black and 0 for gray; a vertex takes
+    the entry of its own color on the diagonal.
+    """
     if not 0 <= p <= 1:
         raise ValidationError(f"p must lie in [0,1], got {p}")
     p = Fraction(p)
-    one_minus = 1 - p
-    by_color = {"W": p, "B": one_minus, "G": ZERO}
-    rows = []
-    for i in range(k.m):
-        row = []
-        for j in range(k.m):
-            if i == j:
-                row.append(p if k.vcolors[i] == "W" else one_minus)
-            else:
-                row.append(by_color[k.edge_color(i, j)])
-        rows.append(tuple(row))
-    return PMatrix(p, tuple(rows))
+    a, b = p.numerator, p.denominator
+    entry = {"W": a, "B": b - a, "G": 0}
+    rows = tuple(
+        tuple(
+            entry[k.vcolors[i]] if i == j else entry[k.edge_color(i, j)]
+            for j in range(k.m)
+        )
+        for i in range(k.m)
+    )
+    return b, rows
 
 
-def _solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square system exactly; None unless the solution is unique."""
-    n = len(a)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None  # singular: no solution or infinitely many
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [ZERO] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+def build_matrix(k: CRG, p: Fraction) -> PMatrix:
+    b, rows = _scaled_matrix(k, p)
+    return PMatrix(
+        Fraction(p), tuple(tuple(Fraction(n, b) for n in row) for row in rows)
+    )
 
 
-def _stationary_point(
-    matrix: tuple[tuple[Fraction, ...], ...], support: tuple[int, ...]
-) -> list[Fraction] | None:
-    """Unique solution of M_S x = lam*1, 1^T x = 1 on the support, if any."""
+def _core_conflicts(k: CRG, p: Fraction) -> tuple[int, ...]:
+    """Per vertex, the bitmask of vertices it cannot share a p-core with.
+
+    An edge whose color matches the color of one of its ends is never in a
+    p-core, nor is a black edge for p <= 1/2 or a white edge for p >= 1/2
+    (see the module docstring).
+    """
+    banned = set()
+    if 2 * p <= 1:
+        banned.add("B")
+    if 2 * p >= 1:
+        banned.add("W")
+    conflicts = [0] * k.m
+    for j in range(k.m):
+        for i in range(j):
+            color = k.edge_color(i, j)
+            if color in banned or color in (k.vcolors[i], k.vcolors[j]):
+                conflicts[i] |= 1 << j
+                conflicts[j] |= 1 << i
+    return tuple(conflicts)
+
+
+def _solve_support(
+    n: tuple[tuple[int, ...], ...], support: tuple[int, ...]
+) -> tuple[int, list[int]] | None:
+    """Solve [[N_S, -1], [1^T, 0]] [x; mu] = [0; 1] by Bareiss elimination.
+
+    Returns (det, y) with x_i = y_i / det and mu = y[-1] / det, or None when
+    the system is singular.  Every division is exact, so all entries stay
+    integers (they are minors of the augmented matrix).
+    """
     t = len(support)
-    a = [
-        [matrix[u][v] for v in support] + [Fraction(-1)]
-        for u in support
-    ]
-    a.append([ONE] * t + [ZERO])
-    b = [ZERO] * t + [ONE]
-    sol = _solve_unique(a, b)
-    if sol is None:
-        return None
-    return sol[:t]
+    size = t + 1
+    rows = [[n[u][v] for v in support] + [-1, 0] for u in support]
+    rows.append([1] * t + [0, 1])
+    prev = 1
+    for col in range(size):
+        if rows[col][col] == 0:
+            piv = next((r for r in range(col + 1, size) if rows[r][col] != 0), None)
+            if piv is None:
+                return None  # singular: no solution or infinitely many
+            rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = rows[col]
+        pivot = pivot_row[col]
+        for r in range(col + 1, size):
+            row = rows[r]
+            factor = row[col]
+            for c in range(col + 1, size + 1):
+                row[c] = (pivot * row[c] - factor * pivot_row[c]) // prev
+        prev = pivot
+    det = prev
+    y = [0] * size
+    for r in range(size - 1, -1, -1):
+        row = rows[r]
+        acc = det * row[size]
+        for c in range(r + 1, size):
+            acc -= row[c] * y[c]
+        y[r] = acc // row[r]
+    return det, y
 
 
 def g_value(k: CRG, p: Fraction) -> GResult:
@@ -142,30 +189,33 @@ def g_value(k: CRG, p: Fraction) -> GResult:
 
 @lru_cache(maxsize=None)
 def _g_value_cached(k: CRG, p: Fraction) -> GResult:
-    matrix = build_matrix(k, p).entries
+    b, n = _scaled_matrix(k, p)
+    conflicts = _core_conflicts(k, p)
     m = k.m
     best_key: tuple | None = None
-    best: GResult | None = None
+    best: tuple[int, list[int], tuple[int, ...]] | None = None
     for size in range(1, m + 1):
         for support in itertools.combinations(range(m), size):
-            x = _stationary_point(matrix, support)
-            if x is None or any(xi < 0 for xi in x):
+            mask = sum(1 << u for u in support)
+            if any(conflicts[u] & mask for u in support):
                 continue
-            value = ZERO
-            for a, u in enumerate(support):
-                row = matrix[u]
-                for b, v in enumerate(support):
-                    value += row[v] * x[a] * x[b]
-            weights = [ZERO] * m
-            for a, u in enumerate(support):
-                weights[u] = x[a]
-            positive = tuple(u for u in range(m) if weights[u] > 0)
-            key = (value, len(positive), positive)
+            solved = _solve_support(n, support)
+            if solved is None:
+                continue
+            det, y = solved
+            if any(yi * det < 0 for yi in y[:size]):
+                continue
+            positive = tuple(u for u, yi in zip(support, y) if yi != 0)
+            key = (Fraction(y[size], det * b), len(positive), positive)
             if best_key is None or key < best_key:
                 best_key = key
-                best = GResult(value, tuple(weights), positive)
-    assert best is not None  # singleton supports always solve
-    return best
+                best = (det, y, support)
+    assert best_key is not None and best is not None  # singletons always solve
+    det, y, support = best
+    weights = [ZERO] * m
+    for u, yi in zip(support, y):
+        weights[u] = Fraction(yi, det)
+    return GResult(best_key[0], tuple(weights), best_key[2])
 
 
 def closed_form_gray(r: int, s: int, p: Fraction) -> Fraction:

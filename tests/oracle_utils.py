@@ -3,7 +3,8 @@
 Everything here is deliberately brute force and shares no search code with
 the package: permutation-based isomorphism, exhaustive map enumeration for
 embeddings, recursive path/cycle enumeration, breadth-first edit search,
-and a Burnside count of CRG classes.
+a Burnside count of CRG classes, and the simplex program g solved over
+every support by Gaussian elimination in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 from heredit.crg import CRG, _pair_ok
+from heredit.gfun import GResult
 from heredit.graphs import Graph, has_induced
 
 
@@ -198,3 +201,85 @@ def random_graph(rng, n: int, density: float = 0.5) -> Graph:
         if rng.random() < density
     ]
     return Graph.from_edges(n, edges)
+
+
+def _cost_matrix(k: CRG, p: Fraction) -> list[list[Fraction]]:
+    """M_K(p): p / 1-p on white / black vertices and edges, 0 on gray edges."""
+    by_color = {"W": p, "B": 1 - p, "G": Fraction(0)}
+    return [
+        [by_color[k.vcolors[i] if i == j else k.edge_color(i, j)] for j in range(k.m)]
+        for i in range(k.m)
+    ]
+
+
+def _solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """Solve a square system exactly; None unless the solution is unique."""
+    n = len(a)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None  # singular: no solution or infinitely many
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
+        for r in range(col + 1, n):
+            if a[r][col] == 0:
+                continue
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r]
+        for c in range(r + 1, n):
+            acc -= a[r][c] * x[c]
+        x[r] = acc / a[r][r]
+    return x
+
+
+def _stationary_point(
+    matrix: list[list[Fraction]], support: tuple[int, ...]
+) -> list[Fraction] | None:
+    """Unique solution of M_S x = lam*1, 1^T x = 1 on the support, if any."""
+    t = len(support)
+    a = [[matrix[u][v] for v in support] + [Fraction(-1)] for u in support]
+    a.append([Fraction(1)] * t + [Fraction(0)])
+    b = [Fraction(0)] * t + [Fraction(1)]
+    sol = _solve_unique(a, b)
+    if sol is None:
+        return None
+    return sol[:t]
+
+
+def g_value_fraction(k: CRG, p: Fraction) -> GResult:
+    """g_K(p) by solving every support in Fraction arithmetic, unfiltered.
+
+    Same tie-break as the package: value, then support size, then the
+    lexicographically smallest support.
+    """
+    p = Fraction(p)
+    matrix = _cost_matrix(k, p)
+    m = k.m
+    best_key: tuple | None = None
+    best: GResult | None = None
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            x = _stationary_point(matrix, support)
+            if x is None or any(xi < 0 for xi in x):
+                continue
+            value = Fraction(0)
+            for a, u in enumerate(support):
+                row = matrix[u]
+                for b, v in enumerate(support):
+                    value += row[v] * x[a] * x[b]
+            weights = [Fraction(0)] * m
+            for a, u in enumerate(support):
+                weights[u] = x[a]
+            positive = tuple(u for u in range(m) if weights[u] > 0)
+            key = (value, len(positive), positive)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = GResult(value, tuple(weights), positive)
+    assert best is not None  # singleton supports always solve
+    return best

@@ -46,6 +46,15 @@ class TestParseInputs:
         code, _, _ = run_cli(capsys, ["dist", "--graph", "C", "--forbid", "path:3"])
         assert code == 4
 
+    def test_unwritable_output_is_os_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(
+            capsys, ["gfun", "--gray", "1,1", "--p", "1/3", "--out", str(out)]
+        )
+        assert code == 6
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
 
 class TestSpectrumCommand:
     def test_extreme_points_of_c8star(self, tmp_path, capsys):

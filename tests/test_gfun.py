@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heredit.crg import CRG, enumerate_crgs, gray_crg, sub_crgs, swap_colors
+from heredit.crg import CRG, embeds, enumerate_crgs, gray_crg, sub_crgs, swap_colors
 from heredit.errors import ValidationError
 from heredit.gfun import (
     build_matrix,
@@ -11,6 +11,8 @@ from heredit.gfun import (
     is_p_core,
     weight_stats,
 )
+from heredit.graphs import build_family
+from oracle_utils import g_value_fraction
 
 BB_WHITE_EDGE = CRG(("B", "B"), ("W",))
 
@@ -108,6 +110,32 @@ class TestGValue:
     def test_rejects_oversize(self):
         with pytest.raises(ValidationError):
             g_value(gray_crg(7, 6), F(1, 2))
+
+
+class TestFractionOracle:
+    """The integer solver with its p-core filter returns exactly the GResult
+    (value, weights and support) of the unfiltered Fraction solver."""
+
+    POINTS = tuple(
+        F(q)
+        for q in (
+            "0", "1/8", "1/5", "1/4", "1/3", "3/7", "1/2",
+            "4/7", "2/3", "3/4", "33/64", "7/8", "1",
+        )
+    )
+
+    def test_every_class_up_to_four_vertices(self):
+        for k in enumerate_crgs(4):
+            for p in self.POINTS:
+                assert g_value(k, p) == g_value_fraction(k, p), (k, p)
+
+    def test_c4_free_classes_on_five_vertices(self):
+        c4 = build_family("cycle", 4)
+        classes = [k for k in enumerate_crgs(5) if k.m == 5 and not embeds(c4, k)[0]]
+        assert len(classes) == 482
+        for k in classes:
+            for p in (F(1, 3), F(45, 64)):
+                assert g_value(k, p) == g_value_fraction(k, p), (k, p)
 
 
 class TestClosedFormGray:
