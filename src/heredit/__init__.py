@@ -60,7 +60,7 @@ from .graphs import (
     parse_graph_spec,
     path_cycle_profile,
 )
-from .spectrum import CliqueSpectrum, clique_spectrum, extreme_points, gamma
+from .spectrum import CliqueSpectrum, clique_spectrum, gamma
 
 __version__ = "0.1.0"
 
@@ -99,7 +99,6 @@ __all__ = [
     "edit_distance",
     "embeds",
     "enumerate_crgs",
-    "extreme_points",
     "family_graph",
     "g_value",
     "gamma",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import BudgetError, FormatError, ValidationError
@@ -293,59 +292,42 @@ def canonical_form(k: CRG) -> CRG:
     return CRG(tuple(k.vcolors[v] for v in best_order), best)
 
 
-@lru_cache(maxsize=None)
-def _classes_by_size(
-    size: int, vertex_colors: tuple[str, ...], edge_colors: tuple[str, ...]
-) -> tuple[CRG, ...]:
-    """All canonical CRG classes on exactly ``size`` vertices, sorted."""
-    if size == 1:
-        singles = [CRG((c,), ()) for c in VERTEX_COLORS if c in vertex_colors]
-        return tuple(sorted(singles, key=lambda k: (k.vcolors, k.ecolors)))
-    parents = _classes_by_size(size - 1, vertex_colors, edge_colors)
-    seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-    out: list[CRG] = []
-    for parent in parents:
-        for vc in VERTEX_COLORS:
-            if vc not in vertex_colors:
-                continue
-            for block in itertools.product(
-                [c for c in EDGE_COLORS if c in edge_colors], repeat=size - 1
-            ):
-                child = CRG(parent.vcolors + (vc,), parent.ecolors + tuple(block))
-                canon = canonical_form(child)
-                key = (canon.vcolors, canon.ecolors)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(canon)
-    out.sort(key=lambda k: (k.vcolors, k.ecolors))
-    return tuple(out)
-
-
 def enumerate_crgs(
-    max_size: int,
-    predicate: Callable[[CRG], bool] | None = None,
-    *,
-    vertex_colors: tuple[str, ...] = VERTEX_COLORS,
-    edge_colors: tuple[str, ...] = EDGE_COLORS,
+    max_size: int, keep: Callable[[CRG], bool] | None = None
 ) -> Iterator[CRG]:
-    """Yield one representative per color-isomorphism class, sizes 1..max_size.
+    """Yield one representative per kept color-isomorphism class, sizes 1..max_size.
 
-    The order is deterministic: ascending size, then the canonical encoding.
-    ``vertex_colors``/``edge_colors`` restrict the enumeration universe (the
-    restricted families are closed under vertex deletion, so the levelwise
-    construction stays complete).  ``predicate`` filters the yielded classes
-    without affecting the cached enumeration.
+    The order is deterministic: ascending size, then the canonical encoding
+    ``(vcolors, ecolors)``; each representative is its class's canonical form.
+
+    ``keep`` (default: every class) must be invariant under isomorphism and
+    closed under vertex deletion: if it accepts a CRG, it accepts every
+    induced sub-CRG.  "Does not admit H" is such a property, because an
+    embedding into a sub-CRG is an embedding into the whole.  The classes
+    are built levelwise: level s+1 is every one-vertex extension of a kept
+    class of level s, deduplicated by canonical form, and ``keep`` is called
+    once per new class.  Nothing kept is missed: deleting the last vertex of
+    a kept class on s+1 vertices leaves a kept class on s vertices, whose
+    canonical form is a kept parent, and the class is an extension of that
+    parent (McKay 1998, "Isomorph-free exhaustive generation", in its plain
+    levelwise form).
     """
     if not 1 <= max_size <= MAX_ENUM_SIZE:
         raise ValidationError(f"enumeration size capped at {MAX_ENUM_SIZE}, got {max_size}")
-    if any(c not in VERTEX_COLORS for c in vertex_colors) or not vertex_colors:
-        raise ValidationError("vertex_colors must be a nonempty subset of W/B")
-    if any(c not in EDGE_COLORS for c in edge_colors) or not edge_colors:
-        raise ValidationError("edge_colors must be a nonempty subset of W/G/B")
+    level = [CRG((c,), ()) for c in VERTEX_COLORS]
     for size in range(1, max_size + 1):
-        for k in _classes_by_size(size, tuple(vertex_colors), tuple(edge_colors)):
-            if predicate is None or predicate(k):
-                yield k
+        if size > 1:
+            level = {
+                canonical_form(CRG(parent.vcolors + (vc,), parent.ecolors + block))
+                for parent in level
+                for vc in VERTEX_COLORS
+                for block in itertools.product(EDGE_COLORS, repeat=size - 1)
+            }
+        level = sorted(
+            (k for k in level if keep is None or keep(k)),
+            key=lambda k: (k.vcolors, k.ecolors),
+        )
+        yield from level
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .crg import CRG, crg_compact, embeds, enumerate_crgs, gray_label
@@ -178,19 +179,12 @@ def _search_candidates(h: Graph, m: int, allow_large: bool) -> tuple[CRG, ...]:
             f"bounded search size capped at {MAX_SEARCH_SIZE} "
             f"({MAX_SEARCH_SIZE_LARGE} behind allow_large), got {m}"
         )
-    return _candidates_cached(h, m)
+    return _candidates(h, m)
 
 
-_CANDIDATE_CACHE: dict[tuple[Graph, int], tuple[CRG, ...]] = {}
-
-
-def _candidates_cached(h: Graph, m: int) -> tuple[CRG, ...]:
-    key = (h, m)
-    if key not in _CANDIDATE_CACHE:
-        _CANDIDATE_CACHE[key] = tuple(
-            k for k in enumerate_crgs(m) if not embeds(h, k)[0]
-        )
-    return _CANDIDATE_CACHE[key]
+@lru_cache
+def _candidates(h: Graph, m: int) -> tuple[CRG, ...]:
+    return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
 
 
 def bounded_min_g(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, ValidationError
@@ -126,8 +127,12 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, rows)
 
 
-def _search_order(g: Graph) -> list[int]:
-    """BFS order starting from a maximum-degree vertex, restarting per component."""
+@lru_cache
+def _search_order(g: Graph) -> tuple[int, ...]:
+    """BFS order starting from a maximum-degree vertex, restarting per component.
+
+    Cached: the searches ask for the order of the same few patterns many times.
+    """
     order: list[int] = []
     seen = [False] * g.n
     while len(order) < g.n:
@@ -144,7 +149,7 @@ def _search_order(g: Graph) -> list[int]:
                 if not seen[u]:
                     seen[u] = True
                     queue.append(u)
-    return order
+    return tuple(order)
 
 
 def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | None]:

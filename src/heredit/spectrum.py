@@ -92,10 +92,6 @@ def clique_spectrum(
             s_bound += 1
 
 
-def extreme_points(spectrum: CliqueSpectrum) -> tuple[tuple[int, int], ...]:
-    return spectrum.extreme_points()
-
-
 def gamma(
     h: Graph, p: Fraction, spectrum: CliqueSpectrum | None = None
 ) -> Fraction:

@@ -53,16 +53,33 @@ def has_induced_brute(host: Graph, pattern: Graph) -> bool:
     return False
 
 
+def black_white_gray(k: CRG) -> bool:
+    """All vertices black, all edges white or gray: the CRGs that are plain graphs."""
+    return set(k.vcolors) <= {"B"} and set(k.ecolors) <= {"W", "G"}
+
+
 def embeds_brute(h: Graph, k: CRG) -> bool:
-    """Try every map V(h) -> V(k); exponential, for tiny inputs only."""
-    for phi in itertools.product(range(k.m), repeat=h.n):
-        if all(
-            _pair_ok(k, phi[u], phi[v], h.has_edge(u, v))
-            for u in range(h.n)
-            for v in range(u + 1, h.n)
-        ):
+    """Try every map V(h) -> V(k); exponential, for tiny inputs only.
+
+    Maps are built vertex by vertex in label order, and a partial map is
+    dropped as soon as one of its pairs breaks the definition (no map
+    extending it can embed h).  No symmetry is exploited.
+    """
+    phi: list[int] = []
+
+    def extend() -> bool:
+        u = len(phi)
+        if u == h.n:
             return True
-    return False
+        for a in range(k.m):
+            if all(_pair_ok(k, phi[v], a, h.has_edge(u, v)) for v in range(u)):
+                phi.append(a)
+                if extend():
+                    return True
+                phi.pop()
+        return False
+
+    return extend()
 
 
 def paths_and_cycles_recursive(g: Graph) -> tuple[int, set[int]]:

@@ -24,7 +24,7 @@ from heredit.gfun import closed_form_gray, g_value, is_p_core, weight_stats
 from heredit.graphs import Graph, build_family, has_induced, path_cycle_profile
 from heredit.rationals import parse_grid
 from heredit.spectrum import clique_spectrum, gamma
-from oracle_utils import bfs_edit_distance
+from oracle_utils import bfs_edit_distance, black_white_gray
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -165,7 +165,7 @@ def test_criterion_7_triangle_free_bound_suite():
     ps = [F(num, 16) for num in range(1, 8)]
     checked_a = checked_b = 0
     violations = []
-    for k in enumerate_crgs(5, vertex_colors=("B",), edge_colors=("W", "G")):
+    for k in enumerate_crgs(5, keep=black_white_gray):
         profile = path_cycle_profile(k.gray_subgraph())
         has_triangle = 3 in profile.cycle_lengths
         if not has_triangle:

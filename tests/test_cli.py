@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -212,6 +213,27 @@ class TestSearchCommand:
         assert out1.read_bytes() == out2.read_bytes()
         first = out1.read_text().splitlines()[1].split(",")
         assert first[0] == "1/3" and first[1] == "1/6"
+
+    def test_search_m5_golden_bytes(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys,
+            [
+                "search", "--forbid", "cycle:4", "--max-size", "5", "--allow-large",
+                "--p", "45/64", "--no-cache",
+            ],
+        )
+        assert code == 0
+        data = stdout.encode()
+        assert len(data) == 6470
+        assert hashlib.sha256(data).hexdigest() == (
+            "f592f827582ed59672ae4f8ea1fede3009affb7b8009b34198443af00a381299"
+        )
+        p, value, source, witnesses = stdout.splitlines()[1].split(",")
+        assert (p, value, source) == ("45/64", "855/4096", "search-m5")
+        witnesses = witnesses.split(";")
+        assert len(witnesses) == 396
+        # enumeration order: ascending size, then the canonical encoding
+        assert witnesses == sorted(witnesses, key=lambda w: (len(w), w))
 
 
 class TestCrgCommands:

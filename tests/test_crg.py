@@ -20,8 +20,8 @@ from heredit.crg import (
     validate_witness,
 )
 from heredit.errors import BudgetError, FormatError, ValidationError
-from heredit.graphs import build_family, complement
-from oracle_utils import burnside_crg_count, embeds_brute, random_graph
+from heredit.graphs import build_family, complement, parse_graph_spec
+from oracle_utils import black_white_gray, burnside_crg_count, embeds_brute, random_graph
 
 
 class TestGrayCrg:
@@ -144,7 +144,7 @@ class TestEnumeration:
     def test_restricted_counts_are_graph_counts(self):
         # all-black vertices with white/gray edges are exactly plain graphs
         per_size = {m: 0 for m in range(1, 6)}
-        for k in enumerate_crgs(5, vertex_colors=("B",), edge_colors=("W", "G")):
+        for k in enumerate_crgs(5, keep=black_white_gray):
             per_size[k.m] += 1
         assert [per_size[m] for m in range(1, 6)] == [1, 2, 4, 11, 34]
 
@@ -163,10 +163,27 @@ class TestEnumeration:
 
     def test_filter_example(self):
         c8s = build_family("c2nstar", 8)
-        kept = list(enumerate_crgs(3, predicate=lambda k: not embeds(c8s, k)[0]))
+        kept = list(enumerate_crgs(3, keep=lambda k: not embeds(c8s, k)[0]))
         assert canonical_form(gray_crg(1, 2)) in kept
         assert canonical_form(gray_crg(0, 3)) in kept
         assert canonical_form(gray_crg(3, 0)) not in kept
+
+    @pytest.mark.parametrize("spec", ["c2nstar:8", "cycle:4", "path:4"])
+    def test_pruned_enumeration_equals_filtered(self, spec):
+        # "does not admit h" is hereditary, so pruning the parents loses nothing
+        h = parse_graph_spec(spec)
+
+        def keep(k):
+            return not embeds_brute(h, k)
+
+        assert list(enumerate_crgs(4, keep=keep)) == [
+            k for k in enumerate_crgs(4) if keep(k)
+        ]
+
+    def test_pruned_color_restriction_equals_filtered(self):
+        assert list(enumerate_crgs(4, keep=black_white_gray)) == [
+            k for k in enumerate_crgs(4) if black_white_gray(k)
+        ]
 
     def test_canonical_form_is_class_invariant(self):
         rng = random.Random(41)

@@ -133,6 +133,8 @@ class TestFractionOracle:
         c4 = build_family("cycle", 4)
         classes = [k for k in enumerate_crgs(5) if k.m == 5 and not embeds(c4, k)[0]]
         assert len(classes) == 482
+        pruned = enumerate_crgs(5, keep=lambda k: not embeds(c4, k)[0])
+        assert classes == [k for k in pruned if k.m == 5]
         for k in classes:
             for p in (F(1, 3), F(45, 64)):
                 assert g_value(k, p) == g_value_fraction(k, p), (k, p)

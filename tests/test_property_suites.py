@@ -14,6 +14,7 @@ from heredit.crg import embeds, enumerate_crgs
 from heredit.gfun import g_value, is_p_core, weight_stats
 from heredit.graphs import build_family, path_cycle_profile
 from heredit.spectrum import clique_spectrum, gamma
+from oracle_utils import black_white_gray
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -21,7 +22,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def black_wg_crgs(max_size: int):
-    return enumerate_crgs(max_size, vertex_colors=("B",), edge_colors=("W", "G"))
+    return enumerate_crgs(max_size, keep=black_white_gray)
 
 
 class TestGrayCycleSuite:

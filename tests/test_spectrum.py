@@ -5,7 +5,7 @@ import pytest
 from heredit.errors import ValidationError
 from heredit.gfun import closed_form_gray
 from heredit.graphs import build_family
-from heredit.spectrum import clique_spectrum, extreme_points, gamma
+from heredit.spectrum import clique_spectrum, gamma
 
 
 class TestMembership:
@@ -53,15 +53,15 @@ class TestMembership:
 class TestExtremePoints:
     def test_c8star(self):
         spect = clique_spectrum(build_family("c2nstar", 8))
-        assert extreme_points(spect) == ((2, 0), (1, 2), (0, 3))
+        assert spect.extreme_points() == ((2, 0), (1, 2), (0, 3))
 
     def test_p7(self):
         spect = clique_spectrum(build_family("path", 7))
-        assert extreme_points(spect) == ((1, 1), (0, 3))
+        assert spect.extreme_points() == ((1, 1), (0, 3))
 
     def test_ctilde10(self):
         spect = clique_spectrum(build_family("ctilde", 10))
-        assert extreme_points(spect) == ((2, 0), (1, 2), (0, 4))
+        assert spect.extreme_points() == ((2, 0), (1, 2), (0, 4))
 
     def test_boundary_profile_matches_members(self):
         spect = clique_spectrum(build_family("path", 8))
