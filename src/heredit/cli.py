@@ -14,6 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -33,19 +34,7 @@ from .errors import BudgetError, FormatError, HereditError, ValidationError
 from .gfun import g_value, is_p_core
 from .graphs import Graph, graph_to_graph6, parse_graph_spec
 from .rationals import format_fraction, parse_grid, parse_probability
-from .spectrum import CliqueSpectrum, clique_spectrum
-
-COMMANDS = (
-    "spectrum",
-    "gamma",
-    "gfun",
-    "embed",
-    "pcore",
-    "edcurve",
-    "search",
-    "dist",
-    "estimate",
-)
+from .spectrum import clique_spectrum
 
 
 @dataclass
@@ -190,6 +179,8 @@ def _points_from(args) -> tuple[Fraction, ...]:
 def parse_inputs(argv: list[str]) -> JobSpec:
     """Parse and validate argv into a JobSpec before any computation runs."""
     args = _build_parser().parse_args(argv)
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     cache = ResultCache.from_options(
         getattr(args, "cache_dir", None), getattr(args, "no_cache", False)
     )
@@ -197,14 +188,13 @@ def parse_inputs(argv: list[str]) -> JobSpec:
         command=args.command,
         out=Path(args.out) if args.out else None,
         float_display=args.float_display,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         cache=cache,
     )
     params = job.params
 
     if args.command == "spectrum":
         params["graph"] = parse_graph_spec(args.graph)
-        params["graph_spec"] = args.graph
         params["r_max"] = args.r_max
         params["s_max"] = args.s_max
         params["extremes_out"] = Path(args.extremes_out) if args.extremes_out else None
@@ -297,40 +287,35 @@ def _emit(job: JobSpec, header: list[str], rows: list[list], text: str | None = 
 
 
 # ---------------------------------------------------------------------------
-# parallel grid evaluation (deterministic: chunks merge in order)
+# curve evaluation and rows (--jobs chunks merge in order)
 # ---------------------------------------------------------------------------
 
 
-def _curve_points(kind: str, spec: dict, points: tuple[Fraction, ...]) -> Curve:
-    if kind == "closed_form":
-        return closed_form_curve(spec["family"], spec["n"], points)
-    if kind == "gamma":
-        return gamma_curve(spec["graph"], points, spectrum=spec.get("spectrum"))
-    if kind == "search":
-        return search_curve(spec["graph"], spec["m"], points, allow_large=spec["allow_large"])
-    raise ValidationError(f"unknown curve source {kind!r}")
+def _evaluate_curve(job: JobSpec, curve_of, points: tuple[Fraction, ...]) -> Curve:
+    """``curve_of(points)``, or with ``--jobs`` its ordered chunks concatenated.
 
-
-def _chunk_worker(payload):
-    kind, spec, points = payload
-    curve = _curve_points(kind, spec, points)
-    return curve.samples, curve.witnesses
-
-
-def _evaluate_curve(job: JobSpec, kind: str, spec: dict, points: tuple[Fraction, ...]) -> Curve:
+    ``curve_of`` is a ``functools.partial`` of a module-level library curve
+    function that still takes the grid, so it pickles into the workers.
+    """
     if job.jobs <= 1 or len(points) < 2 * job.jobs:
-        return _curve_points(kind, spec, points)
+        return curve_of(points)
     chunk = -(-len(points) // job.jobs)
-    payloads = [
-        (kind, spec, points[i : i + chunk]) for i in range(0, len(points), chunk)
-    ]
-    samples: list = []
-    witnesses: list = []
+    chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]
     with ProcessPoolExecutor(max_workers=job.jobs) as pool:
-        for part_samples, part_witnesses in pool.map(_chunk_worker, payloads):
-            samples.extend(part_samples)
-            witnesses.extend(part_witnesses)
-    return Curve(tuple(samples), kind, tuple(witnesses))
+        parts = list(pool.map(curve_of, chunks))
+    return Curve(
+        tuple(sample for part in parts for sample in part.samples),
+        parts[0].source,
+        tuple(wits for part in parts for wits in part.witnesses),
+    )
+
+
+def _emit_curve(job: JobSpec, curve: Curve, source: str) -> str:
+    rows = [
+        [p, value, source, ";".join(wits)]
+        for (p, value), wits in zip(curve.samples, curve.witnesses)
+    ]
+    return _emit(job, ["p", "value", "source", "witness"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -340,36 +325,15 @@ def _evaluate_curve(job: JobSpec, kind: str, spec: dict, points: tuple[Fraction,
 
 def _run_spectrum(job: JobSpec) -> int:
     params = job.params
-    h: Graph = params["graph"]
-    key = job_key({
-        "command": "spectrum", "version": __version__,
-        "graph": graph_to_graph6(h),
-        "r_max": params["r_max"], "s_max": params["s_max"],
-    })
-    cached = job.cache.get(key)
-    if cached is not None:
-        artifact = cached
-        _emit(job, [], [], text=artifact)
-    else:
-        spect = clique_spectrum(h, params["r_max"], params["s_max"])
-        rows = [
-            [r, s, 1 if (r, s) in spect.members else 0]
-            for r in range(spect.r_max + 1)
-            for s in range(spect.s_max + 1)
-            if r + s >= 1
-        ]
-        artifact = _emit(job, ["r", "s", "member"], rows)
-        job.cache.put(key, artifact)
-    # extreme points are recomputed from the membership artifact so a cache
-    # hit and a fresh run print identical results
-    members = set()
-    for line in artifact.splitlines()[1:]:
-        r_txt, s_txt, member = line.split(",")
-        if member == "1":
-            members.add((int(r_txt), int(s_txt)))
-    spect = CliqueSpectrum(frozenset(members), 0, 0)
-    extreme_rows = [[r, s] for r, s in spect.extreme_points()]
-    extremes_text = _csv_text(["r", "s"], extreme_rows)
+    spect = clique_spectrum(params["graph"], params["r_max"], params["s_max"])
+    rows = [
+        [r, s, 1 if (r, s) in spect.members else 0]
+        for r in range(spect.r_max + 1)
+        for s in range(spect.s_max + 1)
+        if r + s >= 1
+    ]
+    _emit(job, ["r", "s", "member"], rows)
+    extremes_text = _csv_text(["r", "s"], [[r, s] for r, s in spect.extreme_points()])
     extremes_out = params["extremes_out"]
     if extremes_out:
         extremes_out.write_text(extremes_text)
@@ -380,15 +344,8 @@ def _run_spectrum(job: JobSpec) -> int:
 
 def _run_gamma(job: JobSpec) -> int:
     h: Graph = job.params["graph"]
-    spect = clique_spectrum(h)
-    curve = _evaluate_curve(
-        job, "gamma", {"graph": h, "spectrum": spect}, job.params["points"]
-    )
-    rows = [
-        [p, value, "gamma", ";".join(wits)]
-        for (p, value), wits in zip(curve.samples, curve.witnesses)
-    ]
-    _emit(job, ["p", "value", "source", "witness"], rows)
+    curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
+    _emit_curve(job, _evaluate_curve(job, curve_of, job.params["points"]), "gamma")
     return 0
 
 
@@ -424,22 +381,19 @@ def _run_edcurve(job: JobSpec) -> int:
     family, n = params["family"], params["n"]
     points = params["points"]
     h = family_graph(family, n)
+    sources = params["sources"]
     curves: dict[str, Curve] = {}
-    for source in params["sources"]:
-        spec: dict = {"family": family, "n": n, "graph": h,
-                      "m": params["m"], "allow_large": params["allow_large"]}
-        if source == "gamma":
-            spec["spectrum"] = clique_spectrum(h)
-        curves[source] = _evaluate_curve(job, source, spec, points)
+    for source in sources:
+        if source == "closed_form":
+            curve_of = partial(closed_form_curve, family, n)
+        elif source == "gamma":
+            curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
+        else:
+            curve_of = partial(search_curve, h, params["m"], allow_large=params["allow_large"])
+        curves[source] = _evaluate_curve(job, curve_of, points)
 
-    sources = list(params["sources"])
     if len(sources) == 1:
-        curve = curves[sources[0]]
-        rows = [
-            [p, value, curve.source, ";".join(wits)]
-            for (p, value), wits in zip(curve.samples, curve.witnesses)
-        ]
-        _emit(job, ["p", "value", "source", "witness"], rows)
+        _emit_curve(job, curves[sources[0]], sources[0])
     else:
         header = ["p"] + [f"value_{s}" for s in sources] + ["diff"]
         rows = []
@@ -473,17 +427,9 @@ def _run_search(job: JobSpec) -> int:
     if cached is not None:
         _emit(job, [], [], text=cached)
         return 0
-    curve = _evaluate_curve(
-        job, "search",
-        {"graph": h, "m": params["m"], "allow_large": params["allow_large"]},
-        params["points"],
-    )
-    rows = [
-        [p, value, f"search-m{params['m']}", ";".join(wits)]
-        for (p, value), wits in zip(curve.samples, curve.witnesses)
-    ]
-    artifact = _emit(job, ["p", "value", "source", "witness"], rows)
-    job.cache.put(key, artifact)
+    curve_of = partial(search_curve, h, params["m"], allow_large=params["allow_large"])
+    curve = _evaluate_curve(job, curve_of, params["points"])
+    job.cache.put(key, _emit_curve(job, curve, f"search-m{params['m']}"))
     return 0
 
 

@@ -46,7 +46,7 @@ def _flip(g: Graph, u: int, v: int) -> Graph:
     rows = list(g.adj)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    return Graph(g.n, tuple(rows))
+    return Graph._unchecked(g.n, tuple(rows))
 
 
 def _normalized(edits: int, n: int) -> Fraction:

@@ -36,15 +36,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
-from .crg import CRG, sub_crgs
+from .crg import CRG, restrict
 from .errors import ValidationError
 from .rationals import format_fraction
 
 MAX_QP_SIZE = 12
-MAX_PCORE_SIZE = 10
 
 ZERO = Fraction(0)
 
@@ -184,11 +182,7 @@ def g_value(k: CRG, p: Fraction) -> GResult:
     """
     if k.m > MAX_QP_SIZE:
         raise ValidationError(f"g_value supports at most {MAX_QP_SIZE} vertices, got {k.m}")
-    return _g_value_cached(k, Fraction(p))
-
-
-@lru_cache(maxsize=None)
-def _g_value_cached(k: CRG, p: Fraction) -> GResult:
+    p = Fraction(p)
     b, n = _scaled_matrix(k, p)
     conflicts = _core_conflicts(k, p)
     m = k.m
@@ -237,14 +231,20 @@ def closed_form_gray(r: int, s: int, p: Fraction) -> Fraction:
 
 
 def is_p_core(k: CRG, p: Fraction) -> bool:
-    """True when every proper sub-CRG has strictly larger g at this p."""
-    if k.m > MAX_PCORE_SIZE:
-        raise ValidationError(f"is_p_core supports at most {MAX_PCORE_SIZE} vertices, got {k.m}")
+    """True when every proper sub-CRG has strictly larger g at this p.
+
+    Only the one-vertex deletions K - v are solved.  Every proper sub-CRG
+    K' is a sub-CRG of some K - v, and an optimal weighting of K' extends
+    by zeros to a weighting of K - v with the same value, so
+    g(K - v) <= g(K').  Hence every proper sub-CRG has g > g(K) exactly
+    when every K - v does.  A one-vertex CRG has no proper sub-CRG and is
+    a p-core.
+    """
     gk = g_value(k, p).value
-    for sub in sub_crgs(k):
-        if g_value(sub, p).value <= gk:
-            return False
-    return True
+    return k.m == 1 or all(
+        g_value(restrict(k, tuple(u for u in range(k.m) if u != v)), p).value > gk
+        for v in range(k.m)
+    )
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,19 @@ class Graph:
                 if not (self.adj[u] >> v) & 1:
                     raise ValidationError(f"asymmetric adjacency between {u} and {v}")
 
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Build a Graph without the constructor's validation.
+
+        Only for rows derived from a valid Graph by operations that keep the
+        adjacency symmetric and irreflexive, such as toggling both
+        directions of one pair of distinct vertices.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if not 0 <= n <= MAX_VERTICES:

@@ -3,8 +3,9 @@
 Everything here is deliberately brute force and shares no search code with
 the package: permutation-based isomorphism, exhaustive map enumeration for
 embeddings, recursive path/cycle enumeration, breadth-first edit search,
-a Burnside count of CRG classes, and the simplex program g solved over
-every support by Gaussian elimination in ``Fraction``.
+a Burnside count of CRG classes, the simplex program g solved over
+every support by Gaussian elimination in ``Fraction``, and the p-core
+test over every proper sub-CRG.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from heredit.crg import CRG, _pair_ok
-from heredit.gfun import GResult
+from heredit.crg import CRG, _pair_ok, sub_crgs
+from heredit.gfun import GResult, g_value
 from heredit.graphs import Graph, has_induced
 
 
@@ -300,3 +301,9 @@ def g_value_fraction(k: CRG, p: Fraction) -> GResult:
                 best = GResult(value, tuple(weights), positive)
     assert best is not None  # singleton supports always solve
     return best
+
+
+def is_p_core_brute(k: CRG, p: Fraction) -> bool:
+    """p-core by definition: every proper sub-CRG has strictly larger g."""
+    gk = g_value(k, p).value
+    return all(g_value(sub, p).value > gk for sub in sub_crgs(k))

@@ -10,6 +10,9 @@ from heredit.curves import closed_form_curve
 from heredit.rationals import parse_grid
 
 
+SEARCH_ARGV = ["search", "--forbid", "c2nstar:8", "--max-size", "3", "--p", "1/3"]
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -47,6 +50,15 @@ class TestParseInputs:
         code, _, _ = run_cli(capsys, ["dist", "--graph", "C", "--forbid", "path:3"])
         assert code == 4
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_rejects_jobs_below_one(self, capsys, jobs):
+        code, stdout, err = run_cli(
+            capsys, ["edcurve", "--family", "c8star", "--grid", "1/4", "--jobs", jobs]
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
     def test_unwritable_output_is_os_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         code, _, err = run_cli(
@@ -55,6 +67,41 @@ class TestParseInputs:
         assert code == 6
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+
+# byte length and sha256 of each job's stdout; the path given to
+# --extremes-out never reaches stdout
+GOLDEN = [
+    ("spectrum --graph c2nstar:8", 491,
+     "5de5d9122351f13113f615906434b22823e76a33d55a6c19ae7f4d10d6b7a131"),
+    ("spectrum --graph ctilde:9 --extremes-out {tmp}/extremes.csv", 621,
+     "ccdd09e0c010d7f41a93b925a0e92f59fecbeb93c3a0103d7dd45b72bda18848"),
+    ("gamma --graph ctilde:9 --grid 1/16 --jobs 2 --float", 621,
+     "a244bbc428ad87cf437e912d1f9982e2b958e3d52a787b90806ae1b2838a1254"),
+    ("edcurve --family c8star --source closed_form,gamma,search --m 4 --grid 1/4 --analyze",
+     409, "9f0f04f777fdd2671bee1545b408e478150ab30049aa2d9fff493201b32e9ccb"),
+    ("edcurve --family c8star --source search --m 3 --grid 1/16 --jobs 2", 1539,
+     "e6dafb9186187b7918d98b1e2d32b1e610c5fcfc5555041127a1b9f1ea3002ec"),
+    ("search --forbid c2nstar:8 --max-size 3 --grid 1/16 --jobs 2", 1590,
+     "f8b29cf4064b954a8706191b31d20968b4af3deca820165897b4d3bc761e7831"),
+    ("gfun --gray 6,6 --p 1/3", 172,
+     "dcea746661660669947f343413e76ac25e8ba412c08d4147f444716fe8022f0d"),
+    ("pcore --gray 3,3 --p 2/5", 30,
+     "847c35da4938f18291e880a5232f217b0b6d447ea2fc6257de0c574b1569d617"),
+    ("estimate --n 8 --p 1/2 --forbid path:4 --samples 100 --seed 3", 52,
+     "2bbeaac8c543621ab71bb72ae6a5c3df09386ce07575278bcfe542181ad08771"),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "size", "digest"), GOLDEN, ids=[c for c, _, _ in GOLDEN]
+)
+def test_golden_stdout(tmp_path, capsys, command, size, digest):
+    argv = command.format(tmp=tmp_path).split() + ["--no-cache"]
+    code, stdout, _ = run_cli(capsys, argv)
+    assert code == 0
+    data = stdout.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 class TestSpectrumCommand:
@@ -73,42 +120,6 @@ class TestSpectrumCommand:
             if flag == "1"
         }
         assert (2, 0) in members and (3, 0) not in members
-
-    def test_cache_hit_reproduces_bytes(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["spectrum", "--graph", "path:6", "--cache-dir", str(cache)]
-        assert main(base + ["--out", str(out1)]) == 0
-        capsys.readouterr()
-        assert list(cache.glob("*.json")), "first run must populate the cache"
-        assert main(base + ["--out", str(out2)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_corrupt_cache_entry_recomputes(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        out = tmp_path / "a.csv"
-        base = ["spectrum", "--graph", "path:5", "--cache-dir", str(cache)]
-        assert main(base + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        entry = next(cache.glob("*.json"))
-        good = out.read_bytes()
-        entry.write_text("{ not json")
-        assert main(base + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        assert out.read_bytes() == good
-
-    def test_version_bump_misses_cache(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "cache"
-        out = tmp_path / "a.csv"
-        base = ["spectrum", "--graph", "path:5", "--cache-dir", str(cache)]
-        assert main(base + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        before = len(list(cache.glob("*.json")))
-        monkeypatch.setattr("heredit.cli.__version__", "0.1.0+test")
-        assert main(base + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        assert len(list(cache.glob("*.json"))) == before + 1
 
 
 class TestCurveCommands:
@@ -213,6 +224,42 @@ class TestSearchCommand:
         assert out1.read_bytes() == out2.read_bytes()
         first = out1.read_text().splitlines()[1].split(",")
         assert first[0] == "1/3" and first[1] == "1/6"
+
+    def test_cache_hit_reproduces_bytes(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = SEARCH_ARGV + ["--cache-dir", str(cache)]
+        assert main(base + ["--out", str(out1)]) == 0
+        capsys.readouterr()
+        assert list(cache.glob("*.json")), "first run must populate the cache"
+        assert main(base + ["--out", str(out2)]) == 0
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_corrupt_cache_entry_recomputes(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        out = tmp_path / "a.csv"
+        base = SEARCH_ARGV + ["--cache-dir", str(cache)]
+        assert main(base + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        entry = next(cache.glob("*.json"))
+        good = out.read_bytes()
+        entry.write_text("{ not json")
+        assert main(base + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == good
+
+    def test_version_bump_misses_cache(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        out = tmp_path / "a.csv"
+        base = SEARCH_ARGV + ["--cache-dir", str(cache)]
+        assert main(base + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        before = len(list(cache.glob("*.json")))
+        monkeypatch.setattr("heredit.cli.__version__", "0.1.0+test")
+        assert main(base + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(list(cache.glob("*.json"))) == before + 1
 
     def test_search_m5_golden_bytes(self, capsys):
         code, stdout, _ = run_cli(

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heredit.editing import edit_distance, max_dist_estimate, sample_graph
+from heredit.editing import _flip, edit_distance, max_dist_estimate, sample_graph
 from heredit.errors import BudgetError, ValidationError
 from heredit.graphs import Graph, build_family, graph_to_graph6, has_induced
 from oracle_utils import bfs_edit_distance, random_graph
@@ -20,6 +20,18 @@ def _symmetric_difference(a: Graph, b: Graph) -> int:
 
 
 class TestEditDistance:
+    def test_flip_matches_validated_graph(self):
+        rng = random.Random(11)
+        for n in range(2, 8):
+            for _ in range(5):
+                g = random_graph(rng, n)
+                edges = set(g.edges())
+                for u in range(n):
+                    for v in range(n):
+                        if u != v:
+                            toggled = edges ^ {(min(u, v), max(u, v))}
+                            assert _flip(g, u, v) == Graph.from_edges(n, toggled)
+
     def test_complete_graph_is_p3_free(self):
         res = edit_distance(K4, P3)
         assert res.edits == 0

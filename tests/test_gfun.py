@@ -12,7 +12,7 @@ from heredit.gfun import (
     weight_stats,
 )
 from heredit.graphs import build_family
-from oracle_utils import g_value_fraction
+from oracle_utils import g_value_fraction, is_p_core_brute
 
 BB_WHITE_EDGE = CRG(("B", "B"), ("W",))
 
@@ -171,6 +171,14 @@ class TestIsPCore:
     def test_white_edge_pair(self):
         assert is_p_core(BB_WHITE_EDGE, F(1, 4))
         assert not is_p_core(BB_WHITE_EDGE, F(2, 3))
+
+    def test_matches_every_sub_crg_check(self):
+        # the K - v shortcut agrees with the definition on every class, m <= 4
+        classes = list(enumerate_crgs(4))
+        assert len(classes) == 772
+        for p in (F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)):
+            for k in classes:
+                assert is_p_core(k, p) == is_p_core_brute(k, p), (k, p)
 
     def test_structure_of_low_p_cores(self):
         # at p = 1/3 a p-core has no black edges and white edges only
