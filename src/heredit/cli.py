@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,10 +20,11 @@ from pathlib import Path
 
 from . import __version__
 from .cache import ResultCache, job_key
-from .crg import CRG, crg_from_text, embeds, gray_crg
+from .crg import CRG, MAX_ENUM_SIZE, crg_from_text, embeds, gray_crg
 from .curves import (
     Curve,
     closed_form_curve,
+    closed_form_terms,
     curve_scan,
     family_graph,
     gamma_curve,
@@ -63,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--float", action="store_true", dest="float_display",
                        help="render stdout values as decimals (files keep rationals)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for grid evaluation (default 1)")
+                       help="worker processes for grid evaluation (default 1; "
+                       "at most the CPU count are started)")
         p.add_argument("--cache-dir", help="result cache directory "
                        "(default: $HEREDIT_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true", help="disable the result cache")
@@ -109,9 +112,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="family order (default 8 for c8star)")
     p.add_argument("--source", default="closed_form",
                    help="comma list from closed_form,gamma,search (default closed_form)")
-    p.add_argument("--m", type=int, default=3, help="CRG size bound for the search source")
+    p.add_argument("--m", type=int, default=3,
+                   help=f"CRG size bound for the search source (1..{MAX_ENUM_SIZE})")
     p.add_argument("--allow-large", action="store_true",
-                   help="permit the long-running m=5 search")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--restrict-grid", action="store_true",
                    help="drop grid points outside the closed form's stated interval")
     p.add_argument("--analyze", action="store_true",
@@ -121,8 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="min g over enumerated CRGs avoiding a graph")
     p.add_argument("--forbid", required=True)
-    p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--max-size", type=int, required=True,
+                   help=f"CRG size bound (1..{MAX_ENUM_SIZE})")
+    p.add_argument("--allow-large", action="store_true",
+                   help="accepted for compatibility; has no effect")
     grid_opts(p)
     common(p)
 
@@ -176,6 +182,12 @@ def _points_from(args) -> tuple[Fraction, ...]:
     return points
 
 
+def _search_size(m: int, flag: str) -> int:
+    if not 1 <= m <= MAX_ENUM_SIZE:
+        raise ValidationError(f"{flag} must lie in 1..{MAX_ENUM_SIZE}, got {m}")
+    return m
+
+
 def parse_inputs(argv: list[str]) -> JobSpec:
     """Parse and validate argv into a JobSpec before any computation runs."""
     args = _build_parser().parse_args(argv)
@@ -226,14 +238,18 @@ def parse_inputs(argv: list[str]) -> JobSpec:
             points = tuple(p for p in points if lo <= p <= hi)
             if not points:
                 raise ValidationError("grid restriction left no evaluation points")
+        graph = family_graph(args.family, n)
+        if "closed_form" in sources and not args.restrict_grid:
+            closed_form_terms(args.family, n, points)
+        if "search" in sources:
+            _search_size(args.m, "--m")
         params.update(
-            family=args.family, n=n, sources=sources, m=args.m,
-            allow_large=args.allow_large, points=points, analyze=args.analyze,
+            family=args.family, n=n, graph=graph, sources=sources, m=args.m,
+            points=points, analyze=args.analyze,
         )
     elif args.command == "search":
         params["forbid"] = parse_graph_spec(args.forbid)
-        params["m"] = args.max_size
-        params["allow_large"] = args.allow_large
+        params["m"] = _search_size(args.max_size, "--max-size")
         params["points"] = _points_from(args)
     elif args.command == "dist":
         params["graph"] = parse_graph_spec(args.graph)
@@ -295,13 +311,15 @@ def _evaluate_curve(job: JobSpec, curve_of, points: tuple[Fraction, ...]) -> Cur
     """``curve_of(points)``, or with ``--jobs`` its ordered chunks concatenated.
 
     ``curve_of`` is a ``functools.partial`` of a module-level library curve
-    function that still takes the grid, so it pickles into the workers.
+    function that still takes the grid, so it pickles into the workers.  At
+    most one worker per CPU is started: the pool forks all of them at once.
     """
-    if job.jobs <= 1 or len(points) < 2 * job.jobs:
+    workers = min(job.jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(points) < 2 * workers:
         return curve_of(points)
-    chunk = -(-len(points) // job.jobs)
+    chunk = -(-len(points) // workers)
     chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]
-    with ProcessPoolExecutor(max_workers=job.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(curve_of, chunks))
     return Curve(
         tuple(sample for part in parts for sample in part.samples),
@@ -380,7 +398,7 @@ def _run_edcurve(job: JobSpec) -> int:
     params = job.params
     family, n = params["family"], params["n"]
     points = params["points"]
-    h = family_graph(family, n)
+    h = params["graph"]
     sources = params["sources"]
     curves: dict[str, Curve] = {}
     for source in sources:
@@ -389,7 +407,7 @@ def _run_edcurve(job: JobSpec) -> int:
         elif source == "gamma":
             curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
         else:
-            curve_of = partial(search_curve, h, params["m"], allow_large=params["allow_large"])
+            curve_of = partial(search_curve, h, params["m"])
         curves[source] = _evaluate_curve(job, curve_of, points)
 
     if len(sources) == 1:
@@ -427,7 +445,7 @@ def _run_search(job: JobSpec) -> int:
     if cached is not None:
         _emit(job, [], [], text=cached)
         return 0
-    curve_of = partial(search_curve, h, params["m"], allow_large=params["allow_large"])
+    curve_of = partial(search_curve, h, params["m"])
     curve = _evaluate_curve(job, curve_of, params["points"])
     job.cache.put(key, _emit_curve(job, curve, f"search-m{params['m']}"))
     return 0

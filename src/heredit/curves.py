@@ -29,9 +29,6 @@ from .spectrum import CliqueSpectrum, clique_spectrum
 CURVE_FAMILIES = ("c8star", "ctilde", "path", "cycle")
 SOURCES = ("closed_form", "gamma", "search")
 
-MAX_SEARCH_SIZE = 4
-MAX_SEARCH_SIZE_LARGE = 5
-
 
 @dataclass(frozen=True)
 class Curve:
@@ -122,20 +119,28 @@ def _min_terms(
     return best, labels
 
 
-def closed_form_curve(family: str, n: int, grid: Iterable[Fraction]) -> Curve:
-    """Evaluate the family's min-of-terms closed form on the grid, exactly.
+def closed_form_terms(
+    family: str, n: int, points: Sequence[Fraction]
+) -> tuple[tuple[int, int], ...]:
+    """The family's closed-form terms, after checking every point is covered.
 
-    Grid points outside the stated validity interval are refused with a
+    Points outside the stated validity interval are refused with a
     :class:`RangeError` rather than extrapolated.
     """
     terms, (lo, hi) = family_terms(family, n)
-    points = [Fraction(p) for p in grid]
     bad = [p for p in points if not lo <= p <= hi]
     if bad:
         raise RangeError(
             f"{family}:{n} closed form is stated on [{lo}, {hi}]; "
             f"refusing grid points {', '.join(str(b) for b in bad)}"
         )
+    return terms
+
+
+def closed_form_curve(family: str, n: int, grid: Iterable[Fraction]) -> Curve:
+    """Evaluate the family's min-of-terms closed form on the grid, exactly."""
+    points = [Fraction(p) for p in grid]
+    terms = closed_form_terms(family, n, points)
     samples = []
     witnesses = []
     for p in points:
@@ -168,35 +173,20 @@ def gamma_curve(
     return Curve(tuple(samples), "gamma", tuple(witnesses))
 
 
-def _search_candidates(h: Graph, m: int, allow_large: bool) -> tuple[CRG, ...]:
-    if allow_large:
-        if not 1 <= m <= MAX_SEARCH_SIZE_LARGE:
-            raise ValidationError(
-                f"bounded search size capped at {MAX_SEARCH_SIZE_LARGE}, got {m}"
-            )
-    elif not 1 <= m <= MAX_SEARCH_SIZE:
-        raise ValidationError(
-            f"bounded search size capped at {MAX_SEARCH_SIZE} "
-            f"({MAX_SEARCH_SIZE_LARGE} behind allow_large), got {m}"
-        )
-    return _candidates(h, m)
-
-
 @lru_cache
 def _candidates(h: Graph, m: int) -> tuple[CRG, ...]:
     return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
 
 
-def bounded_min_g(
-    h: Graph, m: int, p: Fraction, allow_large: bool = False
-) -> SearchResult:
+def bounded_min_g(h: Graph, m: int, p: Fraction) -> SearchResult:
     """Minimum g over all CRG classes with <= m vertices not admitting ``h``.
 
     This upper-bounds the edit distance function of Forb(h) at p and equals
     it whenever some optimal CRG has at most m vertices.  All attaining
-    CRGs are reported, in canonical enumeration order.
+    CRGs are reported, in canonical enumeration order.  The size bound is
+    ``enumerate_crgs``'s: m outside 1..MAX_ENUM_SIZE is a ValidationError.
     """
-    candidates = _search_candidates(h, m, allow_large)
+    candidates = _candidates(h, m)
     if not candidates:
         raise ValidationError("every CRG class admits the forbidden graph")
     best: Fraction | None = None
@@ -212,13 +202,11 @@ def bounded_min_g(
     return SearchResult(best, tuple(attaining))
 
 
-def search_curve(
-    h: Graph, m: int, grid: Iterable[Fraction], allow_large: bool = False
-) -> Curve:
+def search_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
     samples = []
     witnesses = []
     for p in (Fraction(q) for q in grid):
-        res = bounded_min_g(h, m, p, allow_large=allow_large)
+        res = bounded_min_g(h, m, p)
         samples.append((p, res.value))
         witnesses.append(tuple(crg_compact(k) for k in res.witnesses))
     return Curve(tuple(samples), "search", tuple(witnesses))

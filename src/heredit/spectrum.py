@@ -51,13 +51,14 @@ class CliqueSpectrum:
 def clique_spectrum(
     h: Graph, r_max: int | None = None, s_max: int | None = None
 ) -> CliqueSpectrum:
-    """Compute spectrum membership for 0 <= r <= r_max, 0 <= s <= s_max.
+    """Compute the whole spectrum; report bounds of at least r_max and s_max.
 
-    Default bounds are |V(h)| in both directions, which always contain the
-    whole spectrum: once r or s reaches |V(h)| the graph embeds by mapping
-    vertices to distinct gray-joined CRG vertices.  If a member ever touches
-    the requested box edge the box is widened and recomputed, so the
-    returned profile is never an artifact of the bounds.
+    Every member has r + s < |V(h)|: once r + s reaches |V(h)| the graph
+    embeds by mapping its vertices injectively to the CRG's vertices, which
+    sends every pair to a gray edge.  So one pass over 1 <= r + s < |V(h)|
+    finds every member, whatever bounds are requested.  The reported bounds
+    (default |V(h)|) are raised to one past the largest member coordinate,
+    so no member ever touches the box edge.
     """
     if h.n < 1:
         raise ValidationError("clique spectrum needs a nonempty forbidden graph")
@@ -67,29 +68,17 @@ def clique_spectrum(
     s_bound = h.n if s_max is None else s_max
     if r_bound < 1 or s_bound < 1:
         raise ValidationError("spectrum bounds must be at least 1")
-
-    while True:
-        members = set()
-        for r in range(r_bound + 1):
-            for s in range(s_bound + 1):
-                if r + s < 1:
-                    continue
-                if r + s >= h.n:
-                    # mapping the vertices injectively to distinct CRG
-                    # vertices sends every pair to a gray edge, so the
-                    # graph embeds and (r, s) is never a member
-                    continue
-                found, _ = embeds(h, gray_crg(r, s))
-                if not found:
-                    members.add((r, s))
-        touches_r = any(r == r_bound for r, _ in members)
-        touches_s = any(s == s_bound for _, s in members)
-        if not touches_r and not touches_s:
-            return CliqueSpectrum(frozenset(members), r_bound, s_bound)
-        if touches_r:
-            r_bound += 1
-        if touches_s:
-            s_bound += 1
+    members = frozenset(
+        (r, s)
+        for r in range(h.n)
+        for s in range(h.n - r)
+        if r + s >= 1 and not embeds(h, gray_crg(r, s))[0]
+    )
+    return CliqueSpectrum(
+        members,
+        max([r_bound] + [r + 1 for r, _ in members]),
+        max([s_bound] + [s + 1 for _, s in members]),
+    )
 
 
 def gamma(

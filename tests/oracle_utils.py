@@ -3,9 +3,10 @@
 Everything here is deliberately brute force and shares no search code with
 the package: permutation-based isomorphism, exhaustive map enumeration for
 embeddings, recursive path/cycle enumeration, breadth-first edit search,
-a Burnside count of CRG classes, the simplex program g solved over
-every support by Gaussian elimination in ``Fraction``, and the p-core
-test over every proper sub-CRG.
+a Burnside count of CRG classes, a canonical key minimized over every
+vertex order, the simplex program g solved over every support by Gaussian
+elimination in ``Fraction``, the p-core test over every proper sub-CRG,
+and the clique spectrum by box widening.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from heredit.crg import CRG, _pair_ok, sub_crgs
+from heredit.crg import CRG, _pair_ok, embeds, gray_crg, sub_crgs
 from heredit.gfun import GResult, g_value
 from heredit.graphs import Graph, has_induced
+from heredit.spectrum import CliqueSpectrum
 
 
 def induced_subgraph(g: Graph, vertices: tuple[int, ...]) -> Graph:
@@ -81,6 +83,20 @@ def embeds_brute(h: Graph, k: CRG) -> bool:
         return False
 
     return extend()
+
+
+def canonical_key_brute(k: CRG) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Minimum of ``(vcolors, ecolors)`` over all m! relabellings of ``k``.
+
+    Two CRGs are color-isomorphic exactly when their keys are equal.
+    """
+    return min(
+        (
+            tuple(k.vcolors[v] for v in order),
+            tuple(k.edge_color(order[i], order[j]) for j in range(k.m) for i in range(j)),
+        )
+        for order in itertools.permutations(range(k.m))
+    )
 
 
 def paths_and_cycles_recursive(g: Graph) -> tuple[int, set[int]]:
@@ -307,3 +323,30 @@ def is_p_core_brute(k: CRG, p: Fraction) -> bool:
     """p-core by definition: every proper sub-CRG has strictly larger g."""
     gk = g_value(k, p).value
     return all(g_value(sub, p).value > gk for sub in sub_crgs(k))
+
+
+def clique_spectrum_widening(
+    h: Graph, r_max: int | None = None, s_max: int | None = None
+) -> CliqueSpectrum:
+    """Spectrum membership in the box [0, r_max] x [0, s_max], widened and
+    recomputed from scratch until no member touches the box edge.
+
+    Membership uses the library's ``embeds``; the reference is the box
+    handling, not the embedding search.
+    """
+    r_bound = h.n if r_max is None else r_max
+    s_bound = h.n if s_max is None else s_max
+    while True:
+        members = set()
+        for r in range(r_bound + 1):
+            for s in range(s_bound + 1):
+                if 1 <= r + s < h.n and not embeds(h, gray_crg(r, s))[0]:
+                    members.add((r, s))
+        touches_r = any(r == r_bound for r, _ in members)
+        touches_s = any(s == s_bound for _, s in members)
+        if not touches_r and not touches_s:
+            return CliqueSpectrum(frozenset(members), r_bound, s_bound)
+        if touches_r:
+            r_bound += 1
+        if touches_s:
+            s_bound += 1

@@ -59,6 +59,59 @@ class TestParseInputs:
         assert stdout == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        argv = ["gamma", "--graph", "path:5", "--grid", "1/64"]
+        _, serial, _ = run_cli(capsys, argv + ["--jobs", "1"])
+        monkeypatch.setattr("heredit.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        code, stdout, _ = run_cli(capsys, argv + ["--jobs", "1000"])
+        assert code == 0
+        assert started == [2]
+        assert stdout == serial
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        code, stdout, _ = run_cli(capsys, argv + ["--jobs", "1000"])
+        assert code == 0
+        assert started == [2], "one CPU runs serially, without a pool"
+        assert stdout == serial
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (SEARCH_ARGV[:4] + ["0", "--p", "1/3"], "--max-size must lie in 1..5, got 0"),
+        (SEARCH_ARGV[:4] + ["6", "--p", "1/3"], "--max-size must lie in 1..5, got 6"),
+        (SEARCH_ARGV[:4] + ["6", "--grid", "1/16", "--jobs", "2"],
+         "--max-size must lie in 1..5, got 6"),
+        (["edcurve", "--family", "c8star", "--source", "gamma,search", "--m", "6",
+          "--grid", "1/4"], "--m must lie in 1..5, got 6"),
+        (["edcurve", "--family", "path", "--n", "7", "--source", "search,closed_form",
+          "--m", "3", "--grid", "1/4"],
+         "path:7 closed form is stated on [1/2, 1]; refusing grid points 0, 1/4"),
+    ])
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the input was refused")
+
+        for name in ("search_curve", "clique_spectrum", "closed_form_curve",
+                     "ProcessPoolExecutor"):
+            monkeypatch.setattr(f"heredit.cli.{name}", forbidden)
+        code, stdout, err = run_cli(capsys, argv + ["--no-cache"])
+        assert code == 3
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+
     def test_unwritable_output_is_os_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         code, _, err = run_cli(
@@ -214,24 +267,12 @@ class TestSearchCommand:
     def test_search_with_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = [
-            "search", "--forbid", "c2nstar:8", "--max-size", "3",
-            "--p", "1/3", "--cache-dir", str(cache),
-        ]
-        assert main(argv + ["--out", str(out1)]) == 0
-        assert main(argv + ["--out", str(out2)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
-        first = out1.read_text().splitlines()[1].split(",")
-        assert first[0] == "1/3" and first[1] == "1/6"
-
-    def test_cache_hit_reproduces_bytes(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = SEARCH_ARGV + ["--cache-dir", str(cache)]
         assert main(base + ["--out", str(out1)]) == 0
         capsys.readouterr()
         assert list(cache.glob("*.json")), "first run must populate the cache"
+        first = out1.read_text().splitlines()[1].split(",")
+        assert first[0] == "1/3" and first[1] == "1/6"
         assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
@@ -261,13 +302,13 @@ class TestSearchCommand:
         capsys.readouterr()
         assert len(list(cache.glob("*.json"))) == before + 1
 
-    def test_search_m5_golden_bytes(self, capsys):
+    # --allow-large is accepted for compatibility and changes nothing
+    @pytest.mark.parametrize("flags", [["--allow-large"], []], ids=["allow-large", "plain"])
+    def test_search_m5_golden_bytes(self, capsys, flags):
         code, stdout, _ = run_cli(
             capsys,
-            [
-                "search", "--forbid", "cycle:4", "--max-size", "5", "--allow-large",
-                "--p", "45/64", "--no-cache",
-            ],
+            ["search", "--forbid", "cycle:4", "--max-size", "5", *flags,
+             "--p", "45/64", "--no-cache"],
         )
         assert code == 0
         data = stdout.encode()

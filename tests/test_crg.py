@@ -21,7 +21,13 @@ from heredit.crg import (
 )
 from heredit.errors import BudgetError, FormatError, ValidationError
 from heredit.graphs import build_family, complement, parse_graph_spec
-from oracle_utils import black_white_gray, burnside_crg_count, embeds_brute, random_graph
+from oracle_utils import (
+    black_white_gray,
+    burnside_crg_count,
+    canonical_key_brute,
+    embeds_brute,
+    random_graph,
+)
 
 
 class TestGrayCrg:
@@ -199,6 +205,19 @@ class TestEnumeration:
                 ),
             )
             assert canonical_form(shuffled) == canonical_form(k)
+
+    def test_canonical_form_matches_brute_key_exhaustively(self):
+        # every labelled CRG with m <= 4: equal canonical forms exactly
+        # when the relabelling-minimum keys are equal
+        pairs = {
+            (canonical_form(k), canonical_key_brute(k))
+            for m in range(1, 5)
+            for vcolors in itertools.product(("W", "B"), repeat=m)
+            for ecolors in itertools.product(("W", "G", "B"), repeat=m * (m - 1) // 2)
+            for k in (CRG(vcolors, ecolors),)
+        }
+        assert len(pairs) == len({form for form, _ in pairs}) == 772
+        assert len({key for _, key in pairs}) == 772
 
     def test_rejects_oversize(self):
         with pytest.raises(ValidationError):

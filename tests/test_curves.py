@@ -136,10 +136,11 @@ class TestBoundedMinG:
 
     def test_size_gate(self):
         h = build_family("path", 5)
-        with pytest.raises(ValidationError):
-            bounded_min_g(h, 5, F(1, 2))
-        with pytest.raises(ValidationError):
-            bounded_min_g(h, 6, F(1, 2), allow_large=True)
+        # m = 5 runs: the enumeration cap is the only size bound
+        assert bounded_min_g(h, 5, F(1, 2)).value == F(1, 4)
+        for m in (0, 6):
+            with pytest.raises(ValidationError):
+                bounded_min_g(h, m, F(1, 2))
 
 
 class TestCurveScan:

@@ -6,6 +6,7 @@ from heredit.errors import ValidationError
 from heredit.gfun import closed_form_gray
 from heredit.graphs import build_family
 from heredit.spectrum import clique_spectrum, gamma
+from oracle_utils import clique_spectrum_widening
 
 
 class TestMembership:
@@ -42,6 +43,19 @@ class TestMembership:
         # (2, 0) is a member, so the box cannot stay at r_max=1
         assert (2, 0) in spect.members
         assert spect.r_max >= 3
+
+    @pytest.mark.parametrize(
+        ("family", "n"),
+        [("c2nstar", 8), ("path", 5), ("path", 7), ("cycle", 6), ("ctilde", 9)],
+    )
+    def test_one_pass_matches_widening_oracle(self, family, n):
+        h = build_family(family, n)
+        for r_max, s_max in (
+            (None, None), (1, 1), (1, 2), (2, 1), (3, 4), (5, 5), (1, n + 2), (n + 2, 1),
+        ):
+            assert clique_spectrum(h, r_max, s_max) == clique_spectrum_widening(
+                h, r_max, s_max
+            )
 
     def test_rejects_empty_graph(self):
         from heredit.graphs import Graph
