@@ -267,12 +267,21 @@ class TestSearchCommand:
     def test_search_with_cache(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = SEARCH_ARGV + ["--cache-dir", str(cache)]
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
+        capsys.readouterr()
+        assert out1.read_bytes() == out2.read_bytes()
+        first = out1.read_text().splitlines()[1].split(",")
+        assert first[0] == "1/3" and first[1] == "1/6"
+
+    def test_cache_hit_reproduces_bytes(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = SEARCH_ARGV + ["--cache-dir", str(cache)]
         assert main(base + ["--out", str(out1)]) == 0
         capsys.readouterr()
         assert list(cache.glob("*.json")), "first run must populate the cache"
-        first = out1.read_text().splitlines()[1].split(",")
-        assert first[0] == "1/3" and first[1] == "1/6"
         assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
