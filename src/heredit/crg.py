@@ -172,7 +172,8 @@ def embeds(
 
     Raises :class:`BudgetError` when the backtracking search exceeds
     ``budget`` candidate placements, so a ``False`` always means the search
-    space was exhausted.
+    space was exhausted.  The message names the pattern step (0-based, of
+    ``h.n``) that was being placed when the budget ran out.
     """
     if h.n > MAX_EMBED_PATTERN:
         raise ValidationError(f"embedding pattern capped at {MAX_EMBED_PATTERN} vertices")
@@ -203,7 +204,8 @@ def embeds(
             nodes += 1
             if nodes > budget:
                 raise BudgetError(
-                    f"embedding search budget of {budget} placements exceeded"
+                    f"embedding search budget of {budget} placements exceeded "
+                    f"at pattern step {t} of {h.n}"
                 )
             ok = True
             for s in range(t):

@@ -4,7 +4,18 @@
 make a graph free of an induced copy of the forbidden graph, by iterative
 deepening: at each depth the search locates one induced copy and branches
 only on the pairs inside it, since any valid edit set must touch every
-copy.  ``max_dist_estimate`` samples fixed-edge-count random graphs and
+copy.
+
+Every graph whose subtree fails is remembered with the remaining depth it
+failed at and the induced copy found in it.  A later visit with at most
+that depth left fails at once; one with more depth left reuses the stored
+copy instead of searching again, since ``has_induced`` is deterministic and
+would return the same copy.  Both are exact: only graphs that contain a
+copy are stored, so a hit never hides a graph that is already free, and the
+search visits the same nodes and returns the same witness as one that
+called ``has_induced`` at every node.
+
+``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the
 finite-n maximum at that density, not an estimate of the asymptotic limit.
 """
@@ -60,7 +71,9 @@ def edit_distance(
     """Exact minimum number of pair flips making ``g`` free of ``forbidden``.
 
     Raises :class:`BudgetError` carrying the best upper bound found when the
-    node limit runs out before the minimum is certified.
+    node limit runs out before the minimum is certified.  Its message names
+    the deepening depth in progress; every smaller depth was exhausted, so
+    the distance lies in ``[depth, best_bound]``.
     """
     if g.n > MAX_ORACLE_VERTICES:
         raise ValidationError(
@@ -82,31 +95,36 @@ def edit_distance(
         upper_bound = pair_count - g.edge_count()
     max_depth = pair_count
     nodes = 0
-    # graph -> largest remaining depth already proven hopeless
-    failed: dict[tuple[int, ...], int] = {}
+    # graph -> (largest remaining depth proven hopeless, induced copy found)
+    failed: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
 
     def search(current: Graph, remaining: int) -> Graph | None:
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise BudgetError(
-                f"edit search node limit of {node_limit} exceeded",
+                f"edit search node limit of {node_limit} exceeded at depth {depth}; "
+                f"the distance lies in [{depth}, {upper_bound}]",
                 best_bound=upper_bound,
             )
-        found, copy = has_induced(current, forbidden)
-        if not found:
-            return current
-        if remaining == 0:
+        stored = failed.get(current.adj)
+        if stored is None:
+            found, copy = has_induced(current, forbidden)
+            if not found:
+                return current
+            if remaining == 0:
+                return None
+        elif stored[0] >= remaining:
             return None
-        if failed.get(current.adj, -1) >= remaining:
-            return None
+        else:
+            copy = stored[1]
         for i in range(len(copy)):
             for j in range(i + 1, len(copy)):
                 child = _flip(current, copy[i], copy[j])
                 result = search(child, remaining - 1)
                 if result is not None:
                     return result
-        failed[current.adj] = remaining
+        failed[current.adj] = (remaining, copy)
         return None
 
     for depth in range(1, max_depth + 1):

@@ -165,6 +165,24 @@ def _search_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
+@lru_cache
+def _induced_plan(
+    pattern: Graph,
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
+    """The search order of ``pattern`` and, per step t, its ``(s, is_edge)`` pairs.
+
+    Step t places pattern vertex ``order[t]``; for every earlier step s the
+    pair says whether ``order[t]`` and ``order[s]`` are adjacent in the
+    pattern, so the search never asks the pattern again.  Cached per pattern.
+    """
+    order = _search_order(pattern)
+    steps = tuple(
+        tuple((s, pattern.has_edge(order[t], order[s])) for s in range(t))
+        for t in range(pattern.n)
+    )
+    return order, steps
+
+
 def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether some vertex subset of ``host`` induces a copy of ``pattern``.
 
@@ -172,44 +190,57 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
     vertex: ``witness[i]`` is the host vertex playing pattern vertex ``i``,
     so pairwise adjacency matches exactly (edge for edge, non-edge for
     non-edge).
+
+    The pattern is compiled once (``_induced_plan``) and the search is an
+    iterative depth-first search over bitsets in the manner of Ullmann
+    (1976): step t keeps the mask of host vertices still to try for pattern
+    vertex ``order[t]``, narrowed by the host rows of every earlier step.
+    Steps follow ``_search_order`` and each step tries its candidates in
+    ascending order, so the witness is the first copy in that order: the
+    same copy a recursive backtracking search over ``_search_order``
+    returns.  ``edit_distance`` branches on the witness, so that order is
+    part of the contract.
     """
-    if pattern.n > host.n:
+    k = pattern.n
+    if k > host.n:
         return False, None
-    if pattern.n == 0:
+    if k == 0:
         return True, ()
 
-    order = _search_order(pattern)
+    order, steps = _induced_plan(pattern)
+    adj = host.adj
     full = (1 << host.n) - 1
-    chosen = [-1] * pattern.n
+    placed = [0] * k  # host vertex chosen at each step
+    rest = [0] * k  # candidates still untried at each step
     used = 0
-
-    def extend(t: int) -> bool:
-        nonlocal used
-        if t == pattern.n:
-            return True
-        pv = order[t]
-        cands = full & ~used
-        for s in range(t):
-            qv = order[s]
-            hv = chosen[qv]
-            if pattern.has_edge(pv, qv):
-                cands &= host.adj[hv]
-            else:
-                cands &= ~host.adj[hv]
-            if not cands:
-                return False
-        for hv in _bits(cands):
-            chosen[pv] = hv
-            used |= 1 << hv
-            if extend(t + 1):
-                return True
-            used &= ~(1 << hv)
-            chosen[pv] = -1
-        return False
-
-    if extend(0):
-        return True, tuple(chosen)
-    return False, None
+    t = 0
+    cands = full
+    while True:
+        if cands:
+            low = cands & -cands
+            rest[t] = cands ^ low
+            placed[t] = low.bit_length() - 1
+            used |= low
+            t += 1
+            if t == k:
+                chosen = [0] * k
+                for s, pv in enumerate(order):
+                    chosen[pv] = placed[s]
+                return True, tuple(chosen)
+            cands = full & ~used
+            for s, edge in steps[t]:
+                if edge:
+                    cands &= adj[placed[s]]
+                else:
+                    cands &= ~adj[placed[s]]
+                if not cands:
+                    break
+        else:
+            t -= 1
+            if t < 0:
+                return False, None
+            used ^= 1 << placed[t]
+            cands = rest[t]
 
 
 class PathCycleProfile(NamedTuple):

@@ -7,6 +7,12 @@ a Burnside count of CRG classes, a canonical key minimized over every
 vertex order, the simplex program g solved over every support by Gaussian
 elimination in ``Fraction``, the p-core test over every proper sub-CRG,
 and the clique spectrum by box widening.
+
+Two are plain versions of fast paths, kept to pin exact outputs rather
+than to be independent: ``has_induced_recursive`` and
+``edit_distance_reference``.  They share the pattern search order and the
+flip helpers with the package, since the witness they return depends on
+that order.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from collections import deque
 from fractions import Fraction
 
 from heredit.crg import CRG, _pair_ok, embeds, gray_crg, sub_crgs
+from heredit.editing import EditResult, _flip, _normalized, _symmetric_difference
+from heredit.errors import BudgetError
 from heredit.gfun import GResult, g_value
-from heredit.graphs import Graph, has_induced
+from heredit.graphs import Graph, _bits, _search_order, has_induced
 from heredit.spectrum import CliqueSpectrum
 
 
@@ -54,6 +62,50 @@ def has_induced_brute(host: Graph, pattern: Graph) -> bool:
         if isomorphic_brute(induced_subgraph(host, subset), pattern):
             return True
     return False
+
+
+def has_induced_recursive(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | None]:
+    """Recursive backtracking over ``_search_order``, candidates ascending.
+
+    ``has_induced`` must return this witness on every input.
+    """
+    if pattern.n > host.n:
+        return False, None
+    if pattern.n == 0:
+        return True, ()
+
+    order = _search_order(pattern)
+    full = (1 << host.n) - 1
+    chosen = [-1] * pattern.n
+    used = 0
+
+    def extend(t: int) -> bool:
+        nonlocal used
+        if t == pattern.n:
+            return True
+        pv = order[t]
+        cands = full & ~used
+        for s in range(t):
+            qv = order[s]
+            hv = chosen[qv]
+            if pattern.has_edge(pv, qv):
+                cands &= host.adj[hv]
+            else:
+                cands &= ~host.adj[hv]
+            if not cands:
+                return False
+        for hv in _bits(cands):
+            chosen[pv] = hv
+            used |= 1 << hv
+            if extend(t + 1):
+                return True
+            used &= ~(1 << hv)
+            chosen[pv] = -1
+        return False
+
+    if extend(0):
+        return True, tuple(chosen)
+    return False, None
 
 
 def black_white_gray(k: CRG) -> bool:
@@ -191,6 +243,52 @@ def bfs_edit_distance(g: Graph, forbidden: Graph) -> int:
                 next_frontier.append(child)
         frontier = next_frontier
     raise AssertionError("edit layers must exhaust eventually")
+
+
+def edit_distance_reference(g: Graph, forbidden: Graph, node_limit: int) -> EditResult:
+    """Iterative-deepening edit search without memo reuse.
+
+    Every node calls ``has_induced_recursive`` and only then consults the
+    memo of hopeless graphs; ``edit_distance`` must visit the same nodes,
+    return the same result and raise ``BudgetError`` at the same node.
+    """
+    found, _ = has_induced_recursive(g, forbidden)
+    if not found:
+        return EditResult(0, _normalized(0, g.n), g)
+    pair_count = g.n * (g.n - 1) // 2
+    if forbidden.edge_count() > 0:
+        upper_bound = g.edge_count()
+    else:
+        upper_bound = pair_count - g.edge_count()
+    nodes = 0
+    failed: dict[tuple[int, ...], int] = {}
+
+    def search(current: Graph, remaining: int) -> Graph | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetError("node limit exceeded", best_bound=upper_bound)
+        found, copy = has_induced_recursive(current, forbidden)
+        if not found:
+            return current
+        if remaining == 0:
+            return None
+        if failed.get(current.adj, -1) >= remaining:
+            return None
+        for i in range(len(copy)):
+            for j in range(i + 1, len(copy)):
+                result = search(_flip(current, copy[i], copy[j]), remaining - 1)
+                if result is not None:
+                    return result
+        failed[current.adj] = remaining
+        return None
+
+    for depth in range(1, pair_count + 1):
+        witness = search(g, depth)
+        if witness is not None:
+            edits = _symmetric_difference(g, witness)
+            return EditResult(edits, _normalized(edits, g.n), witness)
+    raise AssertionError("deepening must terminate within C(n,2) flips")
 
 
 def burnside_crg_count(m: int, n_vcolors: int = 2, n_ecolors: int = 3) -> int:

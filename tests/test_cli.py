@@ -143,6 +143,12 @@ GOLDEN = [
      "847c35da4938f18291e880a5232f217b0b6d447ea2fc6257de0c574b1569d617"),
     ("estimate --n 8 --p 1/2 --forbid path:4 --samples 100 --seed 3", 52,
      "2bbeaac8c543621ab71bb72ae6a5c3df09386ce07575278bcfe542181ad08771"),
+    ("dist --graph cycle:8 --forbid path:4", 46,
+     "ae416850045c2c79b92ca270731306739d7e28fdb3abcff6ae1628e9082e039b"),
+    ("dist --graph ctilde:9 --forbid path:4", 47,
+     "0d20809d7590b878d41f22802cd492ba7f877d2f5d564501e95cc311154cf295"),
+    ("dist --graph c2nstar:10 --forbid path:3", 49,
+     "f356cbbe385d7bf94113793a727d3c360dfd0061bf541b71c77c4d6d0cda7aec"),
 ]
 
 

@@ -110,8 +110,9 @@ class TestEmbeds:
                 assert validate_witness(h, k, witness)
 
     def test_budget_error_is_explicit(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError) as exc:
             embeds(build_family("c2nstar", 12), gray_crg(1, 3), budget=10)
+        assert "at pattern step 4 of 12" in str(exc.value)
 
     def test_size_caps(self):
         with pytest.raises(ValidationError):

@@ -3,10 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from heredit.editing import _flip, edit_distance, max_dist_estimate, sample_graph
+from heredit.editing import (
+    DEFAULT_NODE_LIMIT,
+    _flip,
+    edit_distance,
+    max_dist_estimate,
+    sample_graph,
+)
 from heredit.errors import BudgetError, ValidationError
-from heredit.graphs import Graph, build_family, graph_to_graph6, has_induced
-from oracle_utils import bfs_edit_distance, random_graph
+from heredit.graphs import Graph, build_family, graph_from_graph6, graph_to_graph6, has_induced
+from oracle_utils import bfs_edit_distance, edit_distance_reference, random_graph
 
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 P3 = build_family("path", 3)
@@ -77,6 +83,43 @@ class TestEditDistance:
         with pytest.raises(BudgetError) as exc:
             edit_distance(C8, P3, node_limit=3)
         assert exc.value.best_bound == 8  # emptying C8 is always enough
+        assert "at depth 1; the distance lies in [1, 8]" in str(exc.value)
+        with pytest.raises(BudgetError) as exc:
+            edit_distance(C8, P3, node_limit=30)
+        assert "at depth 3; the distance lies in [3, 8]" in str(exc.value)
+
+    def test_matches_reference_result(self):
+        # whole results, witness graph included, against the search that
+        # called the recursive kernel at every node and no memo reuse
+        claw = graph_from_graph6("Cs")  # K_{1,3}, centre 0
+        patterns = (P3, P4, build_family("cycle", 4), claw)
+        rng = random.Random(17)
+        for index in range(200):
+            g = random_graph(rng, rng.randrange(4, 9))
+            pattern = patterns[index % len(patterns)]
+            want = edit_distance_reference(g, pattern, DEFAULT_NODE_LIMIT)
+            assert edit_distance(g, pattern) == want
+
+    def test_budget_error_parity(self):
+        # the node at which the budget runs out is unchanged, so both
+        # searches raise for exactly the same limits, with the same bound;
+        # the full searches below take 15, 34 and 37 nodes, and the last
+        # revisits a failed graph at the depth it failed at
+        cases = (
+            (build_family("cycle", 6), P4),
+            (build_family("ctilde", 6), P4),
+            (graph_from_graph6("ElBw"), P3),
+        )
+        for g, pattern in cases:
+            for limit in range(1, 41):
+                try:
+                    want = edit_distance_reference(g, pattern, limit)
+                except BudgetError as exc:
+                    with pytest.raises(BudgetError) as got:
+                        edit_distance(g, pattern, node_limit=limit)
+                    assert got.value.best_bound == exc.best_bound
+                else:
+                    assert edit_distance(g, pattern, node_limit=limit) == want
 
     def test_size_gate(self):
         with pytest.raises(ValidationError):

@@ -18,6 +18,7 @@ from heredit.graphs import (
 )
 from oracle_utils import (
     has_induced_brute,
+    has_induced_recursive,
     is_connected,
     max_path_closes,
     paths_and_cycles_recursive,
@@ -136,6 +137,16 @@ class TestHasInduced:
             nx_pattern.add_nodes_from(range(pattern.n))
             matcher = nx.algorithms.isomorphism.GraphMatcher(nx_host, nx_pattern)
             assert has_induced(host, pattern)[0] == matcher.subgraph_is_isomorphic()
+
+    def test_witness_matches_recursive_reference(self):
+        # the edit search branches on the witness, so the bitset kernel must
+        # return the recursive search's first copy, not just any copy
+        rng = random.Random(41)
+        for _ in range(2500):
+            host = random_graph(rng, rng.randrange(0, 11), rng.random())
+            density = rng.choice((0.0, 1.0, rng.random()))
+            pattern = random_graph(rng, rng.randrange(0, 6), density)
+            assert has_induced(host, pattern) == has_induced_recursive(host, pattern)
 
 
 class TestPathCycleProfile:
