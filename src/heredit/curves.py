@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 from .crg import CRG, crg_compact, embeds, enumerate_crgs, gray_label
 from .errors import RangeError, ValidationError
-from .gfun import closed_form_gray, g_value
+from .gfun import g_value
 from .graphs import Graph, build_family
-from .spectrum import CliqueSpectrum, clique_spectrum
+from .spectrum import CliqueSpectrum, gamma_points, min_gray
 
 CURVE_FAMILIES = ("c8star", "ctilde", "path", "cycle")
 SOURCES = ("closed_form", "gamma", "search")
@@ -110,13 +110,18 @@ def valid_interval(family: str, n: int) -> tuple[Fraction, Fraction]:
     return family_terms(family, n)[1]
 
 
-def _min_terms(
-    terms: Sequence[tuple[int, int]], p: Fraction
-) -> tuple[Fraction, tuple[str, ...]]:
-    values = [(closed_form_gray(r, s, p), (r, s)) for r, s in terms]
-    best = min(v for v, _ in values)
-    labels = tuple(gray_label(r, s) for v, (r, s) in values if v == best)
-    return best, labels
+def _terms_curve(
+    terms: Sequence[tuple[int, int]], points: Iterable[Fraction], source: str
+) -> Curve:
+    """Min over ``terms`` of the K(r, s) closed form at each point, labelled
+    by the attaining terms."""
+    samples = []
+    witnesses = []
+    for p in points:
+        value, attaining = min_gray(terms, p)
+        samples.append((p, value))
+        witnesses.append(tuple(gray_label(r, s) for r, s in attaining))
+    return Curve(tuple(samples), source, tuple(witnesses))
 
 
 def closed_form_terms(
@@ -140,14 +145,7 @@ def closed_form_terms(
 def closed_form_curve(family: str, n: int, grid: Iterable[Fraction]) -> Curve:
     """Evaluate the family's min-of-terms closed form on the grid, exactly."""
     points = [Fraction(p) for p in grid]
-    terms = closed_form_terms(family, n, points)
-    samples = []
-    witnesses = []
-    for p in points:
-        value, labels = _min_terms(terms, p)
-        samples.append((p, value))
-        witnesses.append(labels)
-    return Curve(tuple(samples), "closed_form", tuple(witnesses))
+    return _terms_curve(closed_form_terms(family, n, points), points, "closed_form")
 
 
 def family_graph(family: str, n: int) -> Graph:
@@ -160,20 +158,15 @@ def family_graph(family: str, n: int) -> Graph:
 def gamma_curve(
     h: Graph, grid: Iterable[Fraction], spectrum: CliqueSpectrum | None = None
 ) -> Curve:
-    spect = clique_spectrum(h) if spectrum is None else spectrum
-    points = spect.extreme_points()
-    if not points:
-        raise ValidationError("empty clique spectrum: every gray CRG admits the graph")
-    samples = []
-    witnesses = []
-    for p in (Fraction(q) for q in grid):
-        value, labels = _min_terms(points, p)
-        samples.append((p, value))
-        witnesses.append(labels)
-    return Curve(tuple(samples), "gamma", tuple(witnesses))
+    """The gamma bound (``spectrum.gamma``) on the grid, labelled by the
+    attaining extreme points."""
+    return _terms_curve(gamma_points(h, spectrum), (Fraction(q) for q in grid), "gamma")
 
 
-@lru_cache
+# one (h, m) per CLI job; four lets a caller sweep m = 1..4 at every p
+# without rebuilding, while bounding what is held (an m = 5 entry can be
+# 13,204 CRGs)
+@lru_cache(maxsize=4)
 def _candidates(h: Graph, m: int) -> tuple[CRG, ...]:
     return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
 

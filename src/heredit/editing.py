@@ -4,20 +4,27 @@
 make a graph free of an induced copy of the forbidden graph, by iterative
 deepening: at each depth the search locates one induced copy and branches
 only on the pairs inside it, since any valid edit set must touch every
-copy.
+copy.  The search runs on raw adjacency rows with the pattern compiled
+once; only the returned witness becomes a ``Graph``.
 
 Every graph whose subtree fails is remembered with the remaining depth it
 failed at and the induced copy found in it.  A later visit with at most
 that depth left fails at once; one with more depth left reuses the stored
-copy instead of searching again, since ``has_induced`` is deterministic and
-would return the same copy.  Both are exact: only graphs that contain a
-copy are stored, so a hit never hides a graph that is already free, and the
-search visits the same nodes and returns the same witness as one that
-called ``has_induced`` at every node.
+copy instead of searching again, since the induced-copy search is
+deterministic and would return the same copy.  Both are exact: only graphs
+that contain a copy are stored, so a hit never hides a graph that is
+already free, and the search visits the same nodes and returns the same
+witness as one that called ``has_induced`` at every node.
 
 ``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the
 finite-n maximum at that density, not an estimate of the asymptotic limit.
+Once it has a maximum of ``best`` edits, it first asks of each sample
+whether ``best`` flips suffice, with one depth-``best`` run of the same
+search; only a sample for which they do not, or for which that run exceeds
+the node limit, gets the exact ``edit_distance``.  ``skipped`` counts the
+samples that could not be compared with the running maximum within the
+node limit.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, has_induced
+from .graphs import Graph, _find_induced, _induced_plan, has_induced
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
@@ -53,16 +61,62 @@ class EstimateResult:
     skipped: int
 
 
-def _flip(g: Graph, u: int, v: int) -> Graph:
-    rows = list(g.adj)
+def _flip(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """The rows of ``adj`` with the pair {u, v} toggled in both directions."""
+    rows = list(adj)
     rows[u] ^= 1 << v
     rows[v] ^= 1 << u
-    return Graph._unchecked(g.n, tuple(rows))
+    return tuple(rows)
 
 
 def _normalized(edits: int, n: int) -> Fraction:
     pairs = n * (n - 1) // 2
     return Fraction(edits, pairs) if pairs else Fraction(0)
+
+
+def _flip_search(
+    n: int, forbidden: Graph, node_limit: int
+) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
+    """``search(rows, depth)``: rows of a ``forbidden``-free graph within
+    ``depth`` flips of ``rows``, or ``None`` when there is none.
+
+    Each node finds one induced copy and branches only on the pairs inside
+    it, trying children in copy order.  Every call of one ``search`` shares
+    the memo of failed graphs and the node count; past ``node_limit`` nodes
+    it raises :class:`BudgetError`.  Graphs are searched as raw adjacency
+    rows on vertices 0..n-1, and the pattern is compiled once.
+    """
+    plan = _induced_plan(forbidden)
+    k = forbidden.n
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    nodes = 0
+    # rows -> (largest remaining depth proven hopeless, induced copy found)
+    failed: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+
+    def search(adj: tuple[int, ...], remaining: int) -> tuple[int, ...] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetError(f"edit search node limit of {node_limit} exceeded")
+        stored = failed.get(adj)
+        if stored is None:
+            copy = _find_induced(adj, n, plan)
+            if copy is None:
+                return adj
+            if remaining == 0:
+                return None
+        elif stored[0] >= remaining:
+            return None
+        else:
+            copy = stored[1]
+        for i, j in pairs:
+            result = search(_flip(adj, copy[i], copy[j]), remaining - 1)
+            if result is not None:
+                return result
+        failed[adj] = (remaining, copy)
+        return None
+
+    return search
 
 
 def edit_distance(
@@ -93,43 +147,17 @@ def edit_distance(
         upper_bound = g.edge_count()
     else:
         upper_bound = pair_count - g.edge_count()
-    max_depth = pair_count
-    nodes = 0
-    # graph -> (largest remaining depth proven hopeless, induced copy found)
-    failed: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-
-    def search(current: Graph, remaining: int) -> Graph | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
+    search = _flip_search(g.n, forbidden, node_limit)
+    for depth in range(1, pair_count + 1):
+        try:
+            rows = search(g.adj, depth)
+        except BudgetError as exc:
             raise BudgetError(
-                f"edit search node limit of {node_limit} exceeded at depth {depth}; "
-                f"the distance lies in [{depth}, {upper_bound}]",
+                f"{exc} at depth {depth}; the distance lies in [{depth}, {upper_bound}]",
                 best_bound=upper_bound,
-            )
-        stored = failed.get(current.adj)
-        if stored is None:
-            found, copy = has_induced(current, forbidden)
-            if not found:
-                return current
-            if remaining == 0:
-                return None
-        elif stored[0] >= remaining:
-            return None
-        else:
-            copy = stored[1]
-        for i in range(len(copy)):
-            for j in range(i + 1, len(copy)):
-                child = _flip(current, copy[i], copy[j])
-                result = search(child, remaining - 1)
-                if result is not None:
-                    return result
-        failed[current.adj] = (remaining, copy)
-        return None
-
-    for depth in range(1, max_depth + 1):
-        witness = search(g, depth)
-        if witness is not None:
+            ) from None
+        if rows is not None:
+            witness = Graph._unchecked(g.n, rows)
             edits = _symmetric_difference(g, witness)
             return EditResult(edits, _normalized(edits, g.n), witness)
     raise AssertionError("deepening must terminate within C(n,2) flips")
@@ -166,9 +194,16 @@ def max_dist_estimate(
 ) -> EstimateResult:
     """Max oracle distance over random graphs with floor(p*C(n,2)) edges.
 
-    A sampled lower bound on the finite-n maximum at this density.  Samples
-    whose oracle run exceeds the node limit are skipped and counted.  Ties
-    keep the earliest sample, so the result is deterministic per seed.
+    A sampled lower bound on the finite-n maximum at this density.  Ties
+    keep the earliest sample, so the result is deterministic per seed, and
+    once a maximum of ``best`` edits exists a sample needs its exact
+    distance only if ``best`` flips cannot make it free of ``forbidden``.
+    That test is one depth-``best`` run of the edit search; when it exceeds
+    the node limit the sample gets the exact run anyway.  ``skipped``
+    counts the samples that could not be compared with the running maximum
+    within the node limit: their exact run exceeded it too.  The maximum
+    and its witness are those of the loop that ran the exact search on
+    every sample, and ``skipped`` is never larger.
     """
     if n > MAX_ESTIMATE_VERTICES:
         raise ValidationError(
@@ -181,10 +216,20 @@ def max_dist_estimate(
     edge_count = int(Fraction(p) * (n * (n - 1) // 2))
     rng = random.Random(seed)
     best = Fraction(0)
+    best_edits = 0
     witness: Graph | None = None
     skipped = 0
     for index in range(samples):
         g = sample_graph(n, edge_count, rng)
+        if witness is not None:
+            # ties keep the earliest sample, so one within best_edits flips
+            # of the property cannot raise the maximum
+            search = _flip_search(n, forbidden, node_limit)
+            try:
+                if search(g.adj, best_edits) is not None:
+                    continue
+            except BudgetError:
+                pass  # undecided within the limit: the exact run decides
         try:
             result = edit_distance(g, forbidden, node_limit=node_limit)
         except BudgetError:
@@ -192,6 +237,7 @@ def max_dist_estimate(
             continue
         if result.normalized > best or witness is None:
             best = result.normalized
+            best_edits = result.edits
             witness = g
     if witness is None:
         raise BudgetError(f"all {samples} samples exceeded the node limit")

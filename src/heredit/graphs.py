@@ -201,15 +201,28 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
     returns.  ``edit_distance`` branches on the witness, so that order is
     part of the contract.
     """
-    k = pattern.n
-    if k > host.n:
+    if pattern.n > host.n:
         return False, None
-    if k == 0:
+    if pattern.n == 0:
         return True, ()
+    copy = _find_induced(host.adj, host.n, _induced_plan(pattern))
+    return copy is not None, copy
 
-    order, steps = _induced_plan(pattern)
-    adj = host.adj
-    full = (1 << host.n) - 1
+
+def _find_induced(
+    adj: tuple[int, ...],
+    n: int,
+    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
+) -> tuple[int, ...] | None:
+    """The search of ``has_induced`` on raw rows and a compiled plan.
+
+    Returns the witness, or ``None`` when there is no copy.  The pattern
+    must have at least one vertex.  Callers that search one pattern in many
+    hosts (the edit search) compile the plan once and call this directly.
+    """
+    order, steps = plan
+    k = len(order)
+    full = (1 << n) - 1
     placed = [0] * k  # host vertex chosen at each step
     rest = [0] * k  # candidates still untried at each step
     used = 0
@@ -226,7 +239,7 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
                 chosen = [0] * k
                 for s, pv in enumerate(order):
                     chosen[pv] = placed[s]
-                return True, tuple(chosen)
+                return tuple(chosen)
             cands = full & ~used
             for s, edge in steps[t]:
                 if edge:
@@ -238,7 +251,7 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
         else:
             t -= 1
             if t < 0:
-                return False, None
+                return None
             used ^= 1 << placed[t]
             cands = rest[t]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .crg import embeds, gray_crg
 from .errors import ValidationError
@@ -81,16 +82,34 @@ def clique_spectrum(
     )
 
 
-def gamma(
-    h: Graph, p: Fraction, spectrum: CliqueSpectrum | None = None
-) -> Fraction:
-    """min over the clique spectrum of the K(r, s) closed form at p.
+def gamma_points(
+    h: Graph, spectrum: CliqueSpectrum | None = None
+) -> tuple[tuple[int, int], ...]:
+    """The extreme points of the clique spectrum, the terms gamma minimizes.
 
     The closed form is decreasing in both r and s, so the minimum over the
-    downward-closed spectrum is attained at an extreme point.
+    downward-closed spectrum is attained at an extreme point.  The spectrum
+    is computed when not given; an empty one is a :class:`ValidationError`.
     """
     spect = clique_spectrum(h) if spectrum is None else spectrum
     points = spect.extreme_points()
     if not points:
         raise ValidationError("empty clique spectrum: every gray CRG admits the graph")
-    return min(closed_form_gray(r, s, p) for r, s in points)
+    return points
+
+
+def min_gray(
+    terms: Iterable[tuple[int, int]], p: Fraction
+) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
+    """Minimum of the K(r, s) closed form at p over ``terms``, and the terms
+    that attain it, in the given order."""
+    values = [(closed_form_gray(r, s, p), (r, s)) for r, s in terms]
+    best = min(v for v, _ in values)
+    return best, tuple(term for v, term in values if v == best)
+
+
+def gamma(
+    h: Graph, p: Fraction, spectrum: CliqueSpectrum | None = None
+) -> Fraction:
+    """min over the clique spectrum of the K(r, s) closed form at p."""
+    return min_gray(gamma_points(h, spectrum), p)[0]

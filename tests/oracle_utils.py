@@ -8,23 +8,35 @@ vertex order, the simplex program g solved over every support by Gaussian
 elimination in ``Fraction``, the p-core test over every proper sub-CRG,
 and the clique spectrum by box widening.
 
-Two are plain versions of fast paths, kept to pin exact outputs rather
-than to be independent: ``has_induced_recursive`` and
-``edit_distance_reference``.  They share the pattern search order and the
-flip helpers with the package, since the witness they return depends on
-that order.
+Three are plain versions of fast paths, kept to pin exact outputs rather
+than to be independent: ``has_induced_recursive``,
+``edit_distance_reference`` and ``max_dist_estimate_reference``.  The first
+two share the pattern search order and the flip helper with the package,
+since the witness they return depends on that order; the last runs the
+package's ``edit_distance`` on every sample.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
 from heredit.crg import CRG, _pair_ok, embeds, gray_crg, sub_crgs
-from heredit.editing import EditResult, _flip, _normalized, _symmetric_difference
-from heredit.errors import BudgetError
+from heredit.editing import (
+    DEFAULT_NODE_LIMIT,
+    MAX_ESTIMATE_VERTICES,
+    EditResult,
+    EstimateResult,
+    _flip,
+    _normalized,
+    _symmetric_difference,
+    edit_distance,
+    sample_graph,
+)
+from heredit.errors import BudgetError, ValidationError
 from heredit.gfun import GResult, g_value
 from heredit.graphs import Graph, _bits, _search_order, has_induced
 from heredit.spectrum import CliqueSpectrum
@@ -277,7 +289,8 @@ def edit_distance_reference(g: Graph, forbidden: Graph, node_limit: int) -> Edit
             return None
         for i in range(len(copy)):
             for j in range(i + 1, len(copy)):
-                result = search(_flip(current, copy[i], copy[j]), remaining - 1)
+                child = Graph._unchecked(current.n, _flip(current.adj, copy[i], copy[j]))
+                result = search(child, remaining - 1)
                 if result is not None:
                     return result
         failed[current.adj] = remaining
@@ -289,6 +302,47 @@ def edit_distance_reference(g: Graph, forbidden: Graph, node_limit: int) -> Edit
             edits = _symmetric_difference(g, witness)
             return EditResult(edits, _normalized(edits, g.n), witness)
     raise AssertionError("deepening must terminate within C(n,2) flips")
+
+
+def max_dist_estimate_reference(
+    n: int,
+    p: Fraction,
+    forbidden: Graph,
+    samples: int,
+    seed: int,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+) -> EstimateResult:
+    """The estimate loop that runs the exact ``edit_distance`` on every sample.
+
+    ``max_dist_estimate`` must report the same maximum and witness at every
+    node limit, and never more skipped samples.
+    """
+    if n > MAX_ESTIMATE_VERTICES:
+        raise ValidationError(
+            f"estimate supports at most {MAX_ESTIMATE_VERTICES} vertices, got {n}"
+        )
+    if samples < 1:
+        raise ValidationError("sample count must be at least 1")
+    if not 0 <= p <= 1:
+        raise ValidationError(f"p must lie in [0,1], got {p}")
+    edge_count = int(Fraction(p) * (n * (n - 1) // 2))
+    rng = random.Random(seed)
+    best = Fraction(0)
+    witness: Graph | None = None
+    skipped = 0
+    for index in range(samples):
+        g = sample_graph(n, edge_count, rng)
+        try:
+            result = edit_distance(g, forbidden, node_limit=node_limit)
+        except BudgetError:
+            skipped += 1
+            continue
+        if result.normalized > best or witness is None:
+            best = result.normalized
+            witness = g
+    if witness is None:
+        raise BudgetError(f"all {samples} samples exceeded the node limit")
+    return EstimateResult(best, witness, skipped)
 
 
 def burnside_crg_count(m: int, n_vcolors: int = 2, n_ecolors: int = 3) -> int:

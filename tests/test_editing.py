@@ -3,16 +3,23 @@ from fractions import Fraction as F
 
 import pytest
 
+from heredit import editing
 from heredit.editing import (
     DEFAULT_NODE_LIMIT,
     _flip,
+    _flip_search,
     edit_distance,
     max_dist_estimate,
     sample_graph,
 )
 from heredit.errors import BudgetError, ValidationError
 from heredit.graphs import Graph, build_family, graph_from_graph6, graph_to_graph6, has_induced
-from oracle_utils import bfs_edit_distance, edit_distance_reference, random_graph
+from oracle_utils import (
+    bfs_edit_distance,
+    edit_distance_reference,
+    max_dist_estimate_reference,
+    random_graph,
+)
 
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 P3 = build_family("path", 3)
@@ -36,7 +43,8 @@ class TestEditDistance:
                     for v in range(n):
                         if u != v:
                             toggled = edges ^ {(min(u, v), max(u, v))}
-                            assert _flip(g, u, v) == Graph.from_edges(n, toggled)
+                            flipped = Graph(n, _flip(g.adj, u, v))
+                            assert flipped == Graph.from_edges(n, toggled)
 
     def test_complete_graph_is_p3_free(self):
         res = edit_distance(K4, P3)
@@ -173,3 +181,112 @@ class TestMaxDistEstimate:
             max_dist_estimate(10, F(1, 2), P3, samples=5, seed=0)
         with pytest.raises(ValidationError):
             max_dist_estimate(5, F(1, 2), P3, samples=0, seed=0)
+
+
+def _spy_on_runs(monkeypatch) -> list[str]:
+    """Record, in order, how each exact run and each maximum check ends.
+
+    Exact runs log ``exact`` or ``exact-over`` (node limit exceeded); a
+    check that exceeds the node limit logs ``check-over``.
+    """
+    events: list[str] = []
+    real_exact, real_search = editing.edit_distance, editing._flip_search
+    inside_exact = False
+
+    def exact(*args, **kwargs):
+        nonlocal inside_exact
+        inside_exact = True
+        try:
+            result = real_exact(*args, **kwargs)
+        except BudgetError:
+            events.append("exact-over")
+            raise
+        finally:
+            inside_exact = False
+        events.append("exact")
+        return result
+
+    def flip_search(*args):
+        search = real_search(*args)
+        if inside_exact:
+            return search
+
+        def check(adj, depth):
+            try:
+                return search(adj, depth)
+            except BudgetError:
+                events.append("check-over")
+                raise
+
+        return check
+
+    monkeypatch.setattr(editing, "edit_distance", exact)
+    monkeypatch.setattr(editing, "_flip_search", flip_search)
+    return events
+
+
+class TestEstimateAgainstReference:
+    PATTERNS = (P3, P4, build_family("cycle", 4))
+    DENSITIES = (F(1, 3), F(1, 2), F(2, 3))
+
+    def test_whole_result_at_default_limit(self):
+        for n in range(5, 9):
+            for pattern in self.PATTERNS:
+                for p in self.DENSITIES:
+                    for seed in (1, 2, 3):
+                        args = (n, p, pattern, 25, seed)
+                        assert max_dist_estimate(*args) == max_dist_estimate_reference(*args)
+
+    def test_maximum_kept_and_skipped_never_larger_at_small_limits(self):
+        cases = ((6, P3, 1), (7, P4, 2), (7, build_family("cycle", 4), 3), (8, P4, 4))
+        for n, pattern, seed in cases:
+            for limit in range(5, 161, 5):
+                args = (n, F(1, 2), pattern, 12, seed, limit)
+                try:
+                    want = max_dist_estimate_reference(*args)
+                except BudgetError:
+                    # the check needs a maximum, so until one exists every
+                    # sample gets the same exact run as in the reference
+                    with pytest.raises(BudgetError):
+                        max_dist_estimate(*args)
+                    continue
+                got = max_dist_estimate(*args)
+                assert got.max_normalized == want.max_normalized
+                assert got.witness == want.witness
+                assert got.skipped <= want.skipped
+
+
+class TestEstimateCheck:
+    def test_check_at_zero_is_one_induced_search(self, monkeypatch):
+        calls = []
+        real = editing._find_induced
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(editing, "_find_induced", counted)
+        # every edgeless sample is P3-free: the first gets the exact run,
+        # which finds it free at its root, and each later sample is settled
+        # by a depth-0 check that searches its rows once
+        res = max_dist_estimate(6, F(0), P3, samples=5, seed=1)
+        assert res.max_normalized == 0
+        assert calls == [(0,) * 6] * 4
+        calls.clear()
+        # a sample that contains a copy fails the depth-0 check at its root
+        assert _flip_search(5, P3, DEFAULT_NODE_LIMIT)(C5.adj, 0) is None
+        assert calls == [C5.adj]
+
+    def test_first_sample_over_budget_next_still_exact(self, monkeypatch):
+        events = _spy_on_runs(monkeypatch)
+        res = max_dist_estimate(6, F(1, 2), P4, samples=6, seed=3, node_limit=8)
+        assert events[:2] == ["exact-over", "exact"]
+        assert res.skipped == events.count("exact-over")
+        assert res == max_dist_estimate_reference(6, F(1, 2), P4, 6, 3, 8)
+
+    def test_check_over_budget_falls_through_to_exact_run(self, monkeypatch):
+        events = _spy_on_runs(monkeypatch)
+        res = max_dist_estimate(6, F(1, 2), P3, samples=6, seed=5, node_limit=75)
+        assert events == ["exact", "exact", "check-over", "exact"]
+        assert res.skipped == 0
+        assert res == max_dist_estimate_reference(6, F(1, 2), P3, 6, 5, 75)
