@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .cache import ResultCache, job_key
-from .crg import CRG, MAX_ENUM_SIZE, crg_from_text, embeds, gray_crg
+from .crg import CRG, MAX_EMBED_CRG, MAX_ENUM_SIZE, crg_from_text, embeds, gray_crg
 from .curves import (
     Curve,
     closed_form_curve,
@@ -33,7 +33,7 @@ from .curves import (
 )
 from .editing import DEFAULT_NODE_LIMIT, edit_distance, max_dist_estimate
 from .errors import BudgetError, FormatError, HereditError, ValidationError
-from .gfun import g_value, is_p_core
+from .gfun import MAX_QP_SIZE, g_value, is_p_core
 from .graphs import Graph, graph_to_graph6, parse_graph_spec
 from .rationals import format_fraction, parse_grid, parse_probability
 from .spectrum import clique_spectrum
@@ -150,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_crg(args) -> CRG:
+def _load_crg(args, cap: int) -> CRG:
+    """The ``--crg`` or ``--gray`` CRG; a K(r, s) above ``cap`` vertices is never built."""
     if bool(args.crg) == bool(args.gray):
         raise ValidationError("provide exactly one of --crg FILE or --gray r,s")
     if args.crg:
@@ -160,9 +161,12 @@ def _load_crg(args) -> CRG:
             raise ValidationError(f"cannot read CRG file {args.crg}: {exc}") from exc
         return crg_from_text(text)
     parts = args.gray.split(",")
-    if len(parts) != 2 or not all(part.strip().isdigit() for part in parts):
+    if len(parts) != 2 or not all(part.strip().isdecimal() for part in parts):
         raise ValidationError(f"--gray expects 'r,s' with integers, got {args.gray!r}")
-    return gray_crg(int(parts[0]), int(parts[1]))
+    r, s = int(parts[0]), int(parts[1])
+    if r + s > cap:
+        raise ValidationError(f"--gray K({r},{s}) has {r + s} vertices; at most {cap} allowed")
+    return gray_crg(r, s)
 
 
 def _points_from(args) -> tuple[Fraction, ...]:
@@ -214,13 +218,13 @@ def parse_inputs(argv: list[str]) -> JobSpec:
         params["graph"] = parse_graph_spec(args.graph)
         params["points"] = _points_from(args)
     elif args.command == "gfun":
-        params["crg"] = _load_crg(args)
+        params["crg"] = _load_crg(args, MAX_QP_SIZE)
         params["p"] = parse_probability(args.p)
     elif args.command == "embed":
         params["graph"] = parse_graph_spec(args.graph)
-        params["crg"] = _load_crg(args)
+        params["crg"] = _load_crg(args, MAX_EMBED_CRG)
     elif args.command == "pcore":
-        params["crg"] = _load_crg(args)
+        params["crg"] = _load_crg(args, MAX_QP_SIZE)
         params["p"] = parse_probability(args.p)
     elif args.command == "edcurve":
         n = args.n if args.n is not None else (8 if args.family == "c8star" else None)

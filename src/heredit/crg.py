@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import BudgetError, FormatError, ValidationError
-from .graphs import Graph, _bits, _search_order
+from .graphs import Graph, _bits, _induced_plan
 
 VERTEX_COLORS = ("W", "B")
 EDGE_COLORS = ("W", "G", "B")
@@ -182,9 +182,9 @@ def embeds(
     if h.n == 0:
         return True, EmbeddingWitness(())
 
-    order = _search_order(h)
+    order, steps = _induced_plan(h)
     eq = _equiv_classes(k)
-    mapping = [-1] * h.n
+    placed = [0] * h.n  # CRG vertex chosen at each step
     use_count = [0] * k.m
     nodes = 0
 
@@ -192,7 +192,6 @@ def embeds(
         nonlocal nodes
         if t == h.n:
             return True
-        pv = order[t]
         seen_fresh: set[int] = set()
         for b in range(k.m):
             if use_count[b] == 0:
@@ -207,25 +206,23 @@ def embeds(
                     f"embedding search budget of {budget} placements exceeded "
                     f"at pattern step {t} of {h.n}"
                 )
-            ok = True
-            for s in range(t):
-                qv = order[s]
-                if not _pair_ok(k, mapping[qv], b, h.has_edge(pv, qv)):
-                    ok = False
+            for s, edge in steps[t]:
+                if not _pair_ok(k, placed[s], b, edge):
                     break
-            if not ok:
-                continue
-            mapping[pv] = b
-            use_count[b] += 1
-            if assign(t + 1):
-                return True
-            use_count[b] -= 1
-            mapping[pv] = -1
+            else:
+                placed[t] = b
+                use_count[b] += 1
+                if assign(t + 1):
+                    return True
+                use_count[b] -= 1
         return False
 
-    if assign(0):
-        return True, EmbeddingWitness(tuple(mapping))
-    return False, None
+    if not assign(0):
+        return False, None
+    mapping = [0] * h.n
+    for t, pv in enumerate(order):
+        mapping[pv] = placed[t]
+    return True, EmbeddingWitness(tuple(mapping))
 
 
 def validate_witness(h: Graph, k: CRG, witness: EmbeddingWitness) -> bool:

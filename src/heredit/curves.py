@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .crg import CRG, crg_compact, embeds, enumerate_crgs, gray_label
@@ -163,23 +162,26 @@ def gamma_curve(
     return _terms_curve(gamma_points(h, spectrum), (Fraction(q) for q in grid), "gamma")
 
 
-# one (h, m) per CLI job; four lets a caller sweep m = 1..4 at every p
-# without rebuilding, while bounding what is held (an m = 5 entry can be
-# 13,204 CRGs)
-@lru_cache(maxsize=4)
 def _candidates(h: Graph, m: int) -> tuple[CRG, ...]:
     return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
 
 
-def bounded_min_g(h: Graph, m: int, p: Fraction) -> SearchResult:
+def bounded_min_g(
+    h: Graph, m: int, p: Fraction, candidates: tuple[CRG, ...] | None = None
+) -> SearchResult:
     """Minimum g over all CRG classes with <= m vertices not admitting ``h``.
 
     This upper-bounds the edit distance function of Forb(h) at p and equals
     it whenever some optimal CRG has at most m vertices.  All attaining
     CRGs are reported, in canonical enumeration order.  The size bound is
     ``enumerate_crgs``'s: m outside 1..MAX_ENUM_SIZE is a ValidationError.
+
+    Each call enumerates the candidate classes afresh and keeps nothing
+    afterwards; to evaluate many p, use ``search_curve``, which enumerates
+    once and passes the classes in as ``candidates``.
     """
-    candidates = _candidates(h, m)
+    if candidates is None:
+        candidates = _candidates(h, m)
     if not candidates:
         raise ValidationError("every CRG class admits the forbidden graph")
     best: Fraction | None = None
@@ -196,10 +198,12 @@ def bounded_min_g(h: Graph, m: int, p: Fraction) -> SearchResult:
 
 
 def search_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
+    """``bounded_min_g`` at every grid point, over one enumeration."""
+    candidates = _candidates(h, m)
     samples = []
     witnesses = []
     for p in (Fraction(q) for q in grid):
-        res = bounded_min_g(h, m, p)
+        res = bounded_min_g(h, m, p, candidates)
         samples.append((p, res.value))
         witnesses.append(tuple(crg_compact(k) for k in res.witnesses))
     return Curve(tuple(samples), "search", tuple(witnesses))

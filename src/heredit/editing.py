@@ -135,6 +135,8 @@ def edit_distance(
         )
     if forbidden.n <= 1:
         raise ValidationError("forbidden graph must have at least 2 vertices")
+    if node_limit < 1:
+        raise ValidationError(f"node limit must be at least 1, got {node_limit}")
 
     found, _ = has_induced(g, forbidden)
     if not found:
@@ -157,7 +159,7 @@ def edit_distance(
                 best_bound=upper_bound,
             ) from None
         if rows is not None:
-            witness = Graph._unchecked(g.n, rows)
+            witness = Graph(g.n, rows)
             edits = _symmetric_difference(g, witness)
             return EditResult(edits, _normalized(edits, g.n), witness)
     raise AssertionError("deepening must terminate within C(n,2) flips")
@@ -213,6 +215,8 @@ def max_dist_estimate(
         raise ValidationError("sample count must be at least 1")
     if not 0 <= p <= 1:
         raise ValidationError(f"p must lie in [0,1], got {p}")
+    if node_limit < 1:
+        raise ValidationError(f"node limit must be at least 1, got {node_limit}")
     edge_count = int(Fraction(p) * (n * (n - 1) // 2))
     rng = random.Random(seed)
     best = Fraction(0)

@@ -58,10 +58,6 @@ class PMatrix:
     p: Fraction
     entries: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class GResult:

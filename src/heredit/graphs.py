@@ -59,19 +59,6 @@ class Graph:
                 if not (self.adj[u] >> v) & 1:
                     raise ValidationError(f"asymmetric adjacency between {u} and {v}")
 
-    @classmethod
-    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """Build a Graph without the constructor's validation.
-
-        Only for rows derived from a valid Graph by operations that keep the
-        adjacency symmetric and irreflexive, such as toggling both
-        directions of one pair of distinct vertices.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
-
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if not 0 <= n <= MAX_VERTICES:
@@ -140,12 +127,8 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, rows)
 
 
-@lru_cache
 def _search_order(g: Graph) -> tuple[int, ...]:
-    """BFS order starting from a maximum-degree vertex, restarting per component.
-
-    Cached: the searches ask for the order of the same few patterns many times.
-    """
+    """BFS order starting from a maximum-degree vertex, restarting per component."""
     order: list[int] = []
     seen = [False] * g.n
     while len(order) < g.n:
@@ -173,7 +156,9 @@ def _induced_plan(
 
     Step t places pattern vertex ``order[t]``; for every earlier step s the
     pair says whether ``order[t]`` and ``order[s]`` are adjacent in the
-    pattern, so the search never asks the pattern again.  Cached per pattern.
+    pattern, so the search never asks the pattern again.  Cached per pattern:
+    it is the one compiled form of a pattern that ``has_induced``, the edit
+    search (``editing._flip_search``) and ``crg.embeds`` read.
     """
     order = _search_order(pattern)
     steps = tuple(

@@ -8,12 +8,12 @@ vertex order, the simplex program g solved over every support by Gaussian
 elimination in ``Fraction``, the p-core test over every proper sub-CRG,
 and the clique spectrum by box widening.
 
-Three are plain versions of fast paths, kept to pin exact outputs rather
-than to be independent: ``has_induced_recursive``,
+Four are plain versions of fast paths, kept to pin exact outputs rather
+than to be independent: ``has_induced_recursive``, ``embeds_reference``,
 ``edit_distance_reference`` and ``max_dist_estimate_reference``.  The first
-two share the pattern search order and the flip helper with the package,
-since the witness they return depends on that order; the last runs the
-package's ``edit_distance`` on every sample.
+three share the pattern search order with the package (and the edit
+reference the flip helper), since the witness they return depends on that
+order; the last runs the package's ``edit_distance`` on every sample.
 """
 
 from __future__ import annotations
@@ -24,7 +24,18 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from heredit.crg import CRG, _pair_ok, embeds, gray_crg, sub_crgs
+from heredit.crg import (
+    CRG,
+    DEFAULT_EMBED_BUDGET,
+    MAX_EMBED_CRG,
+    MAX_EMBED_PATTERN,
+    EmbeddingWitness,
+    _equiv_classes,
+    _pair_ok,
+    embeds,
+    gray_crg,
+    sub_crgs,
+)
 from heredit.editing import (
     DEFAULT_NODE_LIMIT,
     MAX_ESTIMATE_VERTICES,
@@ -147,6 +158,77 @@ def embeds_brute(h: Graph, k: CRG) -> bool:
         return False
 
     return extend()
+
+
+def embeds_reference(
+    h: Graph, k: CRG, budget: int = DEFAULT_EMBED_BUDGET
+) -> tuple[bool, EmbeddingWitness | None]:
+    """``crg.embeds`` as it was before it read the compiled pattern plan: it
+    asks ``h`` for every pair and reaches earlier images through ``order``.
+
+    ``embeds`` must return the same result and witness on every input, and
+    raise ``BudgetError`` with the same message.
+
+    An embedding maps every edge of ``h`` onto a black vertex (both ends
+    together) or a black/gray edge, and every non-edge onto a white vertex
+    or a white/gray edge.  The map need not be injective.
+
+    Raises :class:`BudgetError` when the backtracking search exceeds
+    ``budget`` candidate placements, so a ``False`` always means the search
+    space was exhausted.  The message names the pattern step (0-based, of
+    ``h.n``) that was being placed when the budget ran out.
+    """
+    if h.n > MAX_EMBED_PATTERN:
+        raise ValidationError(f"embedding pattern capped at {MAX_EMBED_PATTERN} vertices")
+    if k.m > MAX_EMBED_CRG:
+        raise ValidationError(f"embedding target capped at {MAX_EMBED_CRG} vertices")
+    if h.n == 0:
+        return True, EmbeddingWitness(())
+
+    order = _search_order(h)
+    eq = _equiv_classes(k)
+    mapping = [-1] * h.n
+    use_count = [0] * k.m
+    nodes = 0
+
+    def assign(t: int) -> bool:
+        nonlocal nodes
+        if t == h.n:
+            return True
+        pv = order[t]
+        seen_fresh: set[int] = set()
+        for b in range(k.m):
+            if use_count[b] == 0:
+                # unused vertices in the same automorphism class are
+                # interchangeable; trying the first is enough
+                if eq[b] in seen_fresh:
+                    continue
+                seen_fresh.add(eq[b])
+            nodes += 1
+            if nodes > budget:
+                raise BudgetError(
+                    f"embedding search budget of {budget} placements exceeded "
+                    f"at pattern step {t} of {h.n}"
+                )
+            ok = True
+            for s in range(t):
+                qv = order[s]
+                if not _pair_ok(k, mapping[qv], b, h.has_edge(pv, qv)):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[pv] = b
+            use_count[b] += 1
+            if assign(t + 1):
+                return True
+            use_count[b] -= 1
+            mapping[pv] = -1
+        return False
+
+    if assign(0):
+        return True, EmbeddingWitness(tuple(mapping))
+    return False, None
 
 
 def canonical_key_brute(k: CRG) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -289,7 +371,7 @@ def edit_distance_reference(g: Graph, forbidden: Graph, node_limit: int) -> Edit
             return None
         for i in range(len(copy)):
             for j in range(i + 1, len(copy)):
-                child = Graph._unchecked(current.n, _flip(current.adj, copy[i], copy[j]))
+                child = Graph(current.n, _flip(current.adj, copy[i], copy[j]))
                 result = search(child, remaining - 1)
                 if result is not None:
                     return result

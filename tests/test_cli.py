@@ -99,18 +99,45 @@ class TestParseInputs:
         (["edcurve", "--family", "path", "--n", "7", "--source", "search,closed_form",
           "--m", "3", "--grid", "1/4"],
          "path:7 closed form is stated on [1/2, 1]; refusing grid points 0, 1/4"),
+        (["gfun", "--gray", "2000,0", "--p", "1/2"],
+         "--gray K(2000,0) has 2000 vertices; at most 12 allowed"),
+        (["pcore", "--gray", "7,6", "--p", "1/2"],
+         "--gray K(7,6) has 13 vertices; at most 12 allowed"),
+        (["embed", "--graph", "path:3", "--gray", "13,0"],
+         "--gray K(13,0) has 13 vertices; at most 12 allowed"),
+        # "²" is a digit to str.isdigit but not an integer to int()
+        (["gfun", "--gray", "²,1", "--p", "1/2"],
+         "--gray expects 'r,s' with integers, got '²,1'"),
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the input was refused")
 
         for name in ("search_curve", "clique_spectrum", "closed_form_curve",
-                     "ProcessPoolExecutor"):
+                     "ProcessPoolExecutor", "gray_crg"):
             monkeypatch.setattr(f"heredit.cli.{name}", forbidden)
         code, stdout, err = run_cli(capsys, argv + ["--no-cache"])
         assert code == 3
         assert stdout == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--graph", "cycle:5", "--forbid", "path:3", "--node-limit", "-3"],
+        ["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:4", "--samples", "5",
+         "--node-limit", "0"],
+    ])
+    def test_node_limit_below_one_refused_before_any_search(
+        self, capsys, monkeypatch, argv
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("search started before the node limit was refused")
+
+        for name in ("has_induced", "_flip_search", "sample_graph"):
+            monkeypatch.setattr(f"heredit.editing.{name}", forbidden)
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 3
+        assert stdout == ""
+        assert err == f"error: node limit must be at least 1, got {argv[-1]}\n"
 
     def test_unwritable_output_is_os_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
@@ -139,6 +166,12 @@ GOLDEN = [
      "f8b29cf4064b954a8706191b31d20968b4af3deca820165897b4d3bc761e7831"),
     ("gfun --gray 6,6 --p 1/3", 172,
      "dcea746661660669947f343413e76ac25e8ba412c08d4147f444716fe8022f0d"),
+    ("embed --graph c2nstar:8 --gray 2,1", 54,
+     "a93a18f60f21aabf367a6525187fd91ede188c600baa82f0c9a9196b6a34feb0"),
+    ("embed --graph ctilde:9 --gray 1,3", 57,
+     "34c557f7aefa76ca655b72217e9c7002833a6702e4e167fd08d72e8f1f267417"),
+    ("embed --graph path:7 --gray 0,4", 51,
+     "f6259fd358ffc6f288bf69218a0ee10e84072de766833162fac02a38adfa5d48"),
     ("pcore --gray 3,3 --p 2/5", 30,
      "847c35da4938f18291e880a5232f217b0b6d447ea2fc6257de0c574b1569d617"),
     ("estimate --n 8 --p 1/2 --forbid path:4 --samples 100 --seed 3", 52,

@@ -5,6 +5,9 @@ import pytest
 
 from heredit.crg import (
     CRG,
+    DEFAULT_EMBED_BUDGET,
+    EDGE_COLORS,
+    VERTEX_COLORS,
     EmbeddingWitness,
     canonical_form,
     crg_compact,
@@ -26,6 +29,7 @@ from oracle_utils import (
     burnside_crg_count,
     canonical_key_brute,
     embeds_brute,
+    embeds_reference,
     random_graph,
 )
 
@@ -136,6 +140,65 @@ class TestEmbeds:
     def test_rejects_invalid_witness(self):
         p3 = build_family("path", 3)
         assert not validate_witness(p3, gray_crg(0, 2), EmbeddingWitness((0, 0, 0)))
+
+
+def _random_crgs(seed: int) -> list[CRG]:
+    """Six seeded random CRGs on each of 4..7 vertices."""
+    rng = random.Random(seed)
+    return [
+        CRG(
+            tuple(rng.choice(VERTEX_COLORS) for _ in range(m)),
+            tuple(rng.choice(EDGE_COLORS) for _ in range(m * (m - 1) // 2)),
+        )
+        for m in range(4, 8)
+        for _ in range(6)
+    ]
+
+
+def _embed_outcome(embed, h, k, budget):
+    """``(found, witness)``, or the ``BudgetError`` message."""
+    try:
+        return embed(h, k, budget)
+    except BudgetError as exc:
+        return str(exc)
+
+
+class TestEmbedsAgainstReference:
+    """``embeds`` reads the compiled pattern plan; ``embeds_reference`` is the
+    search that asked the pattern pair by pair.  Both must agree on the
+    result, the witness and the ``BudgetError`` text."""
+
+    BUDGETS = (1, 3, 10, 40, DEFAULT_EMBED_BUDGET)
+    TARGETS = (
+        list(enumerate_crgs(3))
+        + [gray_crg(r, s) for r in range(4) for s in range(4) if r + s]
+        + _random_crgs(7)
+    )
+
+    def _check(self, patterns):
+        kinds = set()
+        for h in patterns:
+            for k in self.TARGETS:
+                for budget in self.BUDGETS:
+                    got = _embed_outcome(embeds, h, k, budget)
+                    assert got == _embed_outcome(embeds_reference, h, k, budget), (
+                        h, k, budget
+                    )
+                    kinds.add(got if isinstance(got, str) else got[0])
+        return kinds
+
+    @pytest.mark.parametrize("spec", [
+        "path:4", "path:5", "path:7", "cycle:4", "cycle:5", "c2nstar:8",
+        "ctilde:6", "ctilde:9",
+    ])
+    def test_named_patterns(self, spec):
+        kinds = self._check([parse_graph_spec(spec)])
+        assert {True, False} <= kinds and len(kinds) > 2, "every outcome is exercised"
+
+    def test_random_patterns(self):
+        rng = random.Random(23)
+        patterns = [random_graph(rng, n) for n in range(1, 8) for _ in range(3)]
+        assert {True, False} <= self._check(patterns)
 
 
 class TestEnumeration:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from heredit import curves
 from heredit.crg import crg_compact, gray_crg, canonical_form
 from heredit.curves import (
     bounded_min_g,
@@ -141,6 +142,36 @@ class TestBoundedMinG:
         for m in (0, 6):
             with pytest.raises(ValidationError):
                 bounded_min_g(h, m, F(1, 2))
+
+
+class TestOneEnumerationPerCall:
+    def test_search_curve_enumerates_once(self, monkeypatch):
+        calls = []
+        real = curves.enumerate_crgs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curves, "enumerate_crgs", counted)
+        h = build_family("c2nstar", 8)
+        grid = parse_grid("1/4")
+        assert len(grid) == 5
+        first = search_curve(h, 3, grid)
+        assert calls == [(3,)]
+        # nothing is kept between calls: a repeat enumerates again
+        assert search_curve(h, 3, grid) == first
+        assert calls == [(3,)] * 2
+        # a direct call enumerates for itself and agrees point by point
+        for (p, value), wits in zip(first.samples, first.witnesses):
+            res = bounded_min_g(h, 3, p)
+            assert res.value == value
+            assert tuple(crg_compact(k) for k in res.witnesses) == wits
+        assert calls == [(3,)] * 7
+
+    def test_empty_grid_still_checks_m(self):
+        with pytest.raises(ValidationError):
+            search_curve(build_family("path", 5), 6, [])
 
 
 class TestCurveScan:

@@ -183,6 +183,19 @@ class TestMaxDistEstimate:
             max_dist_estimate(5, F(1, 2), P3, samples=0, seed=0)
 
 
+@pytest.mark.parametrize("limit", [0, -3])
+def test_node_limit_below_one_refused_before_any_search(monkeypatch, limit):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search started before the node limit was refused")
+
+    for name in ("has_induced", "_flip_search", "sample_graph"):
+        monkeypatch.setattr(editing, name, forbidden)
+    with pytest.raises(ValidationError, match=f"node limit must be at least 1, got {limit}"):
+        edit_distance(C5, P3, node_limit=limit)
+    with pytest.raises(ValidationError, match=f"node limit must be at least 1, got {limit}"):
+        max_dist_estimate(6, F(1, 2), P4, samples=5, seed=1, node_limit=limit)
+
+
 def _spy_on_runs(monkeypatch) -> list[str]:
     """Record, in order, how each exact run and each maximum check ends.
 
