@@ -34,6 +34,7 @@ from .curves import (
     curve_scan,
     family_graph,
     gamma_curve,
+    search_candidates,
     search_curve,
     valid_interval,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "path_cycle_profile",
     "restrict",
     "sample_graph",
+    "search_candidates",
     "search_curve",
     "sub_crgs",
     "swap_colors",

@@ -28,6 +28,7 @@ from .curves import (
     curve_scan,
     family_graph,
     gamma_curve,
+    search_candidates,
     search_curve,
     valid_interval,
 )
@@ -411,7 +412,8 @@ def _run_edcurve(job: JobSpec) -> int:
         elif source == "gamma":
             curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
         else:
-            curve_of = partial(search_curve, h, params["m"])
+            m = params["m"]
+            curve_of = partial(search_curve, h, m, candidates=search_candidates(h, m))
         curves[source] = _evaluate_curve(job, curve_of, points)
 
     if len(sources) == 1:
@@ -449,9 +451,10 @@ def _run_search(job: JobSpec) -> int:
     if cached is not None:
         _emit(job, [], [], text=cached)
         return 0
-    curve_of = partial(search_curve, h, params["m"])
+    m = params["m"]
+    curve_of = partial(search_curve, h, m, candidates=search_candidates(h, m))
     curve = _evaluate_curve(job, curve_of, params["points"])
-    job.cache.put(key, _emit_curve(job, curve, f"search-m{params['m']}"))
+    job.cache.put(key, _emit_curve(job, curve, f"search-m{m}"))
     return 0
 
 

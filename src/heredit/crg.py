@@ -140,22 +140,46 @@ def _pair_ok(k: CRG, a: int, b: int, is_edge: bool) -> bool:
     return color in ("W", "G")
 
 
-def _equiv_classes(k: CRG) -> list[int]:
-    """Vertex classes under "transposition is a color automorphism"."""
-    ids = [-1] * k.m
+# color ranks: B=0, G=1, W=2 keep the order of the color strings
+_RANK = {"B": 0, "G": 1, "W": 2}
+_COLOR = "BGW"
+
+
+def _color_rows(k: CRG) -> list[list[int]]:
+    """The m x m matrix of color ranks, vertex colors on the diagonal.
+
+    Built in one column-major pass over ``vcolors``/``ecolors``.  Ranks keep
+    the order of the color strings, so every comparison of rows, signatures
+    or encodings gives the same answer as on the strings.
+    """
+    m = k.m
+    rows = [[0] * m for _ in range(m)]
+    colors = iter(k.ecolors)
+    for j in range(m):
+        row_j = rows[j]
+        row_j[j] = _RANK[k.vcolors[j]]
+        for i in range(j):
+            rows[i][j] = row_j[i] = _RANK[next(colors)]
+    return rows
+
+
+def _equiv_classes(rows: list[list[int]]) -> list[int]:
+    """Vertex classes under "transposition is a color automorphism".
+
+    Swapping v and r is a color automorphism exactly when row v, with its
+    entries at v and r exchanged, equals row r: that compares the two
+    vertex colors and every pair (v, c) with (r, c) for c outside {v, r}.
+    """
+    ids = [-1] * len(rows)
     reps: list[int] = []
-    for v in range(k.m):
+    for v, row_v in enumerate(rows):
         for idx, r in enumerate(reps):
-            if k.vcolors[v] != k.vcolors[r]:
-                continue
-            if all(
-                k.edge_color(v, c) == k.edge_color(r, c)
-                for c in range(k.m)
-                if c not in (v, r)
-            ):
+            swapped = row_v[:]
+            swapped[v], swapped[r] = row_v[r], row_v[v]
+            if swapped == rows[r]:
                 ids[v] = idx
                 break
-        if ids[v] < 0:
+        else:
             ids[v] = len(reps)
             reps.append(v)
     return ids
@@ -170,6 +194,12 @@ def embeds(
     together) or a black/gray edge, and every non-edge onto a white vertex
     or a white/gray edge.  The map need not be injective.
 
+    Backtracking over the compiled pattern plan with bit-parallel candidate
+    sets (Ullmann 1976): per CRG vertex a, ``can_edge[a]`` holds the b whose
+    pair with a is not white (the diagonal is a's own color) and
+    ``can_non[a]`` those whose pair is not black; a step's candidates are
+    the AND of these masks over the earlier placements.
+
     Raises :class:`BudgetError` when the backtracking search exceeds
     ``budget`` candidate placements, so a ``False`` always means the search
     space was exhausted.  The message names the pattern step (0-based, of
@@ -182,34 +212,47 @@ def embeds(
     if h.n == 0:
         return True, EmbeddingWitness(())
 
+    m = k.m
+    rows = _color_rows(k)
+    eq = _equiv_classes(rows)
+    can_non = [0] * m
+    can_edge = [0] * m
+    for a, row in enumerate(rows):
+        for b, c in enumerate(row):
+            if c != 0:  # not black
+                can_non[a] |= 1 << b
+            if c != 2:  # not white
+                can_edge[a] |= 1 << b
+    masks = (can_non, can_edge)  # indexed by is_edge
+    full = (1 << m) - 1
+    eq_bits = [1 << e for e in eq]
     order, steps = _induced_plan(h)
-    eq = _equiv_classes(k)
     placed = [0] * h.n  # CRG vertex chosen at each step
-    use_count = [0] * k.m
+    use_count = [0] * m
     nodes = 0
 
     def assign(t: int) -> bool:
         nonlocal nodes
         if t == h.n:
             return True
-        seen_fresh: set[int] = set()
-        for b in range(k.m):
+        cands = full
+        for s, edge in steps[t]:
+            cands &= masks[edge][placed[s]]
+        seen_fresh = 0  # bitmask of classes whose first unused vertex was tried
+        for b in range(m):
             if use_count[b] == 0:
                 # unused vertices in the same automorphism class are
                 # interchangeable; trying the first is enough
-                if eq[b] in seen_fresh:
+                if seen_fresh & eq_bits[b]:
                     continue
-                seen_fresh.add(eq[b])
+                seen_fresh |= eq_bits[b]
             nodes += 1
             if nodes > budget:
                 raise BudgetError(
                     f"embedding search budget of {budget} placements exceeded "
                     f"at pattern step {t} of {h.n}"
                 )
-            for s, edge in steps[t]:
-                if not _pair_ok(k, placed[s], b, edge):
-                    break
-            else:
+            if cands >> b & 1:
                 placed[t] = b
                 use_count[b] += 1
                 if assign(t + 1):
@@ -242,53 +285,78 @@ def validate_witness(h: Graph, k: CRG, witness: EmbeddingWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _refined_cells(k: CRG) -> list[list[int]]:
-    """Stable ordered partition of vertices by iterated color signatures."""
-    m = k.m
+def _refined_cells(rows: list[list[int]]) -> list[list[int]]:
+    """Stable ordered partition of vertices by iterated color signatures.
+
+    A vertex starts with (its color, its sorted edge colors); each round its
+    signature becomes (its cell, the sorted (edge color, cell) pairs of its
+    neighbors), encoded as ``color * m + cell``.  Cells are numbered in
+    ascending signature order, and refinement stops when a round splits no
+    cell.
+    """
+    m = len(rows)
     sig: list[tuple] = [
-        (k.vcolors[v], tuple(sorted(k.edge_color(v, u) for u in range(m) if u != v)))
-        for v in range(m)
+        (row[v], tuple(sorted(row[:v] + row[v + 1 :]))) for v, row in enumerate(rows)
     ]
     while True:
         ordered = sorted(set(sig))
         cell_of = {s: i for i, s in enumerate(ordered)}
-        ids = [cell_of[sig[v]] for v in range(m)]
+        ids = [cell_of[s] for s in sig]
+        if len(ordered) == m:  # all singletons: no round can split further
+            break
         new_sig = [
             (
                 ids[v],
-                tuple(sorted((k.edge_color(v, u), ids[u]) for u in range(m) if u != v)),
+                tuple(sorted(row[u] * m + ids[u] for u in range(m) if u != v)),
             )
-            for v in range(m)
+            for v, row in enumerate(rows)
         ]
-        if len(set(new_sig)) == len(set(sig)):
-            cells: list[list[int]] = [[] for _ in ordered]
-            for v in range(m):
-                cells[ids[v]].append(v)
-            return cells
+        if len(set(new_sig)) == len(ordered):
+            break
         sig = new_sig
+    cells: list[list[int]] = [[] for _ in ordered]
+    for v in range(m):
+        cells[ids[v]].append(v)
+    return cells
 
 
 def canonical_form(k: CRG) -> CRG:
     """The canonical representative of ``k``'s color-isomorphism class.
 
-    Minimizes the edge-color encoding over all vertex orders compatible
-    with the refined cell partition; isomorphic CRGs map to equal values.
+    The exact contract, which every enumeration order and search witness
+    depends on:
+
+    * vertices are split into cells by ``_refined_cells``, ordered by their
+      refined signatures under the color order B < G < W;
+    * among the vertex orders that list the cells in that order (any order
+      inside each cell), the one with the lexicographically smallest
+      column-major edge-color encoding wins;
+    * on a tie the first such order wins, taking the orders as
+      ``itertools.product`` of each cell's ``itertools.permutations``.
+
+    The representative has the winning order's vertex colors and encoding.
+    Isomorphic CRGs map to equal values.
     """
-    cells = _refined_cells(k)
-    best: tuple[str, ...] | None = None
-    best_order: tuple[int, ...] | None = None
-    for parts in itertools.product(*(itertools.permutations(cell) for cell in cells)):
-        order = tuple(v for part in parts for v in part)
-        enc = tuple(
-            k.edge_color(order[i], order[j])
-            for j in range(k.m)
-            for i in range(j)
-        )
-        if best is None or enc < best:
-            best = enc
-            best_order = order
-    assert best_order is not None
-    return CRG(tuple(k.vcolors[v] for v in best_order), best)
+    rows = _color_rows(k)
+    cells = _refined_cells(rows)
+    if len(cells) == k.m:
+        best_order = [cell[0] for cell in cells]
+    else:
+        best: tuple[int, ...] | None = None
+        for parts in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+            order = [v for part in parts for v in part]
+            enc = tuple(
+                rows[b][a] for j, b in enumerate(order) for a in order[:j]
+            )
+            if best is None or enc < best:
+                best = enc
+                best_order = order
+    return CRG(
+        tuple(k.vcolors[v] for v in best_order),
+        tuple(
+            _COLOR[rows[b][a]] for j, b in enumerate(best_order) for a in best_order[:j]
+        ),
+    )
 
 
 def enumerate_crgs(

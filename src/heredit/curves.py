@@ -162,7 +162,9 @@ def gamma_curve(
     return _terms_curve(gamma_points(h, spectrum), (Fraction(q) for q in grid), "gamma")
 
 
-def _candidates(h: Graph, m: int) -> tuple[CRG, ...]:
+def search_candidates(h: Graph, m: int) -> tuple[CRG, ...]:
+    """Every CRG class with <= m vertices not admitting ``h``, in canonical
+    enumeration order: the classes ``bounded_min_g`` minimizes over."""
     return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
 
 
@@ -181,7 +183,7 @@ def bounded_min_g(
     once and passes the classes in as ``candidates``.
     """
     if candidates is None:
-        candidates = _candidates(h, m)
+        candidates = search_candidates(h, m)
     if not candidates:
         raise ValidationError("every CRG class admits the forbidden graph")
     best: Fraction | None = None
@@ -197,9 +199,20 @@ def bounded_min_g(
     return SearchResult(best, tuple(attaining))
 
 
-def search_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
-    """``bounded_min_g`` at every grid point, over one enumeration."""
-    candidates = _candidates(h, m)
+def search_curve(
+    h: Graph,
+    m: int,
+    grid: Iterable[Fraction],
+    candidates: tuple[CRG, ...] | None = None,
+) -> Curve:
+    """``bounded_min_g`` at every grid point, over one enumeration.
+
+    ``candidates`` (default: ``search_candidates(h, m)``, enumerated here)
+    lets a caller that evaluates chunks of one grid in several processes
+    enumerate once and hand the classes to each.
+    """
+    if candidates is None:
+        candidates = search_candidates(h, m)
     samples = []
     witnesses = []
     for p in (Fraction(q) for q in grid):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .crg import CRG, restrict
+from .crg import CRG, _color_rows, restrict
 from .errors import ValidationError
 from .rationals import format_fraction
 
@@ -90,15 +90,8 @@ def _scaled_matrix(k: CRG, p: Fraction) -> tuple[int, tuple[tuple[int, ...], ...
         raise ValidationError(f"p must lie in [0,1], got {p}")
     p = Fraction(p)
     a, b = p.numerator, p.denominator
-    entry = {"W": a, "B": b - a, "G": 0}
-    rows = tuple(
-        tuple(
-            entry[k.vcolors[i]] if i == j else entry[k.edge_color(i, j)]
-            for j in range(k.m)
-        )
-        for i in range(k.m)
-    )
-    return b, rows
+    entry = (b - a, 0, a)  # by color rank: black, gray, white
+    return b, tuple(tuple(entry[c] for c in row) for row in _color_rows(k))
 
 
 def build_matrix(k: CRG, p: Fraction) -> PMatrix:
@@ -121,9 +114,10 @@ def _core_conflicts(k: CRG, p: Fraction) -> tuple[int, ...]:
     if 2 * p >= 1:
         banned.add("W")
     conflicts = [0] * k.m
+    colors = iter(k.ecolors)  # column-major: (0,1), (0,2), (1,2), ...
     for j in range(k.m):
         for i in range(j):
-            color = k.edge_color(i, j)
+            color = next(colors)
             if color in banned or color in (k.vcolors[i], k.vcolors[j]):
                 conflicts[i] |= 1 << j
                 conflicts[j] |= 1 << i

@@ -8,12 +8,17 @@ vertex order, the simplex program g solved over every support by Gaussian
 elimination in ``Fraction``, the p-core test over every proper sub-CRG,
 and the clique spectrum by box widening.
 
-Four are plain versions of fast paths, kept to pin exact outputs rather
+Six are plain versions of fast paths, kept to pin exact outputs rather
 than to be independent: ``has_induced_recursive``, ``embeds_reference``,
-``edit_distance_reference`` and ``max_dist_estimate_reference``.  The first
-three share the pattern search order with the package (and the edit
-reference the flip helper), since the witness they return depends on that
-order; the last runs the package's ``edit_distance`` on every sample.
+``canonical_form_reference``, ``equiv_classes_reference``,
+``edit_distance_reference`` and ``max_dist_estimate_reference``.  The
+canonical-form and equivalence-class references work on color strings
+through ``edge_color``, where the package works on integer color rows.
+``has_induced_recursive``, ``embeds_reference`` and the edit reference
+share the pattern search order with the package (and the edit reference
+the flip helper), since the witness they return depends on that order;
+``max_dist_estimate_reference`` runs the package's ``edit_distance`` on
+every sample.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from heredit.crg import (
     MAX_EMBED_CRG,
     MAX_EMBED_PATTERN,
     EmbeddingWitness,
-    _equiv_classes,
     _pair_ok,
     embeds,
     gray_crg,
@@ -164,7 +168,9 @@ def embeds_reference(
     h: Graph, k: CRG, budget: int = DEFAULT_EMBED_BUDGET
 ) -> tuple[bool, EmbeddingWitness | None]:
     """``crg.embeds`` as it was before it read the compiled pattern plan: it
-    asks ``h`` for every pair and reaches earlier images through ``order``.
+    asks ``h`` for every pair, reaches earlier images through ``order`` and
+    checks each pair with ``_pair_ok``, where ``embeds`` tests one bit of a
+    candidate mask.
 
     ``embeds`` must return the same result and witness on every input, and
     raise ``BudgetError`` with the same message.
@@ -186,7 +192,7 @@ def embeds_reference(
         return True, EmbeddingWitness(())
 
     order = _search_order(h)
-    eq = _equiv_classes(k)
+    eq = equiv_classes_reference(k)
     mapping = [-1] * h.n
     use_count = [0] * k.m
     nodes = 0
@@ -229,6 +235,81 @@ def embeds_reference(
     if assign(0):
         return True, EmbeddingWitness(tuple(mapping))
     return False, None
+
+
+def equiv_classes_reference(k: CRG) -> list[int]:
+    """``crg._equiv_classes`` as it was on color strings: vertex classes under
+    "transposition is a color automorphism", pair by pair."""
+    ids = [-1] * k.m
+    reps: list[int] = []
+    for v in range(k.m):
+        for idx, r in enumerate(reps):
+            if k.vcolors[v] != k.vcolors[r]:
+                continue
+            if all(
+                k.edge_color(v, c) == k.edge_color(r, c)
+                for c in range(k.m)
+                if c not in (v, r)
+            ):
+                ids[v] = idx
+                break
+        if ids[v] < 0:
+            ids[v] = len(reps)
+            reps.append(v)
+    return ids
+
+
+def _refined_cells_reference(k: CRG) -> list[list[int]]:
+    """Stable ordered partition of vertices by iterated color signatures."""
+    m = k.m
+    sig: list[tuple] = [
+        (k.vcolors[v], tuple(sorted(k.edge_color(v, u) for u in range(m) if u != v)))
+        for v in range(m)
+    ]
+    while True:
+        ordered = sorted(set(sig))
+        cell_of = {s: i for i, s in enumerate(ordered)}
+        ids = [cell_of[sig[v]] for v in range(m)]
+        new_sig = [
+            (
+                ids[v],
+                tuple(sorted((k.edge_color(v, u), ids[u]) for u in range(m) if u != v)),
+            )
+            for v in range(m)
+        ]
+        if len(set(new_sig)) == len(set(sig)):
+            cells: list[list[int]] = [[] for _ in ordered]
+            for v in range(m):
+                cells[ids[v]].append(v)
+            return cells
+        sig = new_sig
+
+
+def canonical_form_reference(k: CRG) -> CRG:
+    """``crg.canonical_form`` as it was on color strings, through
+    ``edge_color`` per pair.
+
+    Minimizes the edge-color encoding over all vertex orders compatible
+    with the refined cell partition; isomorphic CRGs map to equal values.
+    ``canonical_form`` must return an equal CRG on every input: the
+    representative, not just the class, since enumeration order and search
+    witnesses depend on it.
+    """
+    cells = _refined_cells_reference(k)
+    best: tuple[str, ...] | None = None
+    best_order: tuple[int, ...] | None = None
+    for parts in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+        order = tuple(v for part in parts for v in part)
+        enc = tuple(
+            k.edge_color(order[i], order[j])
+            for j in range(k.m)
+            for i in range(j)
+        )
+        if best is None or enc < best:
+            best = enc
+            best_order = order
+    assert best_order is not None
+    return CRG(tuple(k.vcolors[v] for v in best_order), best)
 
 
 def canonical_key_brute(k: CRG) -> tuple[tuple[str, ...], tuple[str, ...]]:

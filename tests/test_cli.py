@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from heredit import curves
 from heredit.cli import main, parse_inputs
 from heredit.crg import crg_to_text, gray_crg
 from heredit.curves import closed_form_curve
@@ -17,6 +18,26 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _in_process_pool(started: list[int]):
+    """A stand-in for ``ProcessPoolExecutor`` that maps in this process and
+    records each pool's worker count in ``started``."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return InProcessPool
 
 
 class TestParseInputs:
@@ -61,23 +82,9 @@ class TestParseInputs:
 
     def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch):
         started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         argv = ["gamma", "--graph", "path:5", "--grid", "1/64"]
         _, serial, _ = run_cli(capsys, argv + ["--jobs", "1"])
-        monkeypatch.setattr("heredit.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("heredit.cli.ProcessPoolExecutor", _in_process_pool(started))
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         code, stdout, _ = run_cli(capsys, argv + ["--jobs", "1000"])
         assert code == 0
@@ -88,6 +95,35 @@ class TestParseInputs:
         assert code == 0
         assert started == [2], "one CPU runs serially, without a pool"
         assert stdout == serial
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--forbid", "c2nstar:8", "--max-size", "3", "--grid", "1/8"],
+        ["edcurve", "--family", "c8star", "--source", "gamma,search", "--m", "3",
+         "--grid", "1/8"],
+    ])
+    def test_jobs_enumerate_once_in_the_parent(self, capsys, monkeypatch, argv):
+        argv = argv + ["--no-cache"]
+        _, serial, _ = run_cli(capsys, argv + ["--jobs", "1"])
+        code, parallel, _ = run_cli(capsys, argv + ["--jobs", "2"])
+        assert code == 0
+        assert parallel == serial
+
+        # in process, so the enumerations of every worker are counted here
+        started, enumerated = [], []
+        real = curves.enumerate_crgs
+
+        def counted(*args, **kwargs):
+            enumerated.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curves, "enumerate_crgs", counted)
+        monkeypatch.setattr("heredit.cli.ProcessPoolExecutor", _in_process_pool(started))
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        code, stdout, _ = run_cli(capsys, argv + ["--jobs", "2"])
+        assert code == 0
+        assert stdout == serial
+        assert started, "the grid went to a pool"
+        assert enumerated == [(3,)]
 
     @pytest.mark.parametrize(("argv", "message"), [
         (SEARCH_ARGV[:4] + ["0", "--p", "1/3"], "--max-size must lie in 1..5, got 0"),
@@ -113,8 +149,8 @@ class TestParseInputs:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the input was refused")
 
-        for name in ("search_curve", "clique_spectrum", "closed_form_curve",
-                     "ProcessPoolExecutor", "gray_crg"):
+        for name in ("search_curve", "search_candidates", "clique_spectrum",
+                     "closed_form_curve", "ProcessPoolExecutor", "gray_crg"):
             monkeypatch.setattr(f"heredit.cli.{name}", forbidden)
         code, stdout, err = run_cli(capsys, argv + ["--no-cache"])
         assert code == 3

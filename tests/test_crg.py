@@ -9,6 +9,9 @@ from heredit.crg import (
     EDGE_COLORS,
     VERTEX_COLORS,
     EmbeddingWitness,
+    _color_rows,
+    _equiv_classes,
+    _refined_cells,
     canonical_form,
     crg_compact,
     crg_from_compact,
@@ -27,9 +30,11 @@ from heredit.graphs import build_family, complement, parse_graph_spec
 from oracle_utils import (
     black_white_gray,
     burnside_crg_count,
+    canonical_form_reference,
     canonical_key_brute,
     embeds_brute,
     embeds_reference,
+    equiv_classes_reference,
     random_graph,
 )
 
@@ -286,6 +291,70 @@ class TestEnumeration:
     def test_rejects_oversize(self):
         with pytest.raises(ValidationError):
             list(enumerate_crgs(6))
+
+
+def _labelled_crgs(max_m: int):
+    """Every labelled CRG on 1..max_m vertices."""
+    for m in range(1, max_m + 1):
+        for vcolors in itertools.product(VERTEX_COLORS, repeat=m):
+            for ecolors in itertools.product(EDGE_COLORS, repeat=m * (m - 1) // 2):
+                yield CRG(vcolors, ecolors)
+
+
+def _relabel(k: CRG, perm: list[int]) -> CRG:
+    """``k`` with new vertex i playing old vertex perm[i]."""
+    return CRG(
+        tuple(k.vcolors[v] for v in perm),
+        tuple(k.edge_color(perm[i], perm[j]) for j in range(k.m) for i in range(j)),
+    )
+
+
+class TestKernelsAgainstReference:
+    """``canonical_form`` and ``_equiv_classes`` work on integer color rows;
+    the references work on the color strings pair by pair.  Both must give
+    equal values, representative for representative."""
+
+    def test_canonical_form_on_every_labelled_crg_up_to_4(self):
+        count = 0
+        for k in _labelled_crgs(4):
+            assert canonical_form(k) == canonical_form_reference(k), k
+            count += 1
+        assert count == 11_894
+
+    def test_canonical_form_on_relabelled_classes_up_to_5(self):
+        rng = random.Random(53)
+        classes = list(enumerate_crgs(5))[::10]
+        assert len(classes) == 2_032
+        singletons = 0
+        for k in classes:
+            perm = list(range(k.m))
+            rng.shuffle(perm)
+            shuffled = _relabel(k, perm)
+            form = canonical_form(shuffled)
+            assert form == canonical_form_reference(shuffled), shuffled
+            assert form == k
+            singletons += len(_refined_cells(_color_rows(k))) == k.m
+        assert 0 < singletons < len(classes), "both refinement outcomes are exercised"
+
+    def test_equiv_classes_on_every_class_up_to_4(self):
+        for k in enumerate_crgs(4):
+            assert _equiv_classes(_color_rows(k)) == equiv_classes_reference(k), k
+
+    def test_equiv_classes_on_seeded_larger_crgs(self):
+        # per size: uniform colors, mostly gray edges, and K(r, s) shuffled,
+        # so both lone vertices and larger classes occur
+        rng = random.Random(29)
+        sizes = set()
+        for m in range(5, 13):
+            for edge_palette in (EDGE_COLORS, "GGGGGGW", "G"):
+                k = CRG(
+                    tuple(rng.choice(VERTEX_COLORS) for _ in range(m)),
+                    tuple(rng.choice(edge_palette) for _ in range(m * (m - 1) // 2)),
+                )
+                eq = _equiv_classes(_color_rows(k))
+                assert eq == equiv_classes_reference(k), k
+                sizes.update(eq.count(c) for c in eq)
+        assert 1 in sizes and max(sizes) > 2
 
 
 def _color_isomorphic(a: CRG, b: CRG) -> bool:

@@ -169,6 +169,18 @@ class TestOneEnumerationPerCall:
             assert tuple(crg_compact(k) for k in res.witnesses) == wits
         assert calls == [(3,)] * 7
 
+    def test_given_candidates_are_not_enumerated_again(self, monkeypatch):
+        h = build_family("c2nstar", 8)
+        grid = parse_grid("1/4")
+        expected = search_curve(h, 3, grid)
+        candidates = curves.search_candidates(h, 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated although the candidates were given")
+
+        monkeypatch.setattr(curves, "enumerate_crgs", forbidden)
+        assert search_curve(h, 3, grid, candidates) == expected
+
     def test_empty_grid_still_checks_m(self):
         with pytest.raises(ValidationError):
             search_curve(build_family("path", 5), 6, [])
