@@ -19,12 +19,22 @@ from .graphs import Graph, _bits, _induced_plan
 
 VERTEX_COLORS = ("W", "B")
 EDGE_COLORS = ("W", "G", "B")
+_VERTEX_COLOR_SET = frozenset(VERTEX_COLORS)
+_EDGE_COLOR_SET = frozenset(EDGE_COLORS)
 
 MAX_EMBED_PATTERN = 16
 MAX_EMBED_CRG = 12
 MAX_ENUM_SIZE = 5
 
 DEFAULT_EMBED_BUDGET = 5_000_000
+
+
+def _all_in(allowed: frozenset, colors: tuple) -> bool:
+    """Every entry of ``colors`` is in ``allowed`` (one set scan, no generator)."""
+    try:
+        return allowed.issuperset(colors)
+    except TypeError:  # an unhashable entry is not a color either
+        return False
 
 
 def pair_index(i: int, j: int) -> int:
@@ -49,11 +59,11 @@ class CRG:
         m = len(self.vcolors)
         if m < 1:
             raise ValidationError("a CRG needs at least one vertex")
-        if any(c not in VERTEX_COLORS for c in self.vcolors):
+        if not _all_in(_VERTEX_COLOR_SET, self.vcolors):
             raise ValidationError(f"vertex colors must be in {VERTEX_COLORS}")
         if len(self.ecolors) != m * (m - 1) // 2:
             raise ValidationError("edge color count does not match vertex count")
-        if any(c not in EDGE_COLORS for c in self.ecolors):
+        if not _all_in(_EDGE_COLOR_SET, self.ecolors):
             raise ValidationError(f"edge colors must be in {EDGE_COLORS}")
 
     @property
@@ -360,7 +370,9 @@ def canonical_form(k: CRG) -> CRG:
 
 
 def enumerate_crgs(
-    max_size: int, keep: Callable[[CRG], bool] | None = None
+    max_size: int,
+    keep: Callable[[CRG], bool] | None = None,
+    parents: list[tuple[int, ...]] | None = None,
 ) -> Iterator[CRG]:
     """Yield one representative per kept color-isomorphism class, sizes 1..max_size.
 
@@ -378,23 +390,44 @@ def enumerate_crgs(
     canonical form is a kept parent, and the class is an extension of that
     parent (McKay 1998, "Isomorph-free exhaustive generation", in its plain
     levelwise form).
+
+    ``parents``, when given a list, receives one tuple per yielded class,
+    appended just before the class is yielded: the positions, in the
+    yielded sequence, of the classes ``canonical_form(K - v)`` over the
+    vertices v of K (empty on one vertex).  They are exactly the kept
+    classes of the level below whose extensions gave K: every K - v is kept
+    and is a parent of K by the argument above, and a parent P that is
+    extended into K is K - v for the appended vertex v.  Each child records
+    them as a bitmask over the level below while it is deduplicated, so no
+    extra canonical form is computed.
     """
     if not 1 <= max_size <= MAX_ENUM_SIZE:
         raise ValidationError(f"enumeration size capped at {MAX_ENUM_SIZE}, got {max_size}")
-    level = [CRG((c,), ()) for c in VERTEX_COLORS]
+    level: list[CRG] = []
+    below = 0  # position in the yielded sequence of ``level``'s first class
     for size in range(1, max_size + 1):
-        if size > 1:
-            level = {
-                canonical_form(CRG(parent.vcolors + (vc,), parent.ecolors + block))
-                for parent in level
-                for vc in VERTEX_COLORS
-                for block in itertools.product(EDGE_COLORS, repeat=size - 1)
-            }
-        level = sorted(
-            (k for k in level if keep is None or keep(k)),
+        if size == 1:
+            found = {CRG((c,), ()): 0 for c in VERTEX_COLORS}
+        else:
+            found = {}  # child -> bitmask of the positions in ``level`` it extends
+            for bit, parent in enumerate(level):
+                mask = 1 << bit
+                for vc in VERTEX_COLORS:
+                    for block in itertools.product(EDGE_COLORS, repeat=size - 1):
+                        child = canonical_form(
+                            CRG(parent.vcolors + (vc,), parent.ecolors + block)
+                        )
+                        found[child] = found.get(child, 0) | mask
+        kept = sorted(
+            (k for k in found if keep is None or keep(k)),
             key=lambda k: (k.vcolors, k.ecolors),
         )
-        yield from level
+        for k in kept:
+            if parents is not None:
+                parents.append(tuple(below + bit for bit in _bits(found[k])))
+            yield k
+        below += len(level)
+        level = kept
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ produce curves:
 * ``gamma_curve`` evaluates the clique-spectrum upper bound;
 * ``search_curve`` minimizes g over every enumerated CRG class of bounded
   size that does not admit the forbidden graph (an upper bound on the edit
-  distance function, exact whenever some optimal CRG is small enough).
+  distance function, exact whenever some optimal CRG is small enough),
+  solving g only on the classes that are core-structured at p.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .crg import CRG, crg_compact, embeds, enumerate_crgs, gray_label
 from .errors import RangeError, ValidationError
-from .gfun import g_value
+from .gfun import core_regime, core_structured, g_value
 from .graphs import Graph, build_family
 from .spectrum import CliqueSpectrum, gamma_points, min_gray
 
@@ -162,14 +163,37 @@ def gamma_curve(
     return _terms_curve(gamma_points(h, spectrum), (Fraction(q) for q in grid), "gamma")
 
 
-def search_candidates(h: Graph, m: int) -> tuple[CRG, ...]:
-    """Every CRG class with <= m vertices not admitting ``h``, in canonical
-    enumeration order: the classes ``bounded_min_g`` minimizes over."""
-    return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
+@dataclass(frozen=True)
+class Candidates:
+    """The classes ``bounded_min_g`` minimizes over, with what its search reads.
+
+    ``classes`` is every CRG class with <= m vertices not admitting the
+    forbidden graph, in canonical enumeration order.  ``parents[i]`` holds
+    the positions of the classes ``canonical_form(K - v)`` for K =
+    ``classes[i]`` (see ``enumerate_crgs``), and ``cores[r]`` the positions
+    of the classes that are core-structured (``gfun.core_structured``) in
+    regime r of ``gfun.core_regime``: p < 1/2, p = 1/2, p > 1/2.
+    """
+
+    classes: tuple[CRG, ...]
+    parents: tuple[tuple[int, ...], ...]
+    cores: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def search_candidates(h: Graph, m: int) -> Candidates:
+    """Enumerate the candidate classes of ``bounded_min_g`` once, with their
+    parents and per-regime core-structured subsets."""
+    parents: list[tuple[int, ...]] = []
+    classes = tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0], parents=parents))
+    cores = tuple(
+        tuple(i for i, k in enumerate(classes) if core_structured(k, regime))
+        for regime in range(3)
+    )
+    return Candidates(classes, tuple(parents), cores)
 
 
 def bounded_min_g(
-    h: Graph, m: int, p: Fraction, candidates: tuple[CRG, ...] | None = None
+    h: Graph, m: int, p: Fraction, candidates: Candidates | None = None
 ) -> SearchResult:
     """Minimum g over all CRG classes with <= m vertices not admitting ``h``.
 
@@ -178,38 +202,52 @@ def bounded_min_g(
     CRGs are reported, in canonical enumeration order.  The size bound is
     ``enumerate_crgs``'s: m outside 1..MAX_ENUM_SIZE is a ValidationError.
 
+    Only the core-structured candidates are solved, and the result is still
+    exact.  *Value:* for any candidate K, let P be the support of
+    ``g_value(K, p)``'s witness.  Then g(K[P]) = g(K), and K[P] is
+    core-structured, because ``g_value`` solves only supports that pass the
+    p-core filter, which is exact by the p-core structure theorem
+    (Marchant and Thomason 2010; Martin 2013; see ``gfun``).  Forb(h) is
+    hereditary, so K[P] is itself a candidate, and the minimum over the
+    core-structured candidates is the minimum over all.  *Witnesses:* a
+    core-structured K attains when its g equals the minimum.  Any other
+    attaining K has P smaller than V(K), so for v outside P, K - v attains
+    too; and if some K - v attains, so does K, since g cannot rise when a
+    vertex is added.  So one pass in enumeration order, where every
+    ``canonical_form(K - v)`` comes before K, marks K as attaining when it
+    is a core-structured minimizer or one of its recorded parents attains.
+
     Each call enumerates the candidate classes afresh and keeps nothing
     afterwards; to evaluate many p, use ``search_curve``, which enumerates
-    once and passes the classes in as ``candidates``.
+    once and passes ``search_candidates(h, m)`` in as ``candidates``.
     """
     if candidates is None:
         candidates = search_candidates(h, m)
-    if not candidates:
+    classes = candidates.classes
+    if not classes:
         raise ValidationError("every CRG class admits the forbidden graph")
-    best: Fraction | None = None
-    attaining: list[CRG] = []
-    for k in candidates:
-        value = g_value(k, p).value
-        if best is None or value < best:
-            best = value
-            attaining = [k]
-        elif value == best:
-            attaining.append(k)
-    assert best is not None
-    return SearchResult(best, tuple(attaining))
+    values = {i: g_value(classes[i], p).value for i in candidates.cores[core_regime(Fraction(p))]}
+    best = min(values.values())
+    attains = [False] * len(classes)
+    for i, parents in enumerate(candidates.parents):
+        attains[i] = values.get(i) == best or any(attains[j] for j in parents)
+    return SearchResult(best, tuple(k for k, hit in zip(classes, attains) if hit))
 
 
 def search_curve(
     h: Graph,
     m: int,
     grid: Iterable[Fraction],
-    candidates: tuple[CRG, ...] | None = None,
+    candidates: Candidates | None = None,
 ) -> Curve:
     """``bounded_min_g`` at every grid point, over one enumeration.
 
     ``candidates`` (default: ``search_candidates(h, m)``, enumerated here)
     lets a caller that evaluates chunks of one grid in several processes
-    enumerate once and hand the classes to each.
+    enumerate once and hand the classes, their parents and their
+    core-structured subsets to each.  Each point solves g only on the
+    candidates that are core-structured in its regime; ``bounded_min_g``
+    states why that is exact.
     """
     if candidates is None:
         candidates = search_candidates(h, m)

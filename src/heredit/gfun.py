@@ -101,18 +101,26 @@ def build_matrix(k: CRG, p: Fraction) -> PMatrix:
     )
 
 
-def _core_conflicts(k: CRG, p: Fraction) -> tuple[int, ...]:
+# colors an edge may not have in a p-core, by ``core_regime``
+_BANNED_EDGE_COLORS = (("B",), ("B", "W"), ("W",))
+
+
+def core_regime(p: Fraction) -> int:
+    """0, 1 or 2 for p < 1/2, p = 1/2 and p > 1/2.
+
+    The p-core filter depends on p only through this regime.
+    """
+    return (2 * p >= 1) + (2 * p > 1)
+
+
+def _core_conflicts(k: CRG, regime: int) -> tuple[int, ...]:
     """Per vertex, the bitmask of vertices it cannot share a p-core with.
 
     An edge whose color matches the color of one of its ends is never in a
     p-core, nor is a black edge for p <= 1/2 or a white edge for p >= 1/2
     (see the module docstring).
     """
-    banned = set()
-    if 2 * p <= 1:
-        banned.add("B")
-    if 2 * p >= 1:
-        banned.add("W")
+    banned = _BANNED_EDGE_COLORS[regime]
     conflicts = [0] * k.m
     colors = iter(k.ecolors)  # column-major: (0,1), (0,2), (1,2), ...
     for j in range(k.m):
@@ -122,6 +130,26 @@ def _core_conflicts(k: CRG, p: Fraction) -> tuple[int, ...]:
                 conflicts[i] |= 1 << j
                 conflicts[j] |= 1 << i
     return tuple(conflicts)
+
+
+def _conflict_free(conflicts: tuple[int, ...], vertices: tuple[int, ...]) -> bool:
+    """No two of ``vertices`` conflict: the sub-CRG they induce passes the
+    p-core filter."""
+    mask = sum(1 << u for u in vertices)
+    return not any(conflicts[u] & mask for u in vertices)
+
+
+def core_structured(k: CRG, regime: int) -> bool:
+    """True when ``k`` as a whole passes the p-core filter of ``g_value``
+    for the p of ``regime`` (see ``core_regime``).
+
+    That is the structure every p-core has (module docstring): for p < 1/2
+    no black edge and no white edge at a white vertex, for p > 1/2 the
+    color-swapped rule, and at p = 1/2 both, so gray edges only.
+    ``g_value`` solves exactly the supports whose sub-CRG is
+    core-structured, so a witness's support is one of them.
+    """
+    return _conflict_free(_core_conflicts(k, regime), tuple(range(k.m)))
 
 
 def _solve_support(
@@ -174,14 +202,13 @@ def g_value(k: CRG, p: Fraction) -> GResult:
         raise ValidationError(f"g_value supports at most {MAX_QP_SIZE} vertices, got {k.m}")
     p = Fraction(p)
     b, n = _scaled_matrix(k, p)
-    conflicts = _core_conflicts(k, p)
+    conflicts = _core_conflicts(k, core_regime(p))
     m = k.m
     best_key: tuple | None = None
     best: tuple[int, list[int], tuple[int, ...]] | None = None
     for size in range(1, m + 1):
         for support in itertools.combinations(range(m), size):
-            mask = sum(1 << u for u in support)
-            if any(conflicts[u] & mask for u in support):
+            if not _conflict_free(conflicts, support):
                 continue
             solved = _solve_support(n, support)
             if solved is None:

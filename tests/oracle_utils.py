@@ -8,10 +8,12 @@ vertex order, the simplex program g solved over every support by Gaussian
 elimination in ``Fraction``, the p-core test over every proper sub-CRG,
 and the clique spectrum by box widening.
 
-Six are plain versions of fast paths, kept to pin exact outputs rather
+Seven are plain versions of fast paths, kept to pin exact outputs rather
 than to be independent: ``has_induced_recursive``, ``embeds_reference``,
 ``canonical_form_reference``, ``equiv_classes_reference``,
-``edit_distance_reference`` and ``max_dist_estimate_reference``.  The
+``edit_distance_reference``, ``max_dist_estimate_reference`` and
+``bounded_min_g_reference``, the search that solves g on every candidate
+class.  The
 canonical-form and equivalence-class references work on color strings
 through ``edge_color``, where the package works on integer color rows.
 ``has_induced_recursive``, ``embeds_reference`` and the edit reference
@@ -51,6 +53,7 @@ from heredit.editing import (
     edit_distance,
     sample_graph,
 )
+from heredit.curves import SearchResult
 from heredit.errors import BudgetError, ValidationError
 from heredit.gfun import GResult, g_value
 from heredit.graphs import Graph, _bits, _search_order, has_induced
@@ -665,3 +668,21 @@ def clique_spectrum_widening(
             r_bound += 1
         if touches_s:
             s_bound += 1
+
+
+def bounded_min_g_reference(candidates: tuple[CRG, ...], p: Fraction) -> SearchResult:
+    """Minimum g over ``candidates`` with every attaining class, in order,
+    by solving g on each of them."""
+    if not candidates:
+        raise ValidationError("every CRG class admits the forbidden graph")
+    best: Fraction | None = None
+    attaining: list[CRG] = []
+    for k in candidates:
+        value = g_value(k, p).value
+        if best is None or value < best:
+            best = value
+            attaining = [k]
+        elif value == best:
+            attaining.append(k)
+    assert best is not None
+    return SearchResult(best, tuple(attaining))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -293,6 +294,54 @@ class TestEnumeration:
             list(enumerate_crgs(6))
 
 
+@functools.cache
+def _classes_with_parents(max_size: int, forbid: str | None = None):
+    """``enumerate_crgs(max_size)`` (keeping what does not admit ``forbid``)
+    and the parents it records, computed once per session."""
+    keep = None
+    if forbid is not None:
+        h = parse_graph_spec(forbid)
+
+        def keep(k):
+            return not embeds(h, k)[0]
+
+    parents = []
+    classes = tuple(enumerate_crgs(max_size, keep=keep, parents=parents))
+    return classes, tuple(parents)
+
+
+class TestParents:
+    """``enumerate_crgs(parents=...)`` records, per class K, the positions of
+    the classes canonical_form(K - v), checked here by deleting each vertex."""
+
+    @staticmethod
+    def assert_parents(classes, parents, picks):
+        assert len(parents) == len(classes)
+        position = {k: i for i, k in enumerate(classes)}
+        for i in picks:
+            k = classes[i]
+            deletions = {
+                position[canonical_form(restrict(k, tuple(u for u in range(k.m) if u != v)))]
+                for v in range(k.m)
+            } if k.m > 1 else set()
+            assert parents[i] == tuple(sorted(deletions)), k
+
+    @pytest.mark.parametrize("forbid", [None, "c2nstar:8"])
+    def test_every_class_up_to_4(self, forbid):
+        classes, parents = _classes_with_parents(4, forbid)
+        assert len(classes) == (772 if forbid is None else 651)
+        self.assert_parents(classes, parents, range(len(classes)))
+
+    def test_every_40th_class_at_5(self):
+        classes, parents = _classes_with_parents(5)
+        picks = range(772, len(classes), 40)
+        assert len(picks) == 489
+        self.assert_parents(classes, parents, picks)
+
+    def test_recording_leaves_the_classes_unchanged(self):
+        assert _classes_with_parents(4)[0] == tuple(enumerate_crgs(4))
+
+
 def _labelled_crgs(max_m: int):
     """Every labelled CRG on 1..max_m vertices."""
     for m in range(1, max_m + 1):
@@ -323,7 +372,7 @@ class TestKernelsAgainstReference:
 
     def test_canonical_form_on_relabelled_classes_up_to_5(self):
         rng = random.Random(53)
-        classes = list(enumerate_crgs(5))[::10]
+        classes = _classes_with_parents(5)[0][::10]
         assert len(classes) == 2_032
         singletons = 0
         for k in classes:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from heredit import curves
-from heredit.crg import crg_compact, gray_crg, canonical_form
+from heredit.crg import canonical_form, crg_compact, gray_crg, swap_colors
 from heredit.curves import (
     bounded_min_g,
     closed_form_curve,
@@ -15,9 +15,11 @@ from heredit.curves import (
     valid_interval,
 )
 from heredit.errors import RangeError, ValidationError
-from heredit.graphs import build_family
+from heredit.graphs import build_family, complement, parse_graph_spec
 from heredit.rationals import parse_grid
 from heredit.spectrum import clique_spectrum
+
+from oracle_utils import bounded_min_g_reference
 
 GRID16 = parse_grid("1/16")
 
@@ -142,6 +144,71 @@ class TestBoundedMinG:
         for m in (0, 6):
             with pytest.raises(ValidationError):
                 bounded_min_g(h, m, F(1, 2))
+
+
+class TestCoreSearch:
+    """The core-structured search against the loop that solves every class:
+    whole ``SearchResult``s, value and witnesses in order."""
+
+    @staticmethod
+    def assert_matches_reference(h, m, points):
+        candidates = curves.search_candidates(h, m)
+        for p in points:
+            expected = bounded_min_g_reference(candidates.classes, p)
+            assert bounded_min_g(h, m, p, candidates) == expected, (m, p)
+
+    @pytest.mark.parametrize("name", ["cycle:4", "path:4"])
+    def test_every_point_of_1_64_up_to_m4(self, name):
+        h = parse_graph_spec(name)
+        for m in (1, 2, 3, 4):
+            self.assert_matches_reference(h, m, parse_grid("1/64"))
+
+    def test_c8star_m4_on_1_16(self):
+        self.assert_matches_reference(build_family("c2nstar", 8), 4, GRID16)
+
+    def test_cycle4_m5_at_three_points(self):
+        self.assert_matches_reference(
+            build_family("cycle", 4), 5, [F(1, 3), F(1, 2), F(45, 64)]
+        )
+
+    def test_solves_only_core_structured_classes(self, monkeypatch):
+        from heredit.gfun import core_regime, core_structured
+
+        h = build_family("c2nstar", 8)
+        candidates = curves.search_candidates(h, 4)
+        assert len(candidates.classes) == 651
+        solved = []
+        real = curves.g_value
+
+        def counted(k, p):
+            solved.append(k)
+            return real(k, p)
+
+        monkeypatch.setattr(curves, "g_value", counted)
+        for p in parse_grid("1/4"):
+            solved.clear()
+            bounded_min_g(h, 4, p, candidates)
+            assert solved == [k for k in candidates.classes if core_structured(k, core_regime(p))]
+            assert 0 < len(solved) < 651
+
+    @pytest.mark.parametrize("name", ["c2nstar:8", "cycle:4", "path:4"])
+    def test_duality(self, name):
+        """g_K(p) = g_swap(K)(1 - p), and H embeds in K exactly when the
+        complement of H embeds in swap(K), so the search for H at p and the
+        search for the complement at 1 - p agree up to ``swap_colors``."""
+        h = parse_graph_spec(name)
+        co_h = complement(h)
+        points = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
+        for m in (1, 2, 3, 4):
+            candidates = curves.search_candidates(h, m)
+            co_candidates = curves.search_candidates(co_h, m)
+            for p in points:
+                res = bounded_min_g(h, m, p, candidates)
+                co_res = bounded_min_g(co_h, m, 1 - p, co_candidates)
+                assert res.value == co_res.value, (m, p)
+                swapped = {canonical_form(swap_colors(k)) for k in res.witnesses}
+                assert swapped == set(co_res.witnesses), (m, p)
+                assert len(co_res.witnesses) == len(res.witnesses)
 
 
 class TestOneEnumerationPerCall:
