@@ -26,7 +26,6 @@ from .crg import (
     validate_witness,
 )
 from .curves import (
-    Candidates,
     Curve,
     CurveAnalysis,
     SearchResult,
@@ -35,7 +34,6 @@ from .curves import (
     curve_scan,
     family_graph,
     gamma_curve,
-    search_candidates,
     search_curve,
     valid_interval,
 )
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CRG",
-    "Candidates",
     "CliqueSpectrum",
     "Curve",
     "CurveAnalysis",
@@ -116,7 +113,6 @@ __all__ = [
     "path_cycle_profile",
     "restrict",
     "sample_graph",
-    "search_candidates",
     "search_curve",
     "sub_crgs",
     "swap_colors",

@@ -28,7 +28,6 @@ from .curves import (
     curve_scan,
     family_graph,
     gamma_curve,
-    search_candidates,
     search_curve,
     valid_interval,
 )
@@ -412,8 +411,7 @@ def _run_edcurve(job: JobSpec) -> int:
         elif source == "gamma":
             curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
         else:
-            m = params["m"]
-            curve_of = partial(search_curve, h, m, candidates=search_candidates(h, m))
+            curve_of = partial(search_curve, h, params["m"])
         curves[source] = _evaluate_curve(job, curve_of, points)
 
     if len(sources) == 1:
@@ -452,7 +450,7 @@ def _run_search(job: JobSpec) -> int:
         _emit(job, [], [], text=cached)
         return 0
     m = params["m"]
-    curve_of = partial(search_curve, h, m, candidates=search_candidates(h, m))
+    curve_of = partial(search_curve, h, m)
     curve = _evaluate_curve(job, curve_of, params["points"])
     job.cache.put(key, _emit_curve(job, curve, f"search-m{m}"))
     return 0

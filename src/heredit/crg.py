@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError, FormatError, ValidationError
 from .graphs import Graph, _bits, _induced_plan
@@ -330,6 +330,35 @@ def _refined_cells(rows: list[list[int]]) -> list[list[int]]:
     return cells
 
 
+def _canonical_key(rows: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``canonical_form`` on color rows: the representative's vertex color
+    ranks and column-major edge color ranks.
+
+    Every vertex order that lists the cells in order gives the same vertex
+    colors (the first signature is the vertex's own color), so only the
+    encoding is minimized.  Keys compare as the representatives'
+    ``(vcolors, ecolors)`` do, since ranks keep the order of the strings.
+    """
+    cells = _refined_cells(rows)
+    order = [v for cell in cells for v in cell]
+    if len(cells) == len(rows):
+        enc = tuple(rows[b][a] for j, b in enumerate(order) for a in order[:j])
+    else:
+        enc = min(
+            tuple(rows[b][a] for j, b in enumerate(perm) for a in perm[:j])
+            for perm in (
+                [v for part in parts for v in part]
+                for parts in itertools.product(*(itertools.permutations(c) for c in cells))
+            )
+        )
+    return tuple(rows[v][v] for v in order), enc
+
+
+def _crg_of_key(key: tuple[tuple[int, ...], tuple[int, ...]]) -> CRG:
+    vranks, enc = key
+    return CRG(tuple(_COLOR[c] for c in vranks), tuple(_COLOR[c] for c in enc))
+
+
 def canonical_form(k: CRG) -> CRG:
     """The canonical representative of ``k``'s color-isomorphism class.
 
@@ -340,39 +369,20 @@ def canonical_form(k: CRG) -> CRG:
       refined signatures under the color order B < G < W;
     * among the vertex orders that list the cells in that order (any order
       inside each cell), the one with the lexicographically smallest
-      column-major edge-color encoding wins;
-    * on a tie the first such order wins, taking the orders as
-      ``itertools.product`` of each cell's ``itertools.permutations``.
+      column-major edge-color encoding wins.
 
     The representative has the winning order's vertex colors and encoding.
-    Isomorphic CRGs map to equal values.
+    Isomorphic CRGs map to equal values.  ``enumerate_crgs`` computes the
+    same form from its children's color rows (``_canonical_key``).
     """
-    rows = _color_rows(k)
-    cells = _refined_cells(rows)
-    if len(cells) == k.m:
-        best_order = [cell[0] for cell in cells]
-    else:
-        best: tuple[int, ...] | None = None
-        for parts in itertools.product(*(itertools.permutations(cell) for cell in cells)):
-            order = [v for part in parts for v in part]
-            enc = tuple(
-                rows[b][a] for j, b in enumerate(order) for a in order[:j]
-            )
-            if best is None or enc < best:
-                best = enc
-                best_order = order
-    return CRG(
-        tuple(k.vcolors[v] for v in best_order),
-        tuple(
-            _COLOR[rows[b][a]] for j, b in enumerate(best_order) for a in best_order[:j]
-        ),
-    )
+    return _crg_of_key(_canonical_key(_color_rows(k)))
 
 
 def enumerate_crgs(
     max_size: int,
     keep: Callable[[CRG], bool] | None = None,
     parents: list[tuple[int, ...]] | None = None,
+    roots: Iterable[CRG] | None = None,
 ) -> Iterator[CRG]:
     """Yield one representative per kept color-isomorphism class, sizes 1..max_size.
 
@@ -383,49 +393,68 @@ def enumerate_crgs(
     closed under vertex deletion: if it accepts a CRG, it accepts every
     induced sub-CRG.  "Does not admit H" is such a property, because an
     embedding into a sub-CRG is an embedding into the whole.  The classes
-    are built levelwise: level s+1 is every one-vertex extension of a kept
-    class of level s, deduplicated by canonical form, and ``keep`` is called
-    once per new class.  Nothing kept is missed: deleting the last vertex of
-    a kept class on s+1 vertices leaves a kept class on s vertices, whose
-    canonical form is a kept parent, and the class is an extension of that
-    parent (McKay 1998, "Isomorph-free exhaustive generation", in its plain
-    levelwise form).
+    are built levelwise: level s is the kept classes among the roots on s
+    vertices and the one-vertex extensions of the classes of level s-1,
+    deduplicated by canonical form, and ``keep`` is called once per new
+    class.  The default roots are the two one-vertex classes, so every kept
+    class is yielded; nothing kept is missed, because deleting the last
+    vertex of a kept class on s vertices leaves a kept class on s-1
+    vertices, whose canonical form is a kept parent, and the class is an
+    extension of that parent (McKay 1998, "Isomorph-free exhaustive
+    generation", in its plain levelwise form).
+
+    Given ``roots`` (any CRGs; those on more than ``max_size`` vertices are
+    never reached), the yield is exactly the kept classes that contain some
+    root as an induced sub-CRG, in the same order as in the full
+    enumeration.  By induction on size: a kept class K containing a root R
+    is R itself, or K - v is kept and contains R for a vertex v outside the
+    copy of R, so K extends a class of the level below; and an extension of
+    a class that contains a root contains it too.
 
     ``parents``, when given a list, receives one tuple per yielded class,
     appended just before the class is yielded: the positions, in the
-    yielded sequence, of the classes ``canonical_form(K - v)`` over the
-    vertices v of K (empty on one vertex).  They are exactly the kept
-    classes of the level below whose extensions gave K: every K - v is kept
-    and is a parent of K by the argument above, and a parent P that is
-    extended into K is K - v for the appended vertex v.  Each child records
-    them as a bitmask over the level below while it is deduplicated, so no
-    extra canonical form is computed.
+    yielded sequence, of the yielded classes among ``canonical_form(K - v)``
+    over the vertices v of K (empty on one vertex).  They are exactly the
+    classes of the level below whose extensions gave K: a parent P that is
+    extended into K is K - v for the appended vertex v, and a yielded
+    K - v is extended into K by the vertex v.  Each child records them as a
+    bitmask over the level below while it is deduplicated, so no extra
+    canonical form is computed.
+
+    Each child is canonicalized from its parent's color rows with the new
+    block appended (``_canonical_key``), and a ``CRG`` is built once per
+    distinct class.
     """
     if not 1 <= max_size <= MAX_ENUM_SIZE:
         raise ValidationError(f"enumeration size capped at {MAX_ENUM_SIZE}, got {max_size}")
-    level: list[CRG] = []
+    if roots is None:
+        roots = (CRG((c,), ()) for c in VERTEX_COLORS)
+    root_keys: dict[int, set] = {}
+    for r in roots:
+        root_keys.setdefault(r.m, set()).add(_canonical_key(_color_rows(r)))
+    vertex_ranks = tuple(_RANK[c] for c in VERTEX_COLORS)
+    edge_ranks = tuple(_RANK[c] for c in EDGE_COLORS)
+    level: list[list[list[int]]] = []  # color rows of the previous level's classes
     below = 0  # position in the yielded sequence of ``level``'s first class
     for size in range(1, max_size + 1):
-        if size == 1:
-            found = {CRG((c,), ()): 0 for c in VERTEX_COLORS}
-        else:
-            found = {}  # child -> bitmask of the positions in ``level`` it extends
-            for bit, parent in enumerate(level):
-                mask = 1 << bit
-                for vc in VERTEX_COLORS:
-                    for block in itertools.product(EDGE_COLORS, repeat=size - 1):
-                        child = canonical_form(
-                            CRG(parent.vcolors + (vc,), parent.ecolors + block)
-                        )
-                        found[child] = found.get(child, 0) | mask
-        kept = sorted(
-            (k for k in found if keep is None or keep(k)),
-            key=lambda k: (k.vcolors, k.ecolors),
-        )
-        for k in kept:
-            if parents is not None:
-                parents.append(tuple(below + bit for bit in _bits(found[k])))
-            yield k
+        # key -> bitmask of the positions in ``level`` it extends
+        found = dict.fromkeys(root_keys.get(size, ()), 0)
+        for bit, rows in enumerate(level):
+            mask = 1 << bit
+            for block in itertools.product(edge_ranks, repeat=size - 1):
+                grown = [row + [c] for row, c in zip(rows, block)]
+                for vc in vertex_ranks:
+                    key = _canonical_key(grown + [list(block) + [vc]])
+                    found[key] = found.get(key, 0) | mask
+        kept: list[list[list[int]]] = []
+        for key in sorted(found):
+            k = _crg_of_key(key)
+            if keep is None or keep(k):
+                if parents is not None:
+                    parents.append(tuple(below + bit for bit in _bits(found[key])))
+                if size < max_size:  # the last level is never extended
+                    kept.append(_color_rows(k))
+                yield k
         below += len(level)
         level = kept
 

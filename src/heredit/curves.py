@@ -8,10 +8,11 @@ produce curves:
   the chorded even cycle (``c8star``), cycles, chorded cycles (``ctilde``)
   and paths, each on its stated validity interval;
 * ``gamma_curve`` evaluates the clique-spectrum upper bound;
-* ``search_curve`` minimizes g over every enumerated CRG class of bounded
-  size that does not admit the forbidden graph (an upper bound on the edit
-  distance function, exact whenever some optimal CRG is small enough),
-  solving g only on the classes that are core-structured at p.
+* ``search_curve`` minimizes g over every CRG class of bounded size that
+  does not admit the forbidden graph (an upper bound on the edit distance
+  function, exact whenever some optimal CRG is small enough), solving g
+  only on the classes that are core-structured at p and enumerating the
+  others only where they contain an attaining one.
 """
 
 from __future__ import annotations
@@ -163,38 +164,58 @@ def gamma_curve(
     return _terms_curve(gamma_points(h, spectrum), (Fraction(q) for q in grid), "gamma")
 
 
-@dataclass(frozen=True)
-class Candidates:
-    """The classes ``bounded_min_g`` minimizes over, with what its search reads.
+def _search(h: Graph, m: int, points: Sequence[Fraction]) -> list[SearchResult]:
+    """``bounded_min_g`` at each point, over one core pass and one growth pass.
 
-    ``classes`` is every CRG class with <= m vertices not admitting the
-    forbidden graph, in canonical enumeration order.  ``parents[i]`` holds
-    the positions of the classes ``canonical_form(K - v)`` for K =
-    ``classes[i]`` (see ``enumerate_crgs``), and ``cores[r]`` the positions
-    of the classes that are core-structured (``gfun.core_structured``) in
-    regime r of ``gfun.core_regime``: p < 1/2, p = 1/2, p > 1/2.
+    *Cores:* enumerate the classes that do not admit ``h`` and are
+    core-structured (``gfun.core_structured``) in a regime of some point;
+    both properties are closed under vertex deletion, and the cheap one is
+    tested first.  Each point's value is the minimum of g over its regime's
+    cores, and its attaining cores are those where g equals it.  *Growth:*
+    enumerate the classes that do not admit ``h`` from the union of the
+    attaining cores as roots, so each grown class contains one.  A grown
+    class carries a bitmask over the roots: its own bit, ORed with its
+    recorded parents' masks, which by induction on size is the set of
+    roots it contains.  *Witnesses:* the grown classes whose mask meets the
+    point's attaining cores.  ``bounded_min_g`` states why this is exact.
     """
+    regimes = {core_regime(p) for p in points}
 
-    classes: tuple[CRG, ...]
-    parents: tuple[tuple[int, ...], ...]
-    cores: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    def h_free(k: CRG) -> bool:
+        return not embeds(h, k)[0]
 
-
-def search_candidates(h: Graph, m: int) -> Candidates:
-    """Enumerate the candidate classes of ``bounded_min_g`` once, with their
-    parents and per-regime core-structured subsets."""
+    cores = tuple(enumerate_crgs(
+        m, keep=lambda k: any(core_structured(k, r) for r in regimes) and h_free(k)
+    ))
+    by_regime = {r: [k for k in cores if core_structured(k, r)] for r in regimes}
+    values, attaining = [], []
+    for p in points:
+        regime_cores = by_regime[core_regime(p)]
+        if not regime_cores:  # a class not admitting h has a one-vertex core
+            raise ValidationError("every CRG class admits the forbidden graph")
+        g = [g_value(k, p).value for k in regime_cores]
+        best = min(g)
+        values.append(best)
+        attaining.append({k for k, v in zip(regime_cores, g) if v == best})
+    roots = [k for k in cores if any(k in hits for hits in attaining)]
+    root_bit = {k: 1 << i for i, k in enumerate(roots)}
     parents: list[tuple[int, ...]] = []
-    classes = tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0], parents=parents))
-    cores = tuple(
-        tuple(i for i, k in enumerate(classes) if core_structured(k, regime))
-        for regime in range(3)
-    )
-    return Candidates(classes, tuple(parents), cores)
+    grown = tuple(enumerate_crgs(m, keep=h_free, parents=parents, roots=roots))
+    contains: list[int] = []  # per grown class, the bitmask of the roots in it
+    for k, below in zip(grown, parents):
+        mask = root_bit.get(k, 0)
+        for j in below:
+            mask |= contains[j]
+        contains.append(mask)
+    results = []
+    for best, hits in zip(values, attaining):
+        target = sum(root_bit[k] for k in hits)
+        witnesses = tuple(k for k, mask in zip(grown, contains) if mask & target)
+        results.append(SearchResult(best, witnesses))
+    return results
 
 
-def bounded_min_g(
-    h: Graph, m: int, p: Fraction, candidates: Candidates | None = None
-) -> SearchResult:
+def bounded_min_g(h: Graph, m: int, p: Fraction) -> SearchResult:
     """Minimum g over all CRG classes with <= m vertices not admitting ``h``.
 
     This upper-bounds the edit distance function of Forb(h) at p and equals
@@ -202,62 +223,52 @@ def bounded_min_g(
     CRGs are reported, in canonical enumeration order.  The size bound is
     ``enumerate_crgs``'s: m outside 1..MAX_ENUM_SIZE is a ValidationError.
 
-    Only the core-structured candidates are solved, and the result is still
-    exact.  *Value:* for any candidate K, let P be the support of
-    ``g_value(K, p)``'s witness.  Then g(K[P]) = g(K), and K[P] is
-    core-structured, because ``g_value`` solves only supports that pass the
-    p-core filter, which is exact by the p-core structure theorem
-    (Marchant and Thomason 2010; Martin 2013; see ``gfun``).  Forb(h) is
-    hereditary, so K[P] is itself a candidate, and the minimum over the
-    core-structured candidates is the minimum over all.  *Witnesses:* a
-    core-structured K attains when its g equals the minimum.  Any other
-    attaining K has P smaller than V(K), so for v outside P, K - v attains
-    too; and if some K - v attains, so does K, since g cannot rise when a
-    vertex is added.  So one pass in enumeration order, where every
-    ``canonical_form(K - v)`` comes before K, marks K as attaining when it
-    is a core-structured minimizer or one of its recorded parents attains.
+    The search enumerates only the classes that are core-structured at p
+    (the cores) and then the classes that contain an attaining core, and
+    the result is still exact.  The p-core structure theorem (E. Marchant
+    and A. Thomason, "Extremal graphs and multigraphs with two weighted
+    colours", 2010; R. Martin, "The edit distance function and
+    symmetrization", 2013) makes ``g_value``'s p-core filter exact (see
+    ``gfun``), and every fact below rests on it.
 
-    Each call enumerates the candidate classes afresh and keeps nothing
-    afterwards; to evaluate many p, use ``search_curve``, which enumerates
-    once and passes ``search_candidates(h, m)`` in as ``candidates``.
+    * Let K be an attaining class and P the support of ``g_value(K, p)``'s
+      witness.  Then g(K[P]) = g(K), and K[P] is core-structured, since
+      ``g_value`` solves only supports that pass the filter.  Forb(h) is
+      hereditary, so K[P] is a core that attains: the minimum over the
+      cores is the minimum over all classes, and K[P] is a root.
+    * If P is all of V(K), K is that root.  Otherwise, for v outside P,
+      K - v attains (its g lies between g(K) and g(K[P])) and contains
+      K[P].  By induction on size, K - v is a grown class, and K extends
+      it, so K is grown too, and its roots include K[P].
+    * Conversely, g cannot rise when a vertex is added, so a grown class
+      that contains an attaining core has g at most the minimum, and
+      attains.
+
+    ``search_curve`` runs the same stages for a whole grid at once.
     """
-    if candidates is None:
-        candidates = search_candidates(h, m)
-    classes = candidates.classes
-    if not classes:
-        raise ValidationError("every CRG class admits the forbidden graph")
-    values = {i: g_value(classes[i], p).value for i in candidates.cores[core_regime(Fraction(p))]}
-    best = min(values.values())
-    attains = [False] * len(classes)
-    for i, parents in enumerate(candidates.parents):
-        attains[i] = values.get(i) == best or any(attains[j] for j in parents)
-    return SearchResult(best, tuple(k for k, hit in zip(classes, attains) if hit))
+    return _search(h, m, [Fraction(p)])[0]
 
 
-def search_curve(
-    h: Graph,
-    m: int,
-    grid: Iterable[Fraction],
-    candidates: Candidates | None = None,
-) -> Curve:
-    """``bounded_min_g`` at every grid point, over one enumeration.
+def search_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
+    """``bounded_min_g`` at every grid point, over one core pass and one
+    growth pass.
 
-    ``candidates`` (default: ``search_candidates(h, m)``, enumerated here)
-    lets a caller that evaluates chunks of one grid in several processes
-    enumerate once and hand the classes, their parents and their
-    core-structured subsets to each.  Each point solves g only on the
-    candidates that are core-structured in its regime; ``bounded_min_g``
-    states why that is exact.
+    The core pass keeps the classes that are core-structured in some regime
+    of the grid, and each point solves g only on its regime's cores.  The
+    growth pass starts from the union of every point's attaining cores: a
+    class attaining at p contains an attaining core of p (``bounded_min_g``
+    gives the argument, after Marchant and Thomason 2010 and Martin 2013),
+    so it contains a root, and a point's witnesses are the grown classes
+    that contain one of its own attaining cores.  Nothing is kept between
+    calls.
     """
-    if candidates is None:
-        candidates = search_candidates(h, m)
-    samples = []
-    witnesses = []
-    for p in (Fraction(q) for q in grid):
-        res = bounded_min_g(h, m, p, candidates)
-        samples.append((p, res.value))
-        witnesses.append(tuple(crg_compact(k) for k in res.witnesses))
-    return Curve(tuple(samples), "search", tuple(witnesses))
+    points = [Fraction(q) for q in grid]
+    results = _search(h, m, points)
+    return Curve(
+        tuple((p, res.value) for p, res in zip(points, results)),
+        "search",
+        tuple(tuple(crg_compact(k) for k in res.witnesses) for res in results),
+    )
 
 
 def curve_scan(curve: Curve) -> CurveAnalysis:

@@ -7,14 +7,17 @@ only on the pairs inside it, since any valid edit set must touch every
 copy.  The search runs on raw adjacency rows with the pattern compiled
 once; only the returned witness becomes a ``Graph``.
 
-Every graph whose subtree fails is remembered with the remaining depth it
-failed at and the induced copy found in it.  A later visit with at most
-that depth left fails at once; one with more depth left reuses the stored
-copy instead of searching again, since the induced-copy search is
-deterministic and would return the same copy.  Both are exact: only graphs
-that contain a copy are stored, so a hit never hides a graph that is
-already free, and the search visits the same nodes and returns the same
-witness as one that called ``has_induced`` at every node.
+Every graph whose subtree fails with at least one flip left is remembered
+with the remaining depth it failed at and the induced copy found in it; a
+graph that still holds a copy with no flips left is not stored, so a later
+visit to it searches for a copy again (storing those would save some of
+these searches but grow the memo by every leaf of the search tree).  A later visit to a stored graph
+with at most that depth left fails at once; one with more depth left
+reuses the stored copy instead of searching again, since the induced-copy
+search is deterministic and would return the same copy.  Both are exact:
+only graphs that contain a copy are stored, so a hit never hides a graph
+that is already free, and the search visits the same nodes and returns the
+same witness as one that called ``has_induced`` at every node.
 
 ``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the

@@ -102,6 +102,8 @@ class TestParseInputs:
          "--grid", "1/8"],
     ])
     def test_jobs_enumerate_once_in_the_parent(self, capsys, monkeypatch, argv):
+        """Each ``--jobs`` chunk runs the search stages for its own points:
+        one core pass and one growth pass, and nothing in the parent."""
         argv = argv + ["--no-cache"]
         _, serial, _ = run_cli(capsys, argv + ["--jobs", "1"])
         code, parallel, _ = run_cli(capsys, argv + ["--jobs", "2"])
@@ -123,7 +125,8 @@ class TestParseInputs:
         assert code == 0
         assert stdout == serial
         assert started, "the grid went to a pool"
-        assert enumerated == [(3,)]
+        # the 9 points of 1/8 go to two chunks of 5 and 4
+        assert enumerated == [(3,)] * 4
 
     @pytest.mark.parametrize(("argv", "message"), [
         (SEARCH_ARGV[:4] + ["0", "--p", "1/3"], "--max-size must lie in 1..5, got 0"),
@@ -149,7 +152,7 @@ class TestParseInputs:
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the input was refused")
 
-        for name in ("search_curve", "search_candidates", "clique_spectrum",
+        for name in ("search_curve", "clique_spectrum",
                      "closed_form_curve", "ProcessPoolExecutor", "gray_crg"):
             monkeypatch.setattr(f"heredit.cli.{name}", forbidden)
         code, stdout, err = run_cli(capsys, argv + ["--no-cache"])
@@ -350,13 +353,18 @@ class TestSearchCommand:
         first = out1.read_text().splitlines()[1].split(",")
         assert first[0] == "1/3" and first[1] == "1/6"
 
-    def test_cache_hit_reproduces_bytes(self, tmp_path, capsys):
+    def test_cache_hit_reproduces_bytes(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = SEARCH_ARGV + ["--cache-dir", str(cache)]
         assert main(base + ["--out", str(out1)]) == 0
         capsys.readouterr()
         assert list(cache.glob("*.json")), "first run must populate the cache"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("searched again although the cache holds the job")
+
+        monkeypatch.setattr("heredit.cli.search_curve", forbidden)
         assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()

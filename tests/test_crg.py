@@ -294,19 +294,20 @@ class TestEnumeration:
             list(enumerate_crgs(6))
 
 
+def _free_of(forbid: str | None):
+    """The ``keep`` of the classes not admitting ``forbid`` (None: every class)."""
+    if forbid is None:
+        return None
+    h = parse_graph_spec(forbid)
+    return lambda k: not embeds(h, k)[0]
+
+
 @functools.cache
 def _classes_with_parents(max_size: int, forbid: str | None = None):
     """``enumerate_crgs(max_size)`` (keeping what does not admit ``forbid``)
     and the parents it records, computed once per session."""
-    keep = None
-    if forbid is not None:
-        h = parse_graph_spec(forbid)
-
-        def keep(k):
-            return not embeds(h, k)[0]
-
     parents = []
-    classes = tuple(enumerate_crgs(max_size, keep=keep, parents=parents))
+    classes = tuple(enumerate_crgs(max_size, keep=_free_of(forbid), parents=parents))
     return classes, tuple(parents)
 
 
@@ -340,6 +341,86 @@ class TestParents:
 
     def test_recording_leaves_the_classes_unchanged(self):
         assert _classes_with_parents(4)[0] == tuple(enumerate_crgs(4))
+
+
+def _contains_a_root(k: CRG, roots: set) -> bool:
+    """Some induced sub-CRG of ``k`` (``k`` itself included) is isomorphic to
+    one of ``roots``, checked by canonical forms of every vertex subset."""
+    forms = {canonical_form(r) for r in roots}
+    return any(
+        canonical_form(restrict(k, vs)) in forms
+        for size in {r.m for r in roots}
+        for vs in itertools.combinations(range(k.m), size)
+    )
+
+
+class TestRoots:
+    """``enumerate_crgs(roots=...)`` yields the kept classes that contain a
+    root, in full-enumeration order, with the parents among them."""
+
+    @staticmethod
+    def assert_grown(max_size, roots, forbid=None):
+        classes = _classes_with_parents(max_size, forbid)[0]
+        parents = []
+        grown = tuple(
+            enumerate_crgs(max_size, keep=_free_of(forbid), parents=parents, roots=roots)
+        )
+        assert grown == tuple(k for k in classes if _contains_a_root(k, set(roots)))
+        # the parents are the yielded classes among the K - v
+        position = {k: i for i, k in enumerate(grown)}
+        assert len(parents) == len(grown)
+        for k, below in zip(grown, parents):
+            deletions = {
+                canonical_form(restrict(k, tuple(u for u in range(k.m) if u != v)))
+                for v in range(k.m)
+            } if k.m > 1 else set()
+            assert below == tuple(sorted(position[d] for d in deletions if d in position)), k
+        return grown
+
+    def test_every_7th_class_up_to_3_as_roots(self):
+        roots = list(enumerate_crgs(3))[::7]
+        grown = self.assert_grown(4, roots)
+        assert 0 < len(grown) < 772
+
+    def test_roots_need_not_be_canonical_or_kept(self):
+        # relabelled, repeated and oversize roots, and K(3,0), which admits
+        # C8* and so is neither yielded nor grown from
+        roots = [
+            CRG(("B", "W"), ("G",)),
+            CRG(("W", "B"), ("G",)),
+            gray_crg(3, 0),
+            gray_crg(1, 2),
+            gray_crg(3, 3),
+        ]
+        grown = self.assert_grown(4, roots, forbid="c2nstar:8")
+        assert gray_crg(3, 0) not in grown
+        assert canonical_form(gray_crg(1, 2)) in grown
+
+    def test_attaining_cores_of_a_cycle4_search(self):
+        """The growth pass of the cycle:4 search at m = 4 and p = 45/64,
+        with that point's attaining cores as roots."""
+        from fractions import Fraction
+
+        from heredit.gfun import core_regime, core_structured, g_value
+
+        p = Fraction(45, 64)
+        cores = [
+            k for k in _classes_with_parents(4, "cycle:4")[0]
+            if core_structured(k, core_regime(p))
+        ]
+        values = [g_value(k, p).value for k in cores]
+        roots = [k for k, v in zip(cores, values) if v == min(values)]
+        grown = self.assert_grown(4, roots, forbid="cycle:4")
+        assert 0 < len(roots) < len(grown) < 115
+
+    def test_no_roots_yield_nothing(self):
+        parents = []
+        assert list(enumerate_crgs(4, parents=parents, roots=())) == []
+        assert parents == []
+
+    def test_default_roots_are_the_one_vertex_classes(self):
+        roots = [CRG(("W",), ()), CRG(("B",), ())]
+        assert _classes_with_parents(4)[0] == tuple(enumerate_crgs(4, roots=roots))
 
 
 def _labelled_crgs(max_m: int):

@@ -4,7 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from heredit import curves
-from heredit.crg import canonical_form, crg_compact, gray_crg, swap_colors
+from heredit.crg import (
+    canonical_form,
+    crg_compact,
+    embeds,
+    enumerate_crgs,
+    gray_crg,
+    swap_colors,
+)
 from heredit.curves import (
     bounded_min_g,
     closed_form_curve,
@@ -15,7 +22,7 @@ from heredit.curves import (
     valid_interval,
 )
 from heredit.errors import RangeError, ValidationError
-from heredit.graphs import build_family, complement, parse_graph_spec
+from heredit.graphs import Graph, build_family, complement, parse_graph_spec
 from heredit.rationals import parse_grid
 from heredit.spectrum import clique_spectrum
 
@@ -119,6 +126,14 @@ class TestBoundedMinG:
     def test_p5_small_bound(self):
         assert bounded_min_g(build_family("path", 5), 2, F(1, 2)).value == F(1, 4)
 
+    def test_pattern_admitted_everywhere_is_refused(self):
+        # one vertex embeds in every CRG, so no class is left to minimize over
+        single = Graph.from_edges(1, [])
+        with pytest.raises(ValidationError, match="every CRG class admits"):
+            bounded_min_g(single, 2, F(1, 2))
+        with pytest.raises(ValidationError, match="every CRG class admits"):
+            search_curve(single, 2, [F(0), F(1)])
+
     def test_antitone_in_m_and_below_gamma(self):
         h = build_family("c2nstar", 8)
         spect = clique_spectrum(h)
@@ -146,37 +161,51 @@ class TestBoundedMinG:
                 bounded_min_g(h, m, F(1, 2))
 
 
+def _h_free_classes(h, m):
+    return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
+
+
 class TestCoreSearch:
-    """The core-structured search against the loop that solves every class:
-    whole ``SearchResult``s, value and witnesses in order."""
+    """The staged search against the loop that solves every class: whole
+    ``SearchResult``s, value and witnesses in order, for one point at a
+    time (``bounded_min_g``) and for the whole grid at once
+    (``search_curve``, which grows from every point's attaining cores)."""
 
     @staticmethod
-    def assert_matches_reference(h, m, points):
-        candidates = curves.search_candidates(h, m)
-        for p in points:
-            expected = bounded_min_g_reference(candidates.classes, p)
-            assert bounded_min_g(h, m, p, candidates) == expected, (m, p)
+    def assert_matches_reference(h, m, points, one_point):
+        """``search_curve`` over ``points`` and ``bounded_min_g`` at each of
+        ``one_point`` against the reference."""
+        classes = _h_free_classes(h, m)
+        expected = {p: bounded_min_g_reference(classes, p) for p in points}
+        curve = search_curve(h, m, points)
+        assert curve.samples == tuple((p, expected[p].value) for p in points), m
+        assert curve.witnesses == tuple(
+            tuple(crg_compact(k) for k in expected[p].witnesses) for p in points
+        ), m
+        for p in one_point:
+            assert bounded_min_g(h, m, p) == expected[p], (m, p)
 
     @pytest.mark.parametrize("name", ["cycle:4", "path:4"])
     def test_every_point_of_1_64_up_to_m4(self, name):
         h = parse_graph_spec(name)
+        grid = parse_grid("1/64")
         for m in (1, 2, 3, 4):
-            self.assert_matches_reference(h, m, parse_grid("1/64"))
+            # one point at a time on every point up to m = 3, on 1/8 at m = 4
+            self.assert_matches_reference(h, m, grid, grid if m < 4 else grid[::8])
 
     def test_c8star_m4_on_1_16(self):
-        self.assert_matches_reference(build_family("c2nstar", 8), 4, GRID16)
+        self.assert_matches_reference(build_family("c2nstar", 8), 4, GRID16, GRID16[::4])
 
     def test_cycle4_m5_at_three_points(self):
-        self.assert_matches_reference(
-            build_family("cycle", 4), 5, [F(1, 3), F(1, 2), F(45, 64)]
-        )
+        points = [F(1, 3), F(1, 2), F(45, 64)]
+        self.assert_matches_reference(build_family("cycle", 4), 5, points, points)
 
     def test_solves_only_core_structured_classes(self, monkeypatch):
         from heredit.gfun import core_regime, core_structured
 
         h = build_family("c2nstar", 8)
-        candidates = curves.search_candidates(h, 4)
-        assert len(candidates.classes) == 651
+        classes = _h_free_classes(h, 4)
+        assert len(classes) == 651
         solved = []
         real = curves.g_value
 
@@ -187,8 +216,8 @@ class TestCoreSearch:
         monkeypatch.setattr(curves, "g_value", counted)
         for p in parse_grid("1/4"):
             solved.clear()
-            bounded_min_g(h, 4, p, candidates)
-            assert solved == [k for k in candidates.classes if core_structured(k, core_regime(p))]
+            bounded_min_g(h, 4, p)
+            assert solved == [k for k in classes if core_structured(k, core_regime(p))]
             assert 0 < len(solved) < 651
 
     @pytest.mark.parametrize("name", ["c2nstar:8", "cycle:4", "path:4"])
@@ -200,11 +229,9 @@ class TestCoreSearch:
         co_h = complement(h)
         points = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)]
         for m in (1, 2, 3, 4):
-            candidates = curves.search_candidates(h, m)
-            co_candidates = curves.search_candidates(co_h, m)
             for p in points:
-                res = bounded_min_g(h, m, p, candidates)
-                co_res = bounded_min_g(co_h, m, 1 - p, co_candidates)
+                res = bounded_min_g(h, m, p)
+                co_res = bounded_min_g(co_h, m, 1 - p)
                 assert res.value == co_res.value, (m, p)
                 swapped = {canonical_form(swap_colors(k)) for k in res.witnesses}
                 assert swapped == set(co_res.witnesses), (m, p)
@@ -213,40 +240,30 @@ class TestCoreSearch:
 
 class TestOneEnumerationPerCall:
     def test_search_curve_enumerates_once(self, monkeypatch):
+        """One core pass and one growth pass per call, whatever the grid."""
         calls = []
         real = curves.enumerate_crgs
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, "roots" in kwargs))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(curves, "enumerate_crgs", counted)
         h = build_family("c2nstar", 8)
         grid = parse_grid("1/4")
         assert len(grid) == 5
+        passes = [((3,), False), ((3,), True)]
         first = search_curve(h, 3, grid)
-        assert calls == [(3,)]
+        assert calls == passes
         # nothing is kept between calls: a repeat enumerates again
         assert search_curve(h, 3, grid) == first
-        assert calls == [(3,)] * 2
+        assert calls == passes * 2
         # a direct call enumerates for itself and agrees point by point
         for (p, value), wits in zip(first.samples, first.witnesses):
             res = bounded_min_g(h, 3, p)
             assert res.value == value
             assert tuple(crg_compact(k) for k in res.witnesses) == wits
-        assert calls == [(3,)] * 7
-
-    def test_given_candidates_are_not_enumerated_again(self, monkeypatch):
-        h = build_family("c2nstar", 8)
-        grid = parse_grid("1/4")
-        expected = search_curve(h, 3, grid)
-        candidates = curves.search_candidates(h, 3)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("enumerated although the candidates were given")
-
-        monkeypatch.setattr(curves, "enumerate_crgs", forbidden)
-        assert search_curve(h, 3, grid, candidates) == expected
+        assert calls == passes * 7
 
     def test_empty_grid_still_checks_m(self):
         with pytest.raises(ValidationError):
