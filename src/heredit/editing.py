@@ -19,6 +19,14 @@ only graphs that contain a copy are stored, so a hit never hides a graph
 that is already free, and the search visits the same nodes and returns the
 same witness as one that called ``has_induced`` at every node.
 
+With one flip left, only a pair inside every induced copy can help:
+flipping the pair {a, b} leaves each copy whose vertex set does not hold
+both a and b.  So a node with one flip left intersects the vertex sets of
+its copies and searches only the children whose flipped pair lies inside
+that intersection.  Each other child is still counted as a node and checked
+against the node limit, and it would have failed at once, so the node
+count, the memo, every limit that raises and every witness are unchanged.
+
 ``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the
 finite-n maximum at that density, not an estimate of the asymptotic limit.
@@ -38,7 +46,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _find_induced, _induced_plan, has_induced
+from .graphs import Graph, _find_induced, _induced_copies, _induced_plan, has_induced
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
@@ -88,10 +96,20 @@ def _flip_search(
     the memo of failed graphs and the node count; past ``node_limit`` nodes
     it raises :class:`BudgetError`.  Graphs are searched as raw adjacency
     rows on vertices 0..n-1, and the pattern is compiled once.
+
+    A node with one flip left that is not in the memo also ANDs the vertex
+    masks of its copies, in search order, until fewer than two vertices
+    remain, and recurses only into the pairs with both ends in that common
+    set.  Flipping any other pair leaves some copy untouched, so that child
+    holds a copy with no flips left and would fail at once; it is counted
+    as one node and checked against ``node_limit`` in its place.  The node
+    count, the memo, every ``BudgetError`` and every witness are those of
+    the search that visits each such child.
     """
     plan = _induced_plan(forbidden)
     k = forbidden.n
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    over = f"edit search node limit of {node_limit} exceeded"
     nodes = 0
     # rows -> (largest remaining depth proven hopeless, induced copy found)
     failed: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
@@ -100,22 +118,39 @@ def _flip_search(
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
-            raise BudgetError(f"edit search node limit of {node_limit} exceeded")
+            raise BudgetError(over)
+        common = -1  # vertices a helpful flip must keep both ends inside
         stored = failed.get(adj)
         if stored is None:
-            copy = _find_induced(adj, n, plan)
-            if copy is None:
-                return adj
-            if remaining == 0:
-                return None
+            if remaining == 1:
+                copies = _induced_copies(adj, n, plan)
+                copy, common = next(copies, (None, 0))
+                if copy is None:
+                    return adj
+                for _, mask in copies:
+                    common &= mask
+                    if common & (common - 1) == 0:
+                        break
+            else:
+                copy = _find_induced(adj, n, plan)
+                if copy is None:
+                    return adj
+                if remaining == 0:
+                    return None
         elif stored[0] >= remaining:
             return None
         else:
             copy = stored[1]
         for i, j in pairs:
-            result = search(_flip(adj, copy[i], copy[j]), remaining - 1)
-            if result is not None:
-                return result
+            u, v = copy[i], copy[j]
+            if common >> u & common >> v & 1:
+                result = search(_flip(adj, u, v), remaining - 1)
+                if result is not None:
+                    return result
+            else:
+                nodes += 1
+                if nodes > node_limit:
+                    raise BudgetError(over)
         failed[adj] = (remaining, copy)
         return None
 

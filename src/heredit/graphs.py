@@ -201,9 +201,31 @@ def _find_induced(
 ) -> tuple[int, ...] | None:
     """The search of ``has_induced`` on raw rows and a compiled plan.
 
-    Returns the witness, or ``None`` when there is no copy.  The pattern
-    must have at least one vertex.  Callers that search one pattern in many
-    hosts (the edit search) compile the plan once and call this directly.
+    Returns the first copy ``_induced_copies`` yields, or ``None`` when
+    there is none.  The pattern must have at least one vertex.  Callers
+    that search one pattern in many hosts (the edit search) compile the
+    plan once and call this directly.
+    """
+    for copy, _ in _induced_copies(adj, n, plan):
+        return copy
+    return None
+
+
+def _induced_copies(
+    adj: tuple[int, ...],
+    n: int,
+    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every induced copy of the planned pattern in the rows ``adj``.
+
+    Yields ``(copy, mask)``: ``copy[i]`` is the host vertex playing pattern
+    vertex ``i`` and ``mask`` is the bitmask of the copy's host vertices.
+    Each labelled copy is yielded once, so a vertex set appears once per
+    automorphism of the pattern.  Order contract: copies come in the order
+    of the depth-first search, steps following the plan's pattern order and
+    each step trying its candidates in ascending host order.  The first
+    copy is therefore ``has_induced``'s witness, and the edit search
+    branches on it.  The pattern must have at least one vertex.
     """
     order, steps = plan
     k = len(order)
@@ -224,7 +246,11 @@ def _find_induced(
                 chosen = [0] * k
                 for s, pv in enumerate(order):
                     chosen[pv] = placed[s]
-                return tuple(chosen)
+                yield tuple(chosen), used
+                t -= 1
+                used ^= low
+                cands = rest[t]
+                continue
             cands = full & ~used
             for s, edge in steps[t]:
                 if edge:
@@ -236,7 +262,7 @@ def _find_induced(
         else:
             t -= 1
             if t < 0:
-                return None
+                return
             used ^= 1 << placed[t]
             cands = rest[t]
 

@@ -1,12 +1,13 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately brute force and shares no search code with
-the package: permutation-based isomorphism, exhaustive map enumeration for
-embeddings, recursive path/cycle enumeration, breadth-first edit search,
-a Burnside count of CRG classes, a canonical key minimized over every
-vertex order, the simplex program g solved over every support by Gaussian
-elimination in ``Fraction``, the p-core test over every proper sub-CRG,
-and the clique spectrum by box widening.
+the package: permutation-based isomorphism, every induced copy by subset
+and bijection, exhaustive map enumeration for embeddings, recursive
+path/cycle enumeration, breadth-first edit search, a Burnside count of CRG
+classes, a canonical key minimized over every vertex order, the simplex
+program g solved over every support by Gaussian elimination in
+``Fraction``, the p-core test over every proper sub-CRG, and the clique
+spectrum by box widening.
 
 Seven are plain versions of fast paths, kept to pin exact outputs rather
 than to be independent: ``has_induced_recursive``, ``embeds_reference``,
@@ -92,6 +93,26 @@ def has_induced_brute(host: Graph, pattern: Graph) -> bool:
         if isomorphic_brute(induced_subgraph(host, subset), pattern):
             return True
     return False
+
+
+def induced_copies_brute(host: Graph, pattern: Graph) -> set[tuple[int, ...]]:
+    """Every induced copy of ``pattern`` in ``host``, indexed by pattern vertex.
+
+    Tries every k-subset of host vertices and every bijection onto it, and
+    keeps a map when every pattern pair is an edge exactly when its image
+    is; exponential, for tiny graphs only.
+    """
+    k = pattern.n
+    copies = set()
+    for subset in itertools.combinations(range(host.n), k):
+        for image in itertools.permutations(subset):
+            if all(
+                pattern.has_edge(i, j) == host.has_edge(image[i], image[j])
+                for i in range(k)
+                for j in range(i + 1, k)
+            ):
+                copies.add(image)
+    return copies
 
 
 def has_induced_recursive(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | None]:

@@ -129,6 +129,35 @@ class TestEditDistance:
                 else:
                     assert edit_distance(g, pattern, node_limit=limit) == want
 
+    def test_budget_error_parity_at_every_limit_on_random_graphs(self):
+        # a node with one flip left skips the children outside the common
+        # vertices of its copies but still counts each, so both searches
+        # raise at exactly the same limits; the 24 full searches here take
+        # from 1 to 302 nodes, 8 of them more than 20
+        claw = graph_from_graph6("Cs")
+        rng = random.Random(29)
+        for n in (7, 8):
+            for pattern in (P4, build_family("cycle", 4), claw):
+                for _ in range(4):
+                    g = random_graph(rng, n)
+                    self._check_parity_up_to(g, pattern, 200)
+
+    @staticmethod
+    def _check_parity_up_to(g, pattern, top):
+        want = None
+        for limit in range(1, top + 1):
+            # the reference visits the same nodes at every limit, so once
+            # it fits in a limit it returns the same result at every larger one
+            if want is None:
+                try:
+                    want = edit_distance_reference(g, pattern, limit)
+                except BudgetError as exc:
+                    with pytest.raises(BudgetError) as got:
+                        edit_distance(g, pattern, node_limit=limit)
+                    assert got.value.best_bound == exc.best_bound
+                    continue
+            assert edit_distance(g, pattern, node_limit=limit) == want
+
     def test_size_gate(self):
         with pytest.raises(ValidationError):
             edit_distance(build_family("path", 11), P3)
@@ -289,6 +318,25 @@ class TestEstimateCheck:
         # a sample that contains a copy fails the depth-0 check at its root
         assert _flip_search(5, P3, DEFAULT_NODE_LIMIT)(C5.adj, 0) is None
         assert calls == [C5.adj]
+
+    def test_one_flip_left_skips_children_outside_every_copy(self, monkeypatch):
+        searched = []
+        real = editing._find_induced
+
+        def counted(*args):
+            searched.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(editing, "_find_induced", counted)
+        # two disjoint P3s: their copies share no vertex, so none of the
+        # three flips inside the first copy can help and no child searches
+        two_p3 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert _flip_search(6, P3, 4)(two_p3.adj, 1) is None
+        assert searched == []
+        # the skipped children still count: the root and three children
+        # need four nodes
+        with pytest.raises(BudgetError):
+            _flip_search(6, P3, 3)(two_p3.adj, 1)
 
     def test_first_sample_over_budget_next_still_exact(self, monkeypatch):
         events = _spy_on_runs(monkeypatch)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from heredit.errors import FormatError, ValidationError
 from heredit.graphs import (
     Graph,
+    _induced_copies,
+    _induced_plan,
     build_family,
     complement,
     graph_from_graph6,
@@ -19,6 +21,7 @@ from heredit.graphs import (
 from oracle_utils import (
     has_induced_brute,
     has_induced_recursive,
+    induced_copies_brute,
     is_connected,
     max_path_closes,
     paths_and_cycles_recursive,
@@ -147,6 +150,35 @@ class TestHasInduced:
             density = rng.choice((0.0, 1.0, rng.random()))
             pattern = random_graph(rng, rng.randrange(0, 6), density)
             assert has_induced(host, pattern) == has_induced_recursive(host, pattern)
+
+
+class TestInducedCopies:
+    def test_every_copy_against_brute_force(self):
+        claw = graph_from_graph6("Cs")  # K_{1,3}, centre 0
+        patterns = (
+            build_family("path", 3),
+            build_family("path", 4),
+            build_family("cycle", 4),
+            claw,
+            build_family("c2nstar", 6),
+        )
+        rng = random.Random(23)
+        for pattern in patterns:
+            plan = _induced_plan(pattern)
+            order = plan[0]
+            hosts = 12 if pattern.n == 6 else 40
+            for _ in range(hosts):
+                host = random_graph(rng, rng.randrange(pattern.n - 1, 9), rng.random())
+                yielded = list(_induced_copies(host.adj, host.n, plan))
+                copies = [copy for copy, _ in yielded]
+                for copy, mask in yielded:
+                    assert mask == sum(1 << v for v in copy)
+                assert len(set(copies)) == len(copies)
+                assert set(copies) == induced_copies_brute(host, pattern)
+                # search order: ascending host vertex at each pattern step
+                assert copies == sorted(copies, key=lambda c: [c[v] for v in order])
+                _, witness = has_induced_recursive(host, pattern)
+                assert (copies[0] if copies else None) == witness
 
 
 class TestPathCycleProfile:
