@@ -395,13 +395,12 @@ def enumerate_crgs(
     embedding into a sub-CRG is an embedding into the whole.  The classes
     are built levelwise: level s is the kept classes among the roots on s
     vertices and the one-vertex extensions of the classes of level s-1,
-    deduplicated by canonical form, and ``keep`` is called once per new
-    class.  The default roots are the two one-vertex classes, so every kept
-    class is yielded; nothing kept is missed, because deleting the last
-    vertex of a kept class on s vertices leaves a kept class on s-1
-    vertices, whose canonical form is a kept parent, and the class is an
-    extension of that parent (McKay 1998, "Isomorph-free exhaustive
-    generation", in its plain levelwise form).
+    deduplicated by canonical form.  The default roots are the two
+    one-vertex classes, so every kept class is yielded; nothing kept is
+    missed, because deleting the last vertex of a kept class on s vertices
+    leaves a kept class on s-1 vertices, whose canonical form is a kept
+    parent, and the class is an extension of that parent (McKay 1998,
+    "Isomorph-free exhaustive generation", in its plain levelwise form).
 
     Given ``roots`` (any CRGs; those on more than ``max_size`` vertices are
     never reached), the yield is exactly the kept classes that contain some
@@ -421,9 +420,22 @@ def enumerate_crgs(
     bitmask over the level below while it is deduplicated, so no extra
     canonical form is computed.
 
-    Each child is canonicalized from its parent's color rows with the new
-    block appended (``_canonical_key``), and a ``CRG`` is built once per
-    distinct class.
+    Given a ``keep``, a child P + w on four or more vertices is first
+    sieved: for each pair {a, b} of P's vertices, the verdict of ``keep``
+    on the three-vertex sub-CRG {a, b, w} is looked up by its labelled
+    color ranks (at most 216 labels), and the child is dropped at the
+    first rejected one.  That is exact by the contract above: a class with
+    a rejected induced sub-CRG is rejected itself, and a kept class has no
+    rejected sub-CRG, so the yield and the parents are those of the
+    unsieved loop.  A label seen for the first time is decided through its
+    triple's canonical form, so ``keep`` is called once on each
+    three-vertex class that a level or the sieve meets, and once on each
+    other new class; above three vertices, only on those that pass the
+    sieve.
+
+    Each surviving child is canonicalized from its parent's color rows
+    with the new block appended (``_canonical_key``), and a ``CRG`` is
+    built once per distinct class.
     """
     if not 1 <= max_size <= MAX_ENUM_SIZE:
         raise ValidationError(f"enumeration size capped at {MAX_ENUM_SIZE}, got {max_size}")
@@ -434,22 +446,55 @@ def enumerate_crgs(
         root_keys.setdefault(r.m, set()).add(_canonical_key(_color_rows(r)))
     vertex_ranks = tuple(_RANK[c] for c in VERTEX_COLORS)
     edge_ranks = tuple(_RANK[c] for c in EDGE_COLORS)
+    verdicts: dict[tuple, bool] = {}  # three-vertex canonical key -> keep's verdict
+    by_label: dict[tuple[int, ...], bool] = {}  # labelled triple ranks -> verdict
+
+    def keep_triple(key: tuple) -> bool:
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = verdicts[key] = keep(_crg_of_key(key))
+        return ok
+
+    def sieve_passes(pair_ranks: list[tuple[int, ...]], block: tuple[int, ...], vc: int) -> bool:
+        for a, b, ra, rb, rab in pair_ranks:
+            label = (ra, rb, vc, rab, block[a], block[b])
+            ok = by_label.get(label)
+            if ok is None:
+                raw, rbw = block[a], block[b]
+                ok = by_label[label] = keep_triple(
+                    _canonical_key([[ra, rab, raw], [rab, rb, rbw], [raw, rbw, vc]])
+                )
+            if not ok:
+                return False
+        return True
+
     level: list[list[list[int]]] = []  # color rows of the previous level's classes
     below = 0  # position in the yielded sequence of ``level``'s first class
     for size in range(1, max_size + 1):
+        sieve = keep is not None and size >= 4
         # key -> bitmask of the positions in ``level`` it extends
         found = dict.fromkeys(root_keys.get(size, ()), 0)
         for bit, rows in enumerate(level):
             mask = 1 << bit
+            if sieve:
+                pair_ranks = [
+                    (a, b, rows[a][a], rows[b][b], rows[a][b])
+                    for b in range(size - 1)
+                    for a in range(b)
+                ]
             for block in itertools.product(edge_ranks, repeat=size - 1):
-                grown = [row + [c] for row, c in zip(rows, block)]
+                grown = None
                 for vc in vertex_ranks:
+                    if sieve and not sieve_passes(pair_ranks, block, vc):
+                        continue
+                    if grown is None:
+                        grown = [row + [c] for row, c in zip(rows, block)]
                     key = _canonical_key(grown + [list(block) + [vc]])
                     found[key] = found.get(key, 0) | mask
         kept: list[list[list[int]]] = []
         for key in sorted(found):
             k = _crg_of_key(key)
-            if keep is None or keep(k):
+            if keep is None or (keep_triple(key) if size == 3 else keep(k)):
                 if parents is not None:
                     parents.append(tuple(below + bit for bit in _bits(found[key])))
                 if size < max_size:  # the last level is never extended

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _find_induced, _induced_copies, _induced_plan, has_induced
+from .graphs import Graph, _find_induced, _induced_copies, _induced_plan, _pattern_copy, has_induced
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
@@ -124,9 +124,10 @@ def _flip_search(
         if stored is None:
             if remaining == 1:
                 copies = _induced_copies(adj, n, plan)
-                copy, common = next(copies, (None, 0))
-                if copy is None:
+                placed, common = next(copies, (None, 0))
+                if placed is None:
                     return adj
+                copy = _pattern_copy(plan[0], placed)
                 for _, mask in copies:
                     common &= mask
                     if common & (common - 1) == 0:

@@ -201,31 +201,44 @@ def _find_induced(
 ) -> tuple[int, ...] | None:
     """The search of ``has_induced`` on raw rows and a compiled plan.
 
-    Returns the first copy ``_induced_copies`` yields, or ``None`` when
-    there is none.  The pattern must have at least one vertex.  Callers
-    that search one pattern in many hosts (the edit search) compile the
-    plan once and call this directly.
+    Returns the first copy ``_induced_copies`` yields, indexed by pattern
+    vertex, or ``None`` when there is none.  The pattern must have at least
+    one vertex.  Callers that search one pattern in many hosts (the edit
+    search) compile the plan once and call this directly.
     """
-    for copy, _ in _induced_copies(adj, n, plan):
-        return copy
+    for placed, _ in _induced_copies(adj, n, plan):
+        return _pattern_copy(plan[0], placed)
     return None
+
+
+def _pattern_copy(order: tuple[int, ...], placed: list[int]) -> tuple[int, ...]:
+    """A copy in step order (``placed[t]`` plays pattern vertex ``order[t]``)
+    indexed by pattern vertex instead."""
+    copy = [0] * len(order)
+    for t, pv in enumerate(order):
+        copy[pv] = placed[t]
+    return tuple(copy)
 
 
 def _induced_copies(
     adj: tuple[int, ...],
     n: int,
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> Iterator[tuple[tuple[int, ...], int]]:
+) -> Iterator[tuple[list[int], int]]:
     """Every induced copy of the planned pattern in the rows ``adj``.
 
-    Yields ``(copy, mask)``: ``copy[i]`` is the host vertex playing pattern
-    vertex ``i`` and ``mask`` is the bitmask of the copy's host vertices.
-    Each labelled copy is yielded once, so a vertex set appears once per
-    automorphism of the pattern.  Order contract: copies come in the order
-    of the depth-first search, steps following the plan's pattern order and
-    each step trying its candidates in ascending host order.  The first
-    copy is therefore ``has_induced``'s witness, and the edit search
-    branches on it.  The pattern must have at least one vertex.
+    Yields ``(placed, mask)``: ``placed[t]`` is the host vertex placed at
+    step t, playing pattern vertex ``plan[0][t]`` (``_pattern_copy`` indexes
+    it by pattern vertex), and ``mask`` is the bitmask of the copy's host
+    vertices.  ``placed`` is the search's own list, valid only until the
+    next copy is requested, so a caller that keeps a copy converts it
+    first and the others build nothing.  Each labelled copy is yielded
+    once, so a vertex set appears once per automorphism of the pattern.
+    Order contract: copies come in the order of the depth-first search,
+    steps following the plan's pattern order and each step trying its
+    candidates in ascending host order.  The first copy is therefore
+    ``has_induced``'s witness, and the edit search branches on it.  The
+    pattern must have at least one vertex.
     """
     order, steps = plan
     k = len(order)
@@ -243,10 +256,7 @@ def _induced_copies(
             used |= low
             t += 1
             if t == k:
-                chosen = [0] * k
-                for s, pv in enumerate(order):
-                    chosen[pv] = placed[s]
-                yield tuple(chosen), used
+                yield placed, used
                 t -= 1
                 used ^= low
                 cands = rest[t]

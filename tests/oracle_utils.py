@@ -9,19 +9,22 @@ program g solved over every support by Gaussian elimination in
 ``Fraction``, the p-core test over every proper sub-CRG, and the clique
 spectrum by box widening.
 
-Seven are plain versions of fast paths, kept to pin exact outputs rather
+Eight are plain versions of fast paths, kept to pin exact outputs rather
 than to be independent: ``has_induced_recursive``, ``embeds_reference``,
 ``canonical_form_reference``, ``equiv_classes_reference``,
-``edit_distance_reference``, ``max_dist_estimate_reference`` and
-``bounded_min_g_reference``, the search that solves g on every candidate
-class.  The
+``enumerate_crgs_reference``, the enumeration that calls ``keep`` on every
+distinct child, ``edit_distance_reference``,
+``max_dist_estimate_reference`` and ``bounded_min_g_reference``, the
+search that solves g on every candidate class.  The
 canonical-form and equivalence-class references work on color strings
 through ``edge_color``, where the package works on integer color rows.
 ``has_induced_recursive``, ``embeds_reference`` and the edit reference
 share the pattern search order with the package (and the edit reference
 the flip helper), since the witness they return depends on that order;
 ``max_dist_estimate_reference`` runs the package's ``edit_distance`` on
-every sample.
+every sample.  ``enumerate_crgs_reference`` canonicalizes with the
+package's ``_canonical_key``, on which the enumeration order and the
+recorded parents depend.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ from heredit.crg import (
     DEFAULT_EMBED_BUDGET,
     MAX_EMBED_CRG,
     MAX_EMBED_PATTERN,
+    VERTEX_COLORS,
     EmbeddingWitness,
+    _canonical_key,
+    _color_rows,
+    _crg_of_key,
     _pair_ok,
     embeds,
     gray_crg,
@@ -348,6 +355,43 @@ def canonical_key_brute(k: CRG) -> tuple[tuple[str, ...], tuple[str, ...]]:
         )
         for order in itertools.permutations(range(k.m))
     )
+
+
+def enumerate_crgs_reference(
+    max_size: int,
+    keep=None,
+    parents: list | None = None,
+    roots=None,
+):
+    """``enumerate_crgs`` without the three-vertex sieve: every one-vertex
+    extension of every kept class is canonicalized, and ``keep`` decides on
+    each distinct class.  Same classes, order, ``parents`` and ``roots``
+    semantics; the package calls ``keep`` on far fewer classes."""
+    if roots is None:
+        roots = (CRG((c,), ()) for c in VERTEX_COLORS)
+    root_keys: dict[int, set] = {}
+    for r in roots:
+        root_keys.setdefault(r.m, set()).add(_canonical_key(_color_rows(r)))
+    level: list = []
+    below = 0
+    for size in range(1, max_size + 1):
+        found = dict.fromkeys(root_keys.get(size, ()), 0)
+        for bit, rows in enumerate(level):
+            for block in itertools.product(range(3), repeat=size - 1):
+                grown = [row + [c] for row, c in zip(rows, block)]
+                for vc in (0, 2):
+                    key = _canonical_key(grown + [list(block) + [vc]])
+                    found[key] = found.get(key, 0) | 1 << bit
+        kept = []
+        for key in sorted(found):
+            k = _crg_of_key(key)
+            if keep is None or keep(k):
+                if parents is not None:
+                    parents.append(tuple(below + bit for bit in _bits(found[key])))
+                kept.append(_color_rows(k))
+                yield k
+        below += len(level)
+        level = kept
 
 
 def paths_and_cycles_recursive(g: Graph) -> tuple[int, set[int]]:

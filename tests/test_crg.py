@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from heredit.crg import (
     validate_witness,
 )
 from heredit.errors import BudgetError, FormatError, ValidationError
+from heredit.gfun import core_regime, core_structured, g_value
 from heredit.graphs import build_family, complement, parse_graph_spec
 from oracle_utils import (
     black_white_gray,
@@ -35,6 +37,7 @@ from oracle_utils import (
     canonical_key_brute,
     embeds_brute,
     embeds_reference,
+    enumerate_crgs_reference,
     equiv_classes_reference,
     random_graph,
 )
@@ -399,10 +402,6 @@ class TestRoots:
     def test_attaining_cores_of_a_cycle4_search(self):
         """The growth pass of the cycle:4 search at m = 4 and p = 45/64,
         with that point's attaining cores as roots."""
-        from fractions import Fraction
-
-        from heredit.gfun import core_regime, core_structured, g_value
-
         p = Fraction(45, 64)
         cores = [
             k for k in _classes_with_parents(4, "cycle:4")[0]
@@ -421,6 +420,70 @@ class TestRoots:
     def test_default_roots_are_the_one_vertex_classes(self):
         roots = [CRG(("W",), ()), CRG(("B",), ())]
         assert _classes_with_parents(4)[0] == tuple(enumerate_crgs(4, roots=roots))
+
+
+def _h_free_and_core_structured(forbid: str, p):
+    """The core pass's ``keep`` at p: core-structured in p's regime, then
+    not admitting ``forbid``."""
+    h_free, regime = _free_of(forbid), core_regime(p)
+    return lambda k: core_structured(k, regime) and h_free(k)
+
+
+class TestSieve:
+    """With a ``keep``, ``enumerate_crgs`` drops a child as soon as one of
+    its three-vertex sub-CRGs through the new vertex is rejected.  The
+    classes and the recorded parents stay those of the unsieved loop."""
+
+    @staticmethod
+    def assert_same(max_size, keep, roots=None):
+        parents, ref_parents = [], []
+        classes = tuple(enumerate_crgs(max_size, keep=keep, parents=parents, roots=roots))
+        reference = tuple(
+            enumerate_crgs_reference(max_size, keep=keep, parents=ref_parents, roots=roots)
+        )
+        assert classes == reference
+        assert parents == ref_parents
+        return classes
+
+    @pytest.mark.parametrize("forbid, count", [("cycle:4", 597), ("path:4", 448)])
+    def test_h_free_classes_at_5(self, forbid, count):
+        assert len(self.assert_same(5, _free_of(forbid))) == count
+
+    @pytest.mark.parametrize(
+        "forbid, p, count",
+        [("c2nstar:8", "1/3", 41), ("c2nstar:8", "2/3", 35), ("cycle:4", "1/3", 7)],
+    )
+    def test_core_structured_and_h_free_at_5(self, forbid, p, count):
+        cores = self.assert_same(5, _h_free_and_core_structured(forbid, Fraction(p)))
+        assert len(cores) == count
+
+    def test_grown_from_the_attaining_cores_of_a_cycle4_search(self):
+        p = Fraction(45, 64)
+        cores = tuple(enumerate_crgs(5, keep=_h_free_and_core_structured("cycle:4", p)))
+        values = [g_value(k, p).value for k in cores]
+        roots = [k for k, v in zip(cores, values) if v == min(values)]
+        grown = self.assert_same(5, _free_of("cycle:4"), roots=roots)
+        assert roots == [CRG(("B", "W"), ("G",))] and len(grown) == 396
+
+    def test_keep_runs_once_per_three_vertex_class(self):
+        h_free = _free_of("cycle:4")
+        for roots in (None, list(_classes_with_parents(3, "cycle:4")[0])[::5]):
+            seen = []
+
+            def keep(k):
+                seen.append(canonical_form(k))
+                return h_free(k)
+
+            list(enumerate_crgs(5, keep=keep, roots=roots))
+            assert any(k.m == 3 for k in seen)
+            assert len(set(seen)) == len(seen)
+
+    def test_no_keep_is_unchanged(self):
+        parents = []
+        assert _classes_with_parents(4)[0] == tuple(
+            enumerate_crgs_reference(4, parents=parents)
+        )
+        assert tuple(parents) == _classes_with_parents(4)[1]
 
 
 def _labelled_crgs(max_m: int):

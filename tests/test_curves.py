@@ -270,6 +270,35 @@ class TestOneEnumerationPerCall:
             search_curve(build_family("path", 5), 6, [])
 
 
+class TestSieveWork:
+    def test_search_m5_counts(self, monkeypatch):
+        """The ``search-m5`` job (cycle:4, m = 5, p = 45/64) in process.
+        Without ``enumerate_crgs``'s three-vertex sieve it canonicalized
+        8,043 children and ran ``embeds`` 4,777 times."""
+        from heredit import crg
+
+        keys, tested = [0], []
+        real_key, real_embeds = crg._canonical_key, curves.embeds
+
+        def counted_key(rows):
+            keys[0] += 1
+            return real_key(rows)
+
+        def counted_embeds(h, k, *args):
+            tested.append(k)
+            return real_embeds(h, k, *args)
+
+        monkeypatch.setattr(crg, "_canonical_key", counted_key)
+        monkeypatch.setattr(curves, "embeds", counted_embeds)
+        result = bounded_min_g(parse_graph_spec("cycle:4"), 5, F(45, 64))
+        assert (result.value, len(result.witnesses)) == (F(855, 4096), 396)
+        assert keys[0] == 1_548
+        assert len(tested) == 446
+        # two passes, each asking keep at most once per three-vertex class
+        triples = [canonical_form(k) for k in tested if k.m == 3]
+        assert max(triples.count(k) for k in triples) <= 2
+
+
 class TestCurveScan:
     def test_c8star_peak_brackets_known_maximum(self):
         curve = closed_form_curve("c8star", 8, parse_grid("1/128"))

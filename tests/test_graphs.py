@@ -10,6 +10,7 @@ from heredit.graphs import (
     Graph,
     _induced_copies,
     _induced_plan,
+    _pattern_copy,
     build_family,
     complement,
     graph_from_graph6,
@@ -169,7 +170,11 @@ class TestInducedCopies:
             hosts = 12 if pattern.n == 6 else 40
             for _ in range(hosts):
                 host = random_graph(rng, rng.randrange(pattern.n - 1, 9), rng.random())
-                yielded = list(_induced_copies(host.adj, host.n, plan))
+                # each step-ordered placement is read before the next copy
+                yielded = [
+                    (_pattern_copy(order, placed), mask)
+                    for placed, mask in _induced_copies(host.adj, host.n, plan)
+                ]
                 copies = [copy for copy, _ in yielded]
                 for copy, mask in yielded:
                     assert mask == sum(1 << v for v in copy)
