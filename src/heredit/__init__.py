@@ -31,6 +31,7 @@ from .curves import (
     SearchResult,
     bounded_min_g,
     closed_form_curve,
+    core_min_g,
     curve_scan,
     family_graph,
     gamma_curve,
@@ -91,6 +92,7 @@ __all__ = [
     "closed_form_curve",
     "closed_form_gray",
     "complement",
+    "core_min_g",
     "crg_compact",
     "crg_from_compact",
     "crg_from_text",

@@ -25,6 +25,7 @@ from .curves import (
     Curve,
     closed_form_curve,
     closed_form_terms,
+    core_curve,
     curve_scan,
     family_graph,
     gamma_curve,
@@ -111,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("c8star", "ctilde", "path", "cycle"))
     p.add_argument("--n", type=int, help="family order (default 8 for c8star)")
     p.add_argument("--source", default="closed_form",
-                   help="comma list from closed_form,gamma,search (default closed_form)")
+                   help="comma list of distinct sources from closed_form,gamma,search "
+                   "(default closed_form)")
     p.add_argument("--m", type=int, default=3,
                    help=f"CRG size bound for the search source (1..{MAX_ENUM_SIZE})")
     p.add_argument("--allow-large", action="store_true",
@@ -119,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restrict-grid", action="store_true",
                    help="drop grid points outside the closed form's stated interval")
     p.add_argument("--analyze", action="store_true",
-                   help="print max/argmax/concavity analysis per source")
+                   help="print max/argmax/concavity analysis per source "
+                   "(needs at least 3 points)")
     grid_opts(p)
     common(p)
 
@@ -234,6 +237,9 @@ def parse_inputs(argv: list[str]) -> JobSpec:
         unknown = [s for s in sources if s not in ("closed_form", "gamma", "search")]
         if unknown or not sources:
             raise ValidationError(f"unknown curve source(s): {', '.join(unknown) or '(none)'}")
+        repeated = sorted({s for s in sources if sources.count(s) > 1})
+        if repeated:
+            raise ValidationError(f"repeated curve source(s): {', '.join(repeated)}")
         if args.p is None and args.grid is None:
             args.grid = "1/128"
         points = _points_from(args)
@@ -242,6 +248,10 @@ def parse_inputs(argv: list[str]) -> JobSpec:
             points = tuple(p for p in points if lo <= p <= hi)
             if not points:
                 raise ValidationError("grid restriction left no evaluation points")
+        if args.analyze and len(points) < 3:
+            raise ValidationError(
+                f"--analyze needs at least 3 evaluation points, got {len(points)}"
+            )
         graph = family_graph(args.family, n)
         if "closed_form" in sources and not args.restrict_grid:
             closed_form_terms(args.family, n, points)
@@ -410,8 +420,10 @@ def _run_edcurve(job: JobSpec) -> int:
             curve_of = partial(closed_form_curve, family, n)
         elif source == "gamma":
             curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
-        else:
+        elif len(sources) == 1:
             curve_of = partial(search_curve, h, params["m"])
+        else:  # only the values are printed, so the growth pass is skipped
+            curve_of = partial(core_curve, h, params["m"])
         curves[source] = _evaluate_curve(job, curve_of, points)
 
     if len(sources) == 1:

@@ -13,6 +13,12 @@ produce curves:
   function, exact whenever some optimal CRG is small enough), solving g
   only on the classes that are core-structured at p and enumerating the
   others only where they contain an attaining one.
+
+The search has two stages.  The core pass, ``core_min_g``, gives each
+point's value and attaining cores; it alone is exact for the values.  The
+growth pass then finds every attaining class, the witnesses that
+``search_curve`` and ``bounded_min_g`` report.  ``core_curve`` runs the
+core pass only, for callers that want the values and no witnesses.
 """
 
 from __future__ import annotations
@@ -60,7 +66,9 @@ class CurveAnalysis:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Minimum g over the candidate CRGs at one p, with every attaining CRG."""
+    """Minimum g over the candidate CRGs at one p, with the attaining CRGs:
+    every attaining class from ``bounded_min_g``, the attaining cores from
+    ``core_min_g``."""
 
     value: Fraction
     witnesses: tuple[CRG, ...]
@@ -164,43 +172,51 @@ def gamma_curve(
     return _terms_curve(gamma_points(h, spectrum), (Fraction(q) for q in grid), "gamma")
 
 
-def _search(h: Graph, m: int, points: Sequence[Fraction]) -> list[SearchResult]:
-    """``bounded_min_g`` at each point, over one core pass and one growth pass.
+def core_min_g(h: Graph, m: int, points: Sequence[Fraction]) -> list[SearchResult]:
+    """Per point, ``bounded_min_g``'s value and its attaining cores.
 
-    *Cores:* enumerate the classes that do not admit ``h`` and are
-    core-structured (``gfun.core_structured``) in a regime of some point;
-    both properties are closed under vertex deletion, and the cheap one is
-    tested first.  Each point's value is the minimum of g over its regime's
-    cores, and its attaining cores are those where g equals it.  *Growth:*
-    enumerate the classes that do not admit ``h`` from the union of the
-    attaining cores as roots, so each grown class contains one.  A grown
-    class carries a bitmask over the roots: its own bit, ORed with its
-    recorded parents' masks, which by induction on size is the set of
-    roots it contains.  *Witnesses:* the grown classes whose mask meets the
-    point's attaining cores.  ``bounded_min_g`` states why this is exact.
+    One enumeration keeps the classes on at most m vertices that do not
+    admit ``h`` and are core-structured (``gfun.core_structured``) in the
+    regime of some point; both properties are closed under vertex deletion,
+    and the cheap one is tested first.  Each point solves g only on its
+    regime's cores.  Its value is their minimum, which is the minimum over
+    every class on at most m vertices not admitting ``h`` (the first fact
+    in ``bounded_min_g``), and its witnesses are the cores where g equals
+    it, in enumeration order.  The size bound is ``enumerate_crgs``'s.
     """
     regimes = {core_regime(p) for p in points}
-
-    def h_free(k: CRG) -> bool:
-        return not embeds(h, k)[0]
-
     cores = tuple(enumerate_crgs(
-        m, keep=lambda k: any(core_structured(k, r) for r in regimes) and h_free(k)
+        m, keep=lambda k: any(core_structured(k, r) for r in regimes) and not embeds(h, k)[0]
     ))
     by_regime = {r: [k for k in cores if core_structured(k, r)] for r in regimes}
-    values, attaining = [], []
+    results = []
     for p in points:
         regime_cores = by_regime[core_regime(p)]
         if not regime_cores:  # a class not admitting h has a one-vertex core
             raise ValidationError("every CRG class admits the forbidden graph")
         g = [g_value(k, p).value for k in regime_cores]
         best = min(g)
-        values.append(best)
-        attaining.append({k for k, v in zip(regime_cores, g) if v == best})
-    roots = [k for k in cores if any(k in hits for hits in attaining)]
+        results.append(SearchResult(best, tuple(k for k, v in zip(regime_cores, g) if v == best)))
+    return results
+
+
+def _grow(h: Graph, m: int, cores: Sequence[SearchResult]) -> list[SearchResult]:
+    """Every attaining class per point, from ``core_min_g``'s results.
+
+    Enumerate the classes that do not admit ``h`` from the union of the
+    attaining cores as roots, so each grown class contains one.  A grown
+    class carries a bitmask over the roots: its own bit, ORed with its
+    recorded parents' masks, which by induction on size is the set of
+    roots it contains.  A point's witnesses are the grown classes whose
+    mask meets its own attaining cores.  ``bounded_min_g`` states why this
+    is exact.
+    """
+    roots = list(dict.fromkeys(k for res in cores for k in res.witnesses))
     root_bit = {k: 1 << i for i, k in enumerate(roots)}
     parents: list[tuple[int, ...]] = []
-    grown = tuple(enumerate_crgs(m, keep=h_free, parents=parents, roots=roots))
+    grown = tuple(enumerate_crgs(
+        m, keep=lambda k: not embeds(h, k)[0], parents=parents, roots=roots
+    ))
     contains: list[int] = []  # per grown class, the bitmask of the roots in it
     for k, below in zip(grown, parents):
         mask = root_bit.get(k, 0)
@@ -208,10 +224,10 @@ def _search(h: Graph, m: int, points: Sequence[Fraction]) -> list[SearchResult]:
             mask |= contains[j]
         contains.append(mask)
     results = []
-    for best, hits in zip(values, attaining):
-        target = sum(root_bit[k] for k in hits)
+    for res in cores:
+        target = sum(root_bit[k] for k in res.witnesses)
         witnesses = tuple(k for k, mask in zip(grown, contains) if mask & target)
-        results.append(SearchResult(best, witnesses))
+        results.append(SearchResult(res.value, witnesses))
     return results
 
 
@@ -246,7 +262,7 @@ def bounded_min_g(h: Graph, m: int, p: Fraction) -> SearchResult:
 
     ``search_curve`` runs the same stages for a whole grid at once.
     """
-    return _search(h, m, [Fraction(p)])[0]
+    return _grow(h, m, core_min_g(h, m, [Fraction(p)]))[0]
 
 
 def search_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
@@ -263,7 +279,19 @@ def search_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
     calls.
     """
     points = [Fraction(q) for q in grid]
-    results = _search(h, m, points)
+    return _results_curve(points, _grow(h, m, core_min_g(h, m, points)))
+
+
+def core_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
+    """``search_curve``'s values from the core pass alone, each point
+    labelled by its attaining cores (``core_min_g``) instead of every
+    attaining class.  No growth pass runs, so this is the cheap way to get
+    the values when the witnesses are not wanted."""
+    points = [Fraction(q) for q in grid]
+    return _results_curve(points, core_min_g(h, m, points))
+
+
+def _results_curve(points: Sequence[Fraction], results: Sequence[SearchResult]) -> Curve:
     return Curve(
         tuple((p, res.value) for p, res in zip(points, results)),
         "search",

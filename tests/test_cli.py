@@ -102,8 +102,10 @@ class TestParseInputs:
          "--grid", "1/8"],
     ])
     def test_jobs_enumerate_once_in_the_parent(self, capsys, monkeypatch, argv):
-        """Each ``--jobs`` chunk runs the search stages for its own points:
-        one core pass and one growth pass, and nothing in the parent."""
+        """Each ``--jobs`` chunk runs the search stages for its own points,
+        and nothing in the parent: one core pass and one growth pass for
+        ``search``, the core pass alone for a multi-source ``edcurve``,
+        which prints no witness."""
         argv = argv + ["--no-cache"]
         _, serial, _ = run_cli(capsys, argv + ["--jobs", "1"])
         code, parallel, _ = run_cli(capsys, argv + ["--jobs", "2"])
@@ -126,7 +128,8 @@ class TestParseInputs:
         assert stdout == serial
         assert started, "the grid went to a pool"
         # the 9 points of 1/8 go to two chunks of 5 and 4
-        assert enumerated == [(3,)] * 4
+        passes = 2 if argv[0] == "search" else 1
+        assert enumerated == [(3,)] * 2 * passes
 
     @pytest.mark.parametrize(("argv", "message"), [
         (SEARCH_ARGV[:4] + ["0", "--p", "1/3"], "--max-size must lie in 1..5, got 0"),
@@ -147,12 +150,21 @@ class TestParseInputs:
         # "²" is a digit to str.isdigit but not an integer to int()
         (["gfun", "--gray", "²,1", "--p", "1/2"],
          "--gray expects 'r,s' with integers, got '²,1'"),
+        (["edcurve", "--family", "c8star", "--source", "closed_form", "--p", "1/3",
+          "--analyze"], "--analyze needs at least 3 evaluation points, got 1"),
+        (["edcurve", "--family", "path", "--n", "7", "--grid", "1/4", "--restrict-grid",
+          "--from", "3/4", "--analyze"],
+         "--analyze needs at least 3 evaluation points, got 2"),
+        (["edcurve", "--family", "c8star", "--source", "closed_form,closed_form",
+          "--grid", "1/2"], "repeated curve source(s): closed_form"),
+        (["edcurve", "--family", "c8star", "--source", "search,gamma,search,gamma",
+          "--grid", "1/2"], "repeated curve source(s): gamma, search"),
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the input was refused")
 
-        for name in ("search_curve", "clique_spectrum",
+        for name in ("search_curve", "core_curve", "clique_spectrum",
                      "closed_form_curve", "ProcessPoolExecutor", "gray_crg"):
             monkeypatch.setattr(f"heredit.cli.{name}", forbidden)
         code, stdout, err = run_cli(capsys, argv + ["--no-cache"])
@@ -178,6 +190,15 @@ class TestParseInputs:
         assert stdout == ""
         assert err == f"error: node limit must be at least 1, got {argv[-1]}\n"
 
+    def test_analyze_refusal_writes_no_artifact(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        code, stdout, err = run_cli(capsys, [
+            "edcurve", "--family", "c8star", "--grid", "1/1", "--analyze", "--out", str(out),
+        ])
+        assert (code, stdout) == (3, "")
+        assert err == "error: --analyze needs at least 3 evaluation points, got 2\n"
+        assert not out.exists()
+
     def test_unwritable_output_is_os_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         code, _, err = run_cli(
@@ -201,6 +222,8 @@ GOLDEN = [
      409, "9f0f04f777fdd2671bee1545b408e478150ab30049aa2d9fff493201b32e9ccb"),
     ("edcurve --family c8star --source search --m 3 --grid 1/16 --jobs 2", 1539,
      "e6dafb9186187b7918d98b1e2d32b1e610c5fcfc5555041127a1b9f1ea3002ec"),
+    ("edcurve --family c8star --source gamma,search --m 3 --grid 1/16 --jobs 2 --analyze",
+     520, "8a6713b2f3136e226bbe6b3bf56cf04fd5866c83f5e13146d31f8abe5f2c7ecf"),
     ("search --forbid c2nstar:8 --max-size 3 --grid 1/16 --jobs 2", 1590,
      "f8b29cf4064b954a8706191b31d20968b4af3deca820165897b4d3bc761e7831"),
     ("gfun --gray 6,6 --p 1/3", 172,
@@ -339,6 +362,44 @@ class TestCurveCommands:
         assert main(argv + ["--jobs", "2", "--out", str(par)]) == 0
         capsys.readouterr()
         assert seq.read_bytes() == par.read_bytes()
+
+
+class TestValuesOnlyWork:
+    def test_curve_c8star_job_counts(self, capsys, monkeypatch):
+        """The ``curve-c8star`` job (closed_form,gamma,search, m = 4, grid
+        1/4, ``--analyze``) in process.  It prints no witness, so only the
+        core pass runs; with the growth pass it enumerated twice and made
+        3,181 canonical keys and 716 ``embeds`` calls."""
+        from heredit import crg
+
+        keys, tested, enumerated = [0], [0], []
+        real_key, real_embeds = crg._canonical_key, curves.embeds
+        real_enumerate = curves.enumerate_crgs
+
+        def counted_key(rows):
+            keys[0] += 1
+            return real_key(rows)
+
+        def counted_embeds(*args):
+            tested[0] += 1
+            return real_embeds(*args)
+
+        def counted_enumerate(*args, **kwargs):
+            enumerated.append((args, kwargs.get("roots")))
+            return real_enumerate(*args, **kwargs)
+
+        monkeypatch.setattr(crg, "_canonical_key", counted_key)
+        monkeypatch.setattr(curves, "embeds", counted_embeds)
+        monkeypatch.setattr(curves, "enumerate_crgs", counted_enumerate)
+        command = ("edcurve --family c8star --source closed_form,gamma,search"
+                   " --m 4 --grid 1/4 --analyze")
+        code, stdout, _ = run_cli(capsys, command.split() + ["--no-cache"])
+        assert code == 0
+        digest = next(d for c, _, d in GOLDEN if c == command)
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+        assert enumerated == [((4,), None)]
+        assert keys[0] == 254
+        assert tested[0] == 43
 
 
 class TestSearchCommand:

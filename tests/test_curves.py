@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction as F
 
@@ -15,6 +16,8 @@ from heredit.crg import (
 from heredit.curves import (
     bounded_min_g,
     closed_form_curve,
+    core_curve,
+    core_min_g,
     curve_scan,
     family_graph,
     gamma_curve,
@@ -22,6 +25,7 @@ from heredit.curves import (
     valid_interval,
 )
 from heredit.errors import RangeError, ValidationError
+from heredit.gfun import core_regime, core_structured
 from heredit.graphs import Graph, build_family, complement, parse_graph_spec
 from heredit.rationals import parse_grid
 from heredit.spectrum import clique_spectrum
@@ -161,8 +165,17 @@ class TestBoundedMinG:
                 bounded_min_g(h, m, F(1, 2))
 
 
+@functools.cache
 def _h_free_classes(h, m):
     return tuple(enumerate_crgs(m, keep=lambda k: not embeds(h, k)[0]))
+
+
+@functools.cache
+def _reference(h, m, p):
+    """``bounded_min_g_reference`` over the classes on at most m vertices
+    that do not admit h.  Cached: ``TestCoreSearch`` and ``TestCoreMinG``
+    compare against the same references."""
+    return bounded_min_g_reference(_h_free_classes(h, m), p)
 
 
 class TestCoreSearch:
@@ -175,8 +188,7 @@ class TestCoreSearch:
     def assert_matches_reference(h, m, points, one_point):
         """``search_curve`` over ``points`` and ``bounded_min_g`` at each of
         ``one_point`` against the reference."""
-        classes = _h_free_classes(h, m)
-        expected = {p: bounded_min_g_reference(classes, p) for p in points}
+        expected = {p: _reference(h, m, p) for p in points}
         curve = search_curve(h, m, points)
         assert curve.samples == tuple((p, expected[p].value) for p in points), m
         assert curve.witnesses == tuple(
@@ -201,8 +213,6 @@ class TestCoreSearch:
         self.assert_matches_reference(build_family("cycle", 4), 5, points, points)
 
     def test_solves_only_core_structured_classes(self, monkeypatch):
-        from heredit.gfun import core_regime, core_structured
-
         h = build_family("c2nstar", 8)
         classes = _h_free_classes(h, 4)
         assert len(classes) == 651
@@ -236,6 +246,41 @@ class TestCoreSearch:
                 swapped = {canonical_form(swap_colors(k)) for k in res.witnesses}
                 assert swapped == set(co_res.witnesses), (m, p)
                 assert len(co_res.witnesses) == len(res.witnesses)
+
+
+class TestCoreMinG:
+    """The core pass alone against the loop that solves every class: the
+    value, and as witnesses the reference's attaining classes that are
+    core-structured at p, in the same order."""
+
+    @staticmethod
+    def assert_matches_reference(h, m, points):
+        for p, res in zip(points, core_min_g(h, m, points), strict=True):
+            expected = _reference(h, m, p)
+            assert res.value == expected.value, (m, p)
+            regime = core_regime(p)
+            assert res.witnesses == tuple(
+                k for k in expected.witnesses if core_structured(k, regime)
+            ), (m, p)
+
+    @pytest.mark.parametrize("name", ["c2nstar:8", "path:4", "cycle:4"])
+    def test_every_point_of_1_64_up_to_m4(self, name):
+        h = parse_graph_spec(name)
+        for m in (1, 2, 3, 4):
+            self.assert_matches_reference(h, m, parse_grid("1/64"))
+
+    def test_cycle4_m5_at_three_points(self):
+        self.assert_matches_reference(
+            build_family("cycle", 4), 5, [F(1, 3), F(1, 2), F(45, 64)]
+        )
+
+    def test_core_curve_has_the_search_values(self):
+        h = build_family("c2nstar", 8)
+        curve = core_curve(h, 3, GRID16)
+        assert curve.samples == search_curve(h, 3, GRID16).samples
+        assert curve.witnesses == tuple(
+            tuple(crg_compact(k) for k in res.witnesses) for res in core_min_g(h, 3, GRID16)
+        )
 
 
 class TestOneEnumerationPerCall:
