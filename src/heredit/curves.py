@@ -10,13 +10,14 @@ produce curves:
 * ``gamma_curve`` evaluates the clique-spectrum upper bound;
 * ``search_curve`` minimizes g over every CRG class of bounded size that
   does not admit the forbidden graph (an upper bound on the edit distance
-  function, exact whenever some optimal CRG is small enough), solving g
+  function, exact whenever some optimal CRG is small enough), computing g
   only on the classes that are core-structured at p and enumerating the
   others only where they contain an attaining one.
 
 The search has two stages.  The core pass, ``core_min_g``, gives each
-point's value and attaining cores; it alone is exact for the values.  The
-growth pass then finds every attaining class, the witnesses that
+point's value and attaining cores; it alone is exact for the values, and
+it takes each core's g from its parents' g and one full-support solve.
+The growth pass then finds every attaining class, the witnesses that
 ``search_curve`` and ``bounded_min_g`` report.  ``core_curve`` runs the
 core pass only, for callers that want the values and no witnesses.
 """
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .crg import CRG, crg_compact, embeds, enumerate_crgs, gray_label
 from .errors import RangeError, ValidationError
-from .gfun import core_regime, core_structured, g_value
+from .gfun import core_regime, core_structured, full_support_value
 from .graphs import Graph, build_family
 from .spectrum import CliqueSpectrum, gamma_points, min_gray
 
@@ -178,25 +179,48 @@ def core_min_g(h: Graph, m: int, points: Sequence[Fraction]) -> list[SearchResul
     One enumeration keeps the classes on at most m vertices that do not
     admit ``h`` and are core-structured (``gfun.core_structured``) in the
     regime of some point; both properties are closed under vertex deletion,
-    and the cheap one is tested first.  Each point solves g only on its
-    regime's cores.  Its value is their minimum, which is the minimum over
-    every class on at most m vertices not admitting ``h`` (the first fact
-    in ``bounded_min_g``), and its witnesses are the cores where g equals
-    it, in enumeration order.  The size bound is ``enumerate_crgs``'s.
+    and the cheap one is tested first.  A point's value is the minimum of g
+    over its regime's cores, which is the minimum over every class on at
+    most m vertices not admitting ``h`` (the first fact in
+    ``bounded_min_g``), and its witnesses are the cores where g equals it,
+    in enumeration order.  The size bound is ``enumerate_crgs``'s.
+
+    g is not solved per core: each point walks its regime's cores in
+    enumeration order and sets
+
+        g(K) = min(full-support value of K, g(K - v) over K's parents),
+
+    the full-support value taken only when it exists
+    (``gfun.full_support_value``).  This equals ``g_value(K, p).value``,
+    by induction on size.  Core structure is hereditary, so every subset
+    of V(K) passes ``g_value``'s filter, and ``g_value(K)`` is the minimum
+    over all supports S of the full-support value of K[S].  The proper
+    supports lie in the K - v, whose ``g_value`` is that minimum over their
+    own supports.  The ``keep`` is hereditary, so every K - v is kept, and
+    ``parents`` records exactly the yielded classes K - v (the
+    ``enumerate_crgs`` contract), which are cores of the same regime, met
+    earlier.  So each core and point costs one support solve.
     """
     regimes = {core_regime(p) for p in points}
+    parents: list[tuple[int, ...]] = []
     cores = tuple(enumerate_crgs(
-        m, keep=lambda k: any(core_structured(k, r) for r in regimes) and not embeds(h, k)[0]
+        m,
+        keep=lambda k: any(core_structured(k, r) for r in regimes) and not embeds(h, k)[0],
+        parents=parents,
     ))
-    by_regime = {r: [k for k in cores if core_structured(k, r)] for r in regimes}
+    structured = {r: [core_structured(k, r) for k in cores] for r in regimes}
     results = []
     for p in points:
-        regime_cores = by_regime[core_regime(p)]
-        if not regime_cores:  # a class not admitting h has a one-vertex core
+        g: dict[int, Fraction] = {}  # by position in cores, the regime's cores
+        for i, inside in enumerate(structured[core_regime(p)]):
+            if inside:
+                full = full_support_value(cores[i], p)
+                below = [g[j] for j in parents[i]]
+                g[i] = min(below if full is None else [full, *below])
+        if not g:  # a class not admitting h has a one-vertex core
             raise ValidationError("every CRG class admits the forbidden graph")
-        g = [g_value(k, p).value for k in regime_cores]
-        best = min(g)
-        results.append(SearchResult(best, tuple(k for k, v in zip(regime_cores, g) if v == best)))
+        best = min(g.values())
+        results.append(SearchResult(best, tuple(cores[i] for i, v in g.items() if v == best)))
     return results
 
 
@@ -270,7 +294,7 @@ def search_curve(h: Graph, m: int, grid: Iterable[Fraction]) -> Curve:
     growth pass.
 
     The core pass keeps the classes that are core-structured in some regime
-    of the grid, and each point solves g only on its regime's cores.  The
+    of the grid, and each point computes g only on its regime's cores.  The
     growth pass starts from the union of every point's attaining cores: a
     class attaining at p contains an attaining core of p (``bounded_min_g``
     gives the argument, after Marchant and Thomason 2010 and Martin 2013),

@@ -191,6 +191,34 @@ def _solve_support(
     return det, y
 
 
+def _feasible_solve(
+    n: tuple[tuple[int, ...], ...], support: tuple[int, ...]
+) -> tuple[int, list[int]] | None:
+    """``_solve_support``, accepted only when no weight is negative.
+
+    An accepted solution is a point of the simplex, so its value is at
+    least the minimum; a global minimizer with inclusion-minimal support is
+    accepted on that support (module docstring).
+    """
+    solved = _solve_support(n, support)
+    if solved is None or any(yi * solved[0] < 0 for yi in solved[1][:-1]):
+        return None
+    return solved
+
+
+def full_support_value(k: CRG, p: Fraction) -> Fraction | None:
+    """The value of the stationary point that weights all of V(k), or None
+    when its bordered system is singular or gives a negative weight.
+
+    V(k) is the one support of ``k`` that no K - v has, so g(K) is the
+    minimum of this value (when not None) and the g(K - v) over the
+    vertices v (``is_p_core``, ``curves.core_min_g``).
+    """
+    b, n = _scaled_matrix(k, p)
+    solved = _feasible_solve(n, tuple(range(k.m)))
+    return None if solved is None else Fraction(solved[1][-1], solved[0] * b)
+
+
 def g_value(k: CRG, p: Fraction) -> GResult:
     """Minimize x^T M_K(p) x over the probability simplex, exactly.
 
@@ -210,12 +238,10 @@ def g_value(k: CRG, p: Fraction) -> GResult:
         for support in itertools.combinations(range(m), size):
             if not _conflict_free(conflicts, support):
                 continue
-            solved = _solve_support(n, support)
+            solved = _feasible_solve(n, support)
             if solved is None:
                 continue
             det, y = solved
-            if any(yi * det < 0 for yi in y[:size]):
-                continue
             positive = tuple(u for u, yi in zip(support, y) if yi != 0)
             key = (Fraction(y[size], det * b), len(positive), positive)
             if best_key is None or key < best_key:
@@ -250,17 +276,27 @@ def closed_form_gray(r: int, s: int, p: Fraction) -> Fraction:
 def is_p_core(k: CRG, p: Fraction) -> bool:
     """True when every proper sub-CRG has strictly larger g at this p.
 
-    Only the one-vertex deletions K - v are solved.  Every proper sub-CRG
-    K' is a sub-CRG of some K - v, and an optimal weighting of K' extends
-    by zeros to a weighting of K - v with the same value, so
-    g(K - v) <= g(K').  Hence every proper sub-CRG has g > g(K) exactly
-    when every K - v does.  A one-vertex CRG has no proper sub-CRG and is
-    a p-core.
+    Every proper sub-CRG K' lies in some K - v, and an optimal weighting of
+    K' extends by zeros to K - v, so g(K - v) <= g(K'): comparing with the
+    K - v suffices.  A one-vertex CRG has no proper sub-CRG and is a
+    p-core.  Otherwise K is a p-core exactly when it is core-structured at
+    p, its ``full_support_value`` exists, and that value is below every
+    g(K - v).  A p-core's minimal optimal support is all of V(K), so K
+    passes the filter and g(K) is its full-support value (module
+    docstring); conversely g(K) is the minimum of the full-support value
+    and the g(K - v), so a full-support value below every g(K - v) is
+    g(K).  K itself is solved on its full support only.
     """
-    gk = g_value(k, p).value
-    return k.m == 1 or all(
-        g_value(restrict(k, tuple(u for u in range(k.m) if u != v)), p).value > gk
-        for v in range(k.m)
+    if k.m > MAX_QP_SIZE:  # the K - v are solved in full
+        raise ValidationError(f"is_p_core supports at most {MAX_QP_SIZE} vertices, got {k.m}")
+    full = full_support_value(k, p)
+    return k.m == 1 or (
+        full is not None
+        and core_structured(k, core_regime(p))
+        and all(
+            g_value(restrict(k, tuple(u for u in range(k.m) if u != v)), p).value > full
+            for v in range(k.m)
+        )
     )
 
 

@@ -190,6 +190,15 @@ class TestParseInputs:
         assert stdout == ""
         assert err == f"error: node limit must be at least 1, got {argv[-1]}\n"
 
+    def test_no_core_refusal_writes_no_artifact(self, tmp_path, capsys):
+        out = tmp_path / "search.csv"
+        code, stdout, err = run_cli(capsys, [
+            "search", "--forbid", "path:1", "--max-size", "3", "--p", "1/2", "--out", str(out),
+        ])
+        assert (code, stdout) == (3, "")
+        assert err == "error: every CRG class admits the forbidden graph\n"
+        assert not out.exists()
+
     def test_analyze_refusal_writes_no_artifact(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"
         code, stdout, err = run_cli(capsys, [

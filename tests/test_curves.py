@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heredit import curves
+from heredit import curves, gfun
 from heredit.crg import (
     canonical_form,
     crg_compact,
@@ -213,22 +213,29 @@ class TestCoreSearch:
         self.assert_matches_reference(build_family("cycle", 4), 5, points, points)
 
     def test_solves_only_core_structured_classes(self, monkeypatch):
+        """One support solve per regime core and point, on the core's full
+        support, and none in the growth pass: 89 on p = k/4, where solving
+        ``g_value`` on every core took 759."""
         h = build_family("c2nstar", 8)
         classes = _h_free_classes(h, 4)
         assert len(classes) == 651
+        grid = parse_grid("1/4")
         solved = []
-        real = curves.g_value
+        real = gfun._solve_support
 
-        def counted(k, p):
-            solved.append(k)
-            return real(k, p)
+        def counted(n, support):
+            solved.append((n, support))
+            return real(n, support)
 
-        monkeypatch.setattr(curves, "g_value", counted)
-        for p in parse_grid("1/4"):
-            solved.clear()
-            bounded_min_g(h, 4, p)
-            assert solved == [k for k in classes if core_structured(k, core_regime(p))]
-            assert 0 < len(solved) < 651
+        monkeypatch.setattr(gfun, "_solve_support", counted)
+        search_curve(h, 4, grid)
+        assert solved == [
+            (gfun._scaled_matrix(k, p)[1], tuple(range(k.m)))
+            for p in grid
+            for k in classes
+            if core_structured(k, core_regime(p))
+        ]
+        assert len(solved) == 89
 
     @pytest.mark.parametrize("name", ["c2nstar:8", "cycle:4", "path:4"])
     def test_duality(self, name):
@@ -273,6 +280,28 @@ class TestCoreMinG:
         self.assert_matches_reference(
             build_family("cycle", 4), 5, [F(1, 3), F(1, 2), F(45, 64)]
         )
+
+    @pytest.mark.parametrize("name", ["c2nstar:8", "ctilde:9", "path:7"])
+    def test_paper_families_m5_on_1_16(self, name):
+        """The whole ``SearchResult``s at m = 5 against one ``g_value`` per
+        core of the point's regime."""
+        h = parse_graph_spec(name)
+        cores = {
+            r: tuple(enumerate_crgs(
+                5, keep=lambda k: core_structured(k, r) and not embeds(h, k)[0]
+            ))
+            for r in range(3)
+        }
+        assert core_min_g(h, 5, GRID16) == [
+            bounded_min_g_reference(cores[core_regime(p)], p) for p in GRID16
+        ]
+
+    def test_no_core_is_refused(self):
+        # path:1 embeds in every CRG, so no class is left to solve
+        h = build_family("path", 1)
+        for run in (core_min_g, search_curve):
+            with pytest.raises(ValidationError, match="every CRG class admits"):
+                run(h, 3, [F(1, 2)])
 
     def test_core_curve_has_the_search_values(self):
         h = build_family("c2nstar", 8)

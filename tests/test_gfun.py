@@ -2,11 +2,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from heredit.crg import CRG, embeds, enumerate_crgs, gray_crg, sub_crgs, swap_colors
+from heredit.crg import (
+    CRG,
+    crg_from_compact,
+    embeds,
+    enumerate_crgs,
+    gray_crg,
+    sub_crgs,
+    swap_colors,
+)
 from heredit.errors import ValidationError
 from heredit.gfun import (
     build_matrix,
     closed_form_gray,
+    core_regime,
+    core_structured,
+    full_support_value,
     g_value,
     is_p_core,
     weight_stats,
@@ -171,6 +182,29 @@ class TestIsPCore:
     def test_white_edge_pair(self):
         assert is_p_core(BB_WHITE_EDGE, F(1, 4))
         assert not is_p_core(BB_WHITE_EDGE, F(2, 3))
+
+    def test_singular_full_support(self):
+        # at p = 1 a black vertex costs nothing, so N is zero and the
+        # bordered system on both vertices is singular
+        k = crg_from_compact("BB:G")
+        assert core_structured(k, core_regime(F(1)))
+        assert full_support_value(k, F(1)) is None
+        assert not is_p_core(k, F(1))
+        assert not is_p_core_brute(k, F(1))
+
+    def test_negative_full_support_weight(self):
+        # the stationary point on all three vertices is (2/3, 2/3, -1/3):
+        # the vertex on both white edges gets a negative weight
+        k = crg_from_compact("BBB:GWW")
+        p = F(3, 8)
+        assert core_structured(k, core_regime(p))
+        assert full_support_value(k, p) is None
+        assert not is_p_core(k, p)
+        assert not is_p_core_brute(k, p)
+
+    def test_size_bound(self):
+        with pytest.raises(ValidationError):
+            is_p_core(gray_crg(13, 0), F(1, 2))
 
     def test_matches_every_sub_crg_check(self):
         # the K - v shortcut agrees with the definition on every class, m <= 4
