@@ -4,8 +4,11 @@
 make a graph free of an induced copy of the forbidden graph, by iterative
 deepening: at each depth the search locates one induced copy and branches
 only on the pairs inside it, since any valid edit set must touch every
-copy.  The search runs on raw adjacency rows with the pattern compiled
-once; only the returned witness becomes a ``Graph``.
+copy.  The search runs on raw adjacency rows; the forbidden graph's
+induced-copy search is compiled once into nested loops
+(``graphs._induced_copies``), and each node takes its copies from it
+already indexed by pattern vertex.  Only the returned witness becomes a
+``Graph``.
 
 Every graph whose subtree fails with at least one flip left is remembered
 with the remaining depth it failed at and the induced copy found in it; a
@@ -30,6 +33,8 @@ count, the memo, every limit that raises and every witness are unchanged.
 ``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the
 finite-n maximum at that density, not an estimate of the asymptotic limit.
+It refuses a negative ``n`` and a forbidden graph on fewer than 2 vertices
+with its other argument checks, before the first sample is drawn.
 Once it has a maximum of ``best`` edits, it first asks of each sample
 whether ``best`` flips suffice, with one depth-``best`` run of the same
 search; only a sample for which they do not, or for which that run exceeds
@@ -46,7 +51,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _find_induced, _induced_copies, _induced_plan, _pattern_copy, has_induced
+from .graphs import Graph, _find_induced, _induced_copies, _induced_plan, has_induced
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
@@ -124,10 +129,9 @@ def _flip_search(
         if stored is None:
             if remaining == 1:
                 copies = _induced_copies(adj, n, plan)
-                placed, common = next(copies, (None, 0))
-                if placed is None:
+                copy, common = next(copies, (None, 0))
+                if copy is None:
                     return adj
-                copy = _pattern_copy(plan[0], placed)
                 for _, mask in copies:
                     common &= mask
                     if common & (common - 1) == 0:
@@ -246,10 +250,14 @@ def max_dist_estimate(
     and its witness are those of the loop that ran the exact search on
     every sample, and ``skipped`` is never larger.
     """
+    if n < 0:
+        raise ValidationError(f"n must be at least 0, got {n}")
     if n > MAX_ESTIMATE_VERTICES:
         raise ValidationError(
             f"estimate supports at most {MAX_ESTIMATE_VERTICES} vertices, got {n}"
         )
+    if forbidden.n <= 1:
+        raise ValidationError("forbidden graph must have at least 2 vertices")
     if samples < 1:
         raise ValidationError("sample count must be at least 1")
     if not 0 <= p <= 1:

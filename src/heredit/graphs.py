@@ -5,6 +5,15 @@ Vertices are always labelled 0..n-1.  Adjacency is stored as one bitmask
 per vertex, which keeps the subgraph searches fast without third-party
 dependencies.  Graph values are immutable; every operation returns a fresh
 value and is safe to call from concurrent workers.
+
+The induced-copy search (``has_induced``, ``_induced_copies``) compiles
+each pattern once: ``_induced_plan`` fixes its step order, and
+``_compiled_copies`` turns a plan of at most ``MAX_COMPILED_STEPS`` steps,
+on first use, into a generator with one nested loop per step, so no search
+interprets its plan.  Larger patterns run a generic loop over the plan,
+because CPython caps nested blocks at 20 and the generated source grows
+with the square of the pattern order.  Both yield the same copies in the
+same order.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, ValidationError
 
@@ -157,8 +166,9 @@ def _induced_plan(
     Step t places pattern vertex ``order[t]``; for every earlier step s the
     pair says whether ``order[t]`` and ``order[s]`` are adjacent in the
     pattern, so the search never asks the pattern again.  Cached per pattern:
-    it is the one compiled form of a pattern that ``has_induced``, the edit
-    search (``editing._flip_search``) and ``crg.embeds`` read.
+    it is the one plan of a pattern that ``has_induced``, the edit search
+    (``editing._flip_search``) and ``crg.embeds`` read, and the induced-copy
+    search is compiled from it (``_compiled_copies``).
     """
     order = _search_order(pattern)
     steps = tuple(
@@ -176,15 +186,16 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
     so pairwise adjacency matches exactly (edge for edge, non-edge for
     non-edge).
 
-    The pattern is compiled once (``_induced_plan``) and the search is an
-    iterative depth-first search over bitsets in the manner of Ullmann
-    (1976): step t keeps the mask of host vertices still to try for pattern
-    vertex ``order[t]``, narrowed by the host rows of every earlier step.
-    Steps follow ``_search_order`` and each step tries its candidates in
-    ascending order, so the witness is the first copy in that order: the
-    same copy a recursive backtracking search over ``_search_order``
-    returns.  ``edit_distance`` branches on the witness, so that order is
-    part of the contract.
+    The search is a depth-first search over bitsets in the manner of
+    Ullmann (1976): step t narrows the host vertices that may play pattern
+    vertex ``order[t]`` by the host rows of every earlier step.  It runs
+    ``_induced_copies``, which compiles the pattern into nested loops once
+    (up to ``MAX_COMPILED_STEPS`` vertices).  Steps follow
+    ``_search_order`` and each step tries its candidates in ascending
+    order, so the witness is the first copy in that order: the same copy a
+    recursive backtracking search over ``_search_order`` returns.
+    ``edit_distance`` branches on the witness, so that order is part of the
+    contract.
     """
     if pattern.n > host.n:
         return False, None
@@ -206,42 +217,53 @@ def _find_induced(
     one vertex.  Callers that search one pattern in many hosts (the edit
     search) compile the plan once and call this directly.
     """
-    for placed, _ in _induced_copies(adj, n, plan):
-        return _pattern_copy(plan[0], placed)
+    for copy, _ in _induced_copies(adj, n, plan):
+        return copy
     return None
 
 
-def _pattern_copy(order: tuple[int, ...], placed: list[int]) -> tuple[int, ...]:
-    """A copy in step order (``placed[t]`` plays pattern vertex ``order[t]``)
-    indexed by pattern vertex instead."""
-    copy = [0] * len(order)
-    for t, pv in enumerate(order):
-        copy[pv] = placed[t]
-    return tuple(copy)
+# Largest pattern whose induced-copy search is compiled into nested loops.
+# CPython refuses more than 20 statically nested blocks in one function, and
+# the generated source grows with the square of the pattern order, so larger
+# patterns (``has_induced`` takes up to MAX_VERTICES) run the generic loop.
+MAX_COMPILED_STEPS = 16
 
 
 def _induced_copies(
     adj: tuple[int, ...],
     n: int,
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> Iterator[tuple[list[int], int]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every induced copy of the planned pattern in the rows ``adj``.
 
-    Yields ``(placed, mask)``: ``placed[t]`` is the host vertex placed at
-    step t, playing pattern vertex ``plan[0][t]`` (``_pattern_copy`` indexes
-    it by pattern vertex), and ``mask`` is the bitmask of the copy's host
-    vertices.  ``placed`` is the search's own list, valid only until the
-    next copy is requested, so a caller that keeps a copy converts it
-    first and the others build nothing.  Each labelled copy is yielded
-    once, so a vertex set appears once per automorphism of the pattern.
-    Order contract: copies come in the order of the depth-first search,
-    steps following the plan's pattern order and each step trying its
-    candidates in ascending host order.  The first copy is therefore
-    ``has_induced``'s witness, and the edit search branches on it.  The
-    pattern must have at least one vertex.
+    Yields ``(copy, mask)``: ``copy[i]`` is the host vertex playing pattern
+    vertex i, and ``mask`` is the bitmask of the copy's host vertices.  Each
+    labelled copy is yielded once, so a vertex set appears once per
+    automorphism of the pattern.  Order contract: copies come in the order
+    of the depth-first search, steps following the plan's pattern order and
+    each step trying its candidates in ascending host order.  The first copy
+    is therefore ``has_induced``'s witness, and the edit search branches on
+    it.  The pattern must have at least one vertex.
+
+    A pattern of at most ``MAX_COMPILED_STEPS`` vertices runs its compiled
+    search (``_compiled_copies``, built on first use and cached per plan);
+    a larger one runs ``_generic_copies``, which reads the plan step by
+    step.  Both yield the same copies in the same order.
     """
+    if len(plan[0]) <= MAX_COMPILED_STEPS:
+        return _compiled_copies(plan)(adj, n)
+    return _generic_copies(adj, n, plan)
+
+
+def _generic_copies(
+    adj: tuple[int, ...],
+    n: int,
+    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``_induced_copies`` for a pattern of any order, interpreting its plan."""
     order, steps = plan
     k = len(order)
+    where = sorted(range(k), key=order.__getitem__)  # step placing each vertex
     full = (1 << n) - 1
     placed = [0] * k  # host vertex chosen at each step
     rest = [0] * k  # candidates still untried at each step
@@ -256,7 +278,7 @@ def _induced_copies(
             used |= low
             t += 1
             if t == k:
-                yield placed, used
+                yield tuple([placed[s] for s in where]), used
                 t -= 1
                 used ^= low
                 cands = rest[t]
@@ -275,6 +297,54 @@ def _induced_copies(
                 return
             used ^= 1 << placed[t]
             cands = rest[t]
+
+
+@lru_cache
+def _compiled_copies(
+    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
+) -> Callable[[tuple[int, ...], int], Iterator[tuple[tuple[int, ...], int]]]:
+    """The search of ``_induced_copies`` compiled for one plan.
+
+    The generated generator has one nested ``while`` per step t.  It peels
+    the lowest candidate bit of ``c_t`` into ``b_t`` (host vertex ``v_t``),
+    then sets the candidates of step t + 1 to one ``&`` over the earlier
+    steps: ``adj[v_s]`` for a pattern edge, ``non_s`` for a non-edge.
+    ``non_s = full ^ adj[v_s] ^ b_s`` is every other host vertex not
+    adjacent to ``v_s``; it is computed once per placement, and only for
+    a step that some later step is not adjacent to, so a search costs
+    nothing per host vertex up front.  Every step after the first is
+    constrained by every earlier step, and neither row holds its own
+    vertex, so no placed vertex is a candidate again and no mask of used
+    vertices is kept.  The order of the copies is the plan's step order
+    with candidates lowest bit first, as in the generic loop.
+    """
+    order, steps = plan
+    k = len(order)
+    lines = [
+        "def copies(adj, n):",
+        "    full = (1 << n) - 1",
+        "    c0 = full",
+    ]
+    for t in range(k):
+        pad = "    " * (t + 1)
+        lines += [
+            f"{pad}while c{t}:",
+            f"{pad}    b{t} = c{t} & -c{t}",
+            f"{pad}    c{t} ^= b{t}",
+            f"{pad}    v{t} = b{t}.bit_length() - 1",
+        ]
+        if any(not steps[u][t][1] for u in range(t + 1, k)):
+            lines.append(f"{pad}    non{t} = full ^ adj[v{t}] ^ b{t}")
+        if t + 1 < k:
+            terms = (f"adj[v{s}]" if edge else f"non{s}" for s, edge in steps[t + 1])
+            lines.append(f"{pad}    c{t + 1} = {' & '.join(terms)}")
+    where = sorted(range(k), key=order.__getitem__)
+    copy = "".join(f"v{t}, " for t in where)
+    mask = " | ".join(f"b{t}" for t in range(k))
+    lines.append(f"{'    ' * (k + 1)}yield ({copy}), {mask}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["copies"]
 
 
 class PathCycleProfile(NamedTuple):

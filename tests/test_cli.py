@@ -190,6 +190,26 @@ class TestParseInputs:
         assert stdout == ""
         assert err == f"error: node limit must be at least 1, got {argv[-1]}\n"
 
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["estimate", "--n", "-1", "--p", "1/2", "--forbid", "path:4"],
+         "n must be at least 0, got -1"),
+        (["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:1"],
+         "forbidden graph must have at least 2 vertices"),
+    ])
+    def test_estimate_inputs_refused_before_sampling(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampling started before the input was refused")
+
+        for name in ("has_induced", "_flip_search", "sample_graph"):
+            monkeypatch.setattr(f"heredit.editing.{name}", forbidden)
+        out = tmp_path / "estimate.csv"
+        code, stdout, err = run_cli(capsys, argv + ["--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_no_core_refusal_writes_no_artifact(self, tmp_path, capsys):
         out = tmp_path / "search.csv"
         code, stdout, err = run_cli(capsys, [

@@ -1,16 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heredit
+from heredit import graphs as graphs_module
+from heredit.editing import max_dist_estimate
 from heredit.errors import FormatError, ValidationError
 from heredit.graphs import (
+    MAX_COMPILED_STEPS,
     Graph,
+    _compiled_copies,
     _induced_copies,
     _induced_plan,
-    _pattern_copy,
     build_family,
     complement,
     graph_from_graph6,
@@ -153,8 +161,25 @@ class TestHasInduced:
             assert has_induced(host, pattern) == has_induced_recursive(host, pattern)
 
 
+def _copies_on_both_paths(monkeypatch, host, plan, cap):
+    """Every copy ``_induced_copies`` yields with the compiled-size cap at
+    ``cap``, after checking that the generic loop (cap 0) yields the same."""
+    with monkeypatch.context() as patched:
+        patched.setattr(graphs_module, "MAX_COMPILED_STEPS", cap)
+        yielded = list(_induced_copies(host.adj, host.n, plan))
+        patched.setattr(graphs_module, "MAX_COMPILED_STEPS", 0)
+        assert list(_induced_copies(host.adj, host.n, plan)) == yielded
+    return yielded
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 class TestInducedCopies:
-    def test_every_copy_against_brute_force(self):
+    def test_every_copy_against_brute_force(self, monkeypatch):
         claw = graph_from_graph6("Cs")  # K_{1,3}, centre 0
         patterns = (
             build_family("path", 3),
@@ -170,11 +195,7 @@ class TestInducedCopies:
             hosts = 12 if pattern.n == 6 else 40
             for _ in range(hosts):
                 host = random_graph(rng, rng.randrange(pattern.n - 1, 9), rng.random())
-                # each step-ordered placement is read before the next copy
-                yielded = [
-                    (_pattern_copy(order, placed), mask)
-                    for placed, mask in _induced_copies(host.adj, host.n, plan)
-                ]
+                yielded = _copies_on_both_paths(monkeypatch, host, plan, MAX_COMPILED_STEPS)
                 copies = [copy for copy, _ in yielded]
                 for copy, mask in yielded:
                     assert mask == sum(1 << v for v in copy)
@@ -184,6 +205,72 @@ class TestInducedCopies:
                 assert copies == sorted(copies, key=lambda c: [c[v] for v in order])
                 _, witness = has_induced_recursive(host, pattern)
                 assert (copies[0] if copies else None) == witness
+
+    @pytest.mark.parametrize("k", [
+        MAX_COMPILED_STEPS - 1, MAX_COMPILED_STEPS, MAX_COMPILED_STEPS + 1, 40,
+    ])
+    def test_patterns_around_the_compiled_size(self, monkeypatch, k):
+        # CPython can nest the loops of a 17-step pattern, so the compiled
+        # path is checked one step past the cap as well
+        cap = min(k, MAX_COMPILED_STEPS + 1)
+        rng = random.Random(k)
+        for family in ("path", "cycle"):
+            pattern = build_family(family, k)
+            plan = _induced_plan(pattern)
+            order = plan[0]
+            # the pattern plus three vertices, joined by random chords that
+            # touch one of the three, so the pattern's own copies survive;
+            # with no chord there is one copy per automorphism.  For the
+            # path also the cycle on k + 3 vertices: one copy per start and
+            # direction.
+            hosts = []
+            for chords in range(4):
+                edges = set(pattern.edges())
+                for _ in range(chords):
+                    u, v = rng.randrange(k, k + 3), rng.randrange(k + 3)
+                    if u != v:
+                        edges.add((min(u, v), max(u, v)))
+                count = (2 if family == "path" else 2 * k) if chords == 0 else None
+                hosts.append((Graph.from_edges(k + 3, edges), count))
+            if family == "path":
+                hosts.append((build_family("cycle", k + 3), 2 * (k + 3)))
+            for host, count in hosts:
+                host = _relabelled(host, rng)
+                yielded = _copies_on_both_paths(monkeypatch, host, plan, cap)
+                copies = [copy for copy, _ in yielded]
+                _, witness = has_induced_recursive(host, pattern)
+                assert copies and copies[0] == witness
+                for copy, mask in yielded:
+                    assert mask == sum(1 << v for v in copy)
+                    assert all(
+                        pattern.has_edge(i, j) == host.has_edge(copy[i], copy[j])
+                        for i in range(k) for j in range(i + 1, k)
+                    )
+                assert len(set(copies)) == len(copies)
+                assert copies == sorted(copies, key=lambda c: [c[v] for v in order])
+                if count is not None:
+                    assert len(copies) == count
+
+
+class TestCompiledCopies:
+    def test_one_kernel_per_pattern_in_an_estimate(self):
+        _compiled_copies.cache_clear()
+        max_dist_estimate(8, Fraction(1, 2), build_family("path", 4), 50, 7)
+        info = _compiled_copies.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    def test_import_compiles_nothing(self):
+        src = os.path.dirname(os.path.dirname(heredit.__file__))
+        code = (
+            "import heredit.cli, heredit.graphs as g;"
+            " print(g._compiled_copies.cache_info().misses)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert out.stdout == "0\n"
 
 
 class TestPathCycleProfile:
