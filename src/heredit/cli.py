@@ -177,13 +177,9 @@ def _points_from(args) -> tuple[Fraction, ...]:
         raise ValidationError("provide exactly one of --p or --grid")
     if args.p:
         return (parse_probability(args.p),)
-    points = parse_grid(args.grid)
-    if args.grid_from:
-        lo = parse_probability(args.grid_from)
-        points = tuple(p for p in points if p >= lo)
-    if args.grid_to:
-        hi = parse_probability(args.grid_to)
-        points = tuple(p for p in points if p <= hi)
+    lo = parse_probability(args.grid_from) if args.grid_from else Fraction(0)
+    hi = parse_probability(args.grid_to) if args.grid_to else Fraction(1)
+    points = parse_grid(args.grid, lo, hi)
     if not points:
         raise ValidationError("grid restriction left no evaluation points")
     return points

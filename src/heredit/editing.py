@@ -4,11 +4,10 @@
 make a graph free of an induced copy of the forbidden graph, by iterative
 deepening: at each depth the search locates one induced copy and branches
 only on the pairs inside it, since any valid edit set must touch every
-copy.  The search runs on raw adjacency rows; the forbidden graph's
-induced-copy search is compiled once into nested loops
-(``graphs._induced_copies``), and each node takes its copies from it
-already indexed by pattern vertex.  Only the returned witness becomes a
-``Graph``.
+copy.  The search runs on raw adjacency rows and holds the forbidden
+graph's induced-copy search (``graphs._copy_search``), built once per
+pattern; each node takes its copies from one call of it, already indexed
+by pattern vertex.  Only the returned witness becomes a ``Graph``.
 
 Every graph whose subtree fails with at least one flip left is remembered
 with the remaining depth it failed at and the induced copy found in it; a
@@ -51,7 +50,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _find_induced, _induced_copies, _induced_plan, has_induced
+from .graphs import Graph, _copy_search, has_induced
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
@@ -100,10 +99,14 @@ def _flip_search(
     it, trying children in copy order.  Every call of one ``search`` shares
     the memo of failed graphs and the node count; past ``node_limit`` nodes
     it raises :class:`BudgetError`.  Graphs are searched as raw adjacency
-    rows on vertices 0..n-1, and the pattern is compiled once.
+    rows on vertices 0..n-1.  The pattern's copy search
+    (``graphs._copy_search``) is fetched once, when ``search`` is built; a
+    pattern on more than n vertices has no copy, so its ``search`` returns
+    the rows it is given and builds no copy search at all.
 
-    A node with one flip left that is not in the memo also ANDs the vertex
-    masks of its copies, in search order, until fewer than two vertices
+    A node that is not in the memo makes one call of the copy search and
+    takes its first copy.  With one flip left it goes on ANDing the vertex
+    masks of the copies, in search order, until fewer than two vertices
     remain, and recurses only into the pairs with both ends in that common
     set.  Flipping any other pair leaves some copy untouched, so that child
     holds a copy with no flips left and would fail at once; it is counted
@@ -111,7 +114,9 @@ def _flip_search(
     count, the memo, every ``BudgetError`` and every witness are those of
     the search that visits each such child.
     """
-    plan = _induced_plan(forbidden)
+    if forbidden.n > n:
+        return lambda adj, remaining: adj  # no copy fits, so every graph is free
+    copy_search = _copy_search(forbidden)
     k = forbidden.n
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     over = f"edit search node limit of {node_limit} exceeded"
@@ -127,21 +132,18 @@ def _flip_search(
         common = -1  # vertices a helpful flip must keep both ends inside
         stored = failed.get(adj)
         if stored is None:
+            copies = copy_search(adj, n)
+            copy, mask = next(copies, (None, 0))
+            if copy is None:
+                return adj
+            if remaining == 0:
+                return None
             if remaining == 1:
-                copies = _induced_copies(adj, n, plan)
-                copy, common = next(copies, (None, 0))
-                if copy is None:
-                    return adj
+                common = mask
                 for _, mask in copies:
                     common &= mask
                     if common & (common - 1) == 0:
                         break
-            else:
-                copy = _find_induced(adj, n, plan)
-                if copy is None:
-                    return adj
-                if remaining == 0:
-                    return None
         elif stored[0] >= remaining:
             return None
         else:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .crg import CRG, _color_rows, restrict
+from .crg import CRG, _color_rows
 from .errors import ValidationError
 from .rationals import format_fraction
 
@@ -212,7 +212,7 @@ def full_support_value(k: CRG, p: Fraction) -> Fraction | None:
 
     V(k) is the one support of ``k`` that no K - v has, so g(K) is the
     minimum of this value (when not None) and the g(K - v) over the
-    vertices v (``is_p_core``, ``curves.core_min_g``).
+    vertices v (``curves.core_min_g``).
     """
     b, n = _scaled_matrix(k, p)
     solved = _feasible_solve(n, tuple(range(k.m)))
@@ -276,27 +276,20 @@ def closed_form_gray(r: int, s: int, p: Fraction) -> Fraction:
 def is_p_core(k: CRG, p: Fraction) -> bool:
     """True when every proper sub-CRG has strictly larger g at this p.
 
-    Every proper sub-CRG K' lies in some K - v, and an optimal weighting of
-    K' extends by zeros to K - v, so g(K - v) <= g(K'): comparing with the
-    K - v suffices.  A one-vertex CRG has no proper sub-CRG and is a
-    p-core.  Otherwise K is a p-core exactly when it is core-structured at
-    p, its ``full_support_value`` exists, and that value is below every
-    g(K - v).  A p-core's minimal optimal support is all of V(K), so K
-    passes the filter and g(K) is its full-support value (module
-    docstring); conversely g(K) is the minimum of the full-support value
-    and the g(K - v), so a full-support value below every g(K - v) is
-    g(K).  K itself is solved on its full support only.
+    A one-vertex CRG has no proper sub-CRG and is a p-core.  Otherwise K is
+    a p-core exactly when no optimal weighting of K leaves out a vertex: an
+    optimal weighting that leaves out v shows g(K - v) <= g(K), and an
+    optimal weighting of a proper sub-CRG K' with g(K') = g(K) extends by
+    zeros to one of K that leaves out a vertex.  ``g_value``'s witness has
+    the smallest support among optimal weightings (module docstring), so K
+    is a p-core exactly when that support is all of V(K).  A p-core is
+    core-structured at p (Marchant-Thomason 2010, Martin 2013), so a CRG
+    that is not gets False before any solve.
     """
-    if k.m > MAX_QP_SIZE:  # the K - v are solved in full
+    if k.m > MAX_QP_SIZE:
         raise ValidationError(f"is_p_core supports at most {MAX_QP_SIZE} vertices, got {k.m}")
-    full = full_support_value(k, p)
     return k.m == 1 or (
-        full is not None
-        and core_structured(k, core_regime(p))
-        and all(
-            g_value(restrict(k, tuple(u for u in range(k.m) if u != v)), p).value > full
-            for v in range(k.m)
-        )
+        core_structured(k, core_regime(p)) and len(g_value(k, p).support) == k.m
     )
 
 

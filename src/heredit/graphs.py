@@ -6,21 +6,23 @@ per vertex, which keeps the subgraph searches fast without third-party
 dependencies.  Graph values are immutable; every operation returns a fresh
 value and is safe to call from concurrent workers.
 
-The induced-copy search (``has_induced``, ``_induced_copies``) compiles
-each pattern once: ``_induced_plan`` fixes its step order, and
-``_compiled_copies`` turns a plan of at most ``MAX_COMPILED_STEPS`` steps,
-on first use, into a generator with one nested loop per step, so no search
-interprets its plan.  Larger patterns run a generic loop over the plan,
-because CPython caps nested blocks at 20 and the generated source grows
-with the square of the pattern order.  Both yield the same copies in the
-same order.
+The induced-copy search is built once per pattern and held by its
+callers: ``_copy_search(pattern)`` returns ``search(adj, n)``, which
+``has_induced`` and the edit search (``editing._flip_search``) run on raw
+adjacency rows.  ``_induced_plan`` fixes the pattern's step order, and a
+pattern of at most ``MAX_COMPILED_STEPS`` vertices is compiled by
+``_compiled_copies`` into a generator with one nested loop per step, so no
+search interprets its plan.  Larger patterns run a generic loop over the
+plan, because CPython caps nested blocks at 20 and the generated source
+grows with the square of the pattern order.  Both yield the same copies in
+the same order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, ValidationError
@@ -166,9 +168,8 @@ def _induced_plan(
     Step t places pattern vertex ``order[t]``; for every earlier step s the
     pair says whether ``order[t]`` and ``order[s]`` are adjacent in the
     pattern, so the search never asks the pattern again.  Cached per pattern:
-    it is the one plan of a pattern that ``has_induced``, the edit search
-    (``editing._flip_search``) and ``crg.embeds`` read, and the induced-copy
-    search is compiled from it (``_compiled_copies``).
+    it is the one plan of a pattern that ``crg.embeds`` reads and that the
+    pattern's ``_copy_search`` is built from.
     """
     order = _search_order(pattern)
     steps = tuple(
@@ -188,38 +189,21 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
 
     The search is a depth-first search over bitsets in the manner of
     Ullmann (1976): step t narrows the host vertices that may play pattern
-    vertex ``order[t]`` by the host rows of every earlier step.  It runs
-    ``_induced_copies``, which compiles the pattern into nested loops once
-    (up to ``MAX_COMPILED_STEPS`` vertices).  Steps follow
-    ``_search_order`` and each step tries its candidates in ascending
-    order, so the witness is the first copy in that order: the same copy a
-    recursive backtracking search over ``_search_order`` returns.
-    ``edit_distance`` branches on the witness, so that order is part of the
-    contract.
+    vertex ``order[t]`` by the host rows of every earlier step.  The
+    witness is the first copy of the pattern's ``_copy_search``, built once
+    per pattern.  Steps follow ``_search_order`` and each step tries its
+    candidates in ascending order, so the witness is the first copy in that
+    order: the same copy a recursive backtracking search over
+    ``_search_order`` returns.  ``edit_distance`` branches on the witness,
+    so that order is part of the contract.
     """
     if pattern.n > host.n:
         return False, None
     if pattern.n == 0:
         return True, ()
-    copy = _find_induced(host.adj, host.n, _induced_plan(pattern))
-    return copy is not None, copy
-
-
-def _find_induced(
-    adj: tuple[int, ...],
-    n: int,
-    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> tuple[int, ...] | None:
-    """The search of ``has_induced`` on raw rows and a compiled plan.
-
-    Returns the first copy ``_induced_copies`` yields, indexed by pattern
-    vertex, or ``None`` when there is none.  The pattern must have at least
-    one vertex.  Callers that search one pattern in many hosts (the edit
-    search) compile the plan once and call this directly.
-    """
-    for copy, _ in _induced_copies(adj, n, plan):
-        return copy
-    return None
+    for copy, _ in _copy_search(pattern)(host.adj, host.n):
+        return True, copy
+    return False, None
 
 
 # Largest pattern whose induced-copy search is compiled into nested loops.
@@ -229,30 +213,32 @@ def _find_induced(
 MAX_COMPILED_STEPS = 16
 
 
-def _induced_copies(
-    adj: tuple[int, ...],
-    n: int,
-    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every induced copy of the planned pattern in the rows ``adj``.
+@lru_cache
+def _copy_search(
+    pattern: Graph,
+) -> Callable[[tuple[int, ...], int], Iterator[tuple[tuple[int, ...], int]]]:
+    """The induced-copy search of ``pattern``: ``search(adj, n)``.
 
-    Yields ``(copy, mask)``: ``copy[i]`` is the host vertex playing pattern
-    vertex i, and ``mask`` is the bitmask of the copy's host vertices.  Each
-    labelled copy is yielded once, so a vertex set appears once per
-    automorphism of the pattern.  Order contract: copies come in the order
-    of the depth-first search, steps following the plan's pattern order and
-    each step trying its candidates in ascending host order.  The first copy
-    is therefore ``has_induced``'s witness, and the edit search branches on
-    it.  The pattern must have at least one vertex.
+    The search yields every induced copy of ``pattern`` in the host rows
+    ``adj`` on vertices 0..n-1, as ``(copy, mask)``: ``copy[i]`` is the host
+    vertex playing pattern vertex i, and ``mask`` is the bitmask of the
+    copy's host vertices.  Each labelled copy is yielded once, so a vertex
+    set appears once per automorphism of the pattern.  Order contract:
+    copies come in the order of the depth-first search, steps following the
+    ``_induced_plan`` order and each step trying its candidates in
+    ascending host order.  The first copy is therefore ``has_induced``'s
+    witness, and the edit search branches on it.  The pattern must have at
+    least one vertex.
 
-    A pattern of at most ``MAX_COMPILED_STEPS`` vertices runs its compiled
-    search (``_compiled_copies``, built on first use and cached per plan);
-    a larger one runs ``_generic_copies``, which reads the plan step by
-    step.  Both yield the same copies in the same order.
+    Built once per pattern: a pattern of at most ``MAX_COMPILED_STEPS``
+    vertices gets its compiled search (``_compiled_copies``), a larger one
+    ``_generic_copies`` bound to its plan.  Both yield the same copies in
+    the same order.
     """
-    if len(plan[0]) <= MAX_COMPILED_STEPS:
-        return _compiled_copies(plan)(adj, n)
-    return _generic_copies(adj, n, plan)
+    plan = _induced_plan(pattern)
+    if pattern.n <= MAX_COMPILED_STEPS:
+        return _compiled_copies(plan)
+    return partial(_generic_copies, plan=plan)
 
 
 def _generic_copies(
@@ -260,7 +246,7 @@ def _generic_copies(
     n: int,
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``_induced_copies`` for a pattern of any order, interpreting its plan."""
+    """The ``_copy_search`` of a pattern of any order, interpreting its plan."""
     order, steps = plan
     k = len(order)
     where = sorted(range(k), key=order.__getitem__)  # step placing each vertex
@@ -299,11 +285,10 @@ def _generic_copies(
             cands = rest[t]
 
 
-@lru_cache
 def _compiled_copies(
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
 ) -> Callable[[tuple[int, ...], int], Iterator[tuple[tuple[int, ...], int]]]:
-    """The search of ``_induced_copies`` compiled for one plan.
+    """The ``_copy_search`` of one plan, compiled into nested loops.
 
     The generated generator has one nested ``while`` per step t.  It peels
     the lowest candidate bit of ``c_t`` into ``b_t`` (host vertex ``v_t``),

@@ -40,18 +40,18 @@ def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_grid(step_text: str) -> tuple[Fraction, ...]:
-    """Expand a grid spec like ``1/64`` into the points k*step inside [0, 1].
+def parse_grid(
+    step_text: str, lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)
+) -> tuple[Fraction, ...]:
+    """Expand a grid spec like ``1/64`` into the points k*step inside [lo, hi].
 
     The spec names the step; the grid is every nonnegative multiple of the
-    step that lies in [0, 1].
+    step that lies in [0, 1], and only the points between ``lo`` and
+    ``hi`` (inclusive) are built, in ascending order.
     """
     step = parse_fraction(step_text)
     if step <= 0 or step > 1:
         raise ValidationError(f"grid step must lie in (0,1], got {step_text}")
-    points = []
-    k = 0
-    while k * step <= 1:
-        points.append(k * step)
-        k += 1
-    return tuple(points)
+    first = max(0, -(-lo // step))
+    last = min(1 // step, hi // step)
+    return tuple(k * step for k in range(first, last + 1))

@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from heredit import curves
 from heredit.cli import main, parse_inputs
 from heredit.crg import crg_to_text, gray_crg
+from heredit.errors import ValidationError
 from heredit.curves import closed_form_curve
 from heredit.rationals import parse_grid
 
@@ -46,6 +49,29 @@ class TestParseInputs:
         assert job.command == "edcurve"
         assert job.params["n"] == 8
         assert job.params["points"] == parse_grid("1/64")
+
+    def test_restricted_grid_is_the_filtered_grid(self):
+        bounds = ("0", "1/3", "1/2", "9/10", "1")
+        for step in ("1", "1/7", "3/10", "1/64"):
+            full = parse_grid(step)
+            for lo in bounds:
+                for hi in bounds:
+                    argv = ["gamma", "--graph", "path:4", "--grid", step,
+                            "--from", lo, "--to", hi]
+                    want = tuple(p for p in full if Fraction(lo) <= p <= Fraction(hi))
+                    if want:
+                        assert parse_inputs(argv).params["points"] == want
+                    else:
+                        with pytest.raises(ValidationError, match="left no evaluation points"):
+                            parse_inputs(argv)
+
+    def test_restricted_grid_builds_only_its_points(self):
+        # the full grid of this step has two million points
+        argv = ["gamma", "--graph", "path:4", "--grid", "1/2000000",
+                "--from", "1/2", "--to", "1/2"]
+        start = time.perf_counter()
+        assert parse_inputs(argv).params["points"] == (Fraction(1, 2),)
+        assert time.perf_counter() - start < 1
 
     def test_rejects_p_outside_unit_interval(self, capsys):
         code, _, err = run_cli(capsys, ["gamma", "--graph", "path:5", "--p", "5/3"])

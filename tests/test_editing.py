@@ -13,7 +13,14 @@ from heredit.editing import (
     sample_graph,
 )
 from heredit.errors import BudgetError, ValidationError
-from heredit.graphs import Graph, build_family, graph_from_graph6, graph_to_graph6, has_induced
+from heredit.graphs import (
+    Graph,
+    _copy_search,
+    build_family,
+    graph_from_graph6,
+    graph_to_graph6,
+    has_induced,
+)
 from oracle_utils import (
     bfs_edit_distance,
     edit_distance_reference,
@@ -298,16 +305,30 @@ class TestEstimateAgainstReference:
                 assert got.skipped <= want.skipped
 
 
+def _spy_on_copy_searches(monkeypatch) -> tuple[list, list]:
+    """Record each copy search the edit search fetches, and the rows of each
+    call of a fetched search, through ``editing._copy_search``."""
+    fetched: list = []
+    searched: list = []
+    real = editing._copy_search
+
+    def fetch(pattern):
+        search = real(pattern)
+        fetched.append(pattern)
+
+        def counted(adj, n):
+            searched.append(adj)
+            return search(adj, n)
+
+        return counted
+
+    monkeypatch.setattr(editing, "_copy_search", fetch)
+    return fetched, searched
+
+
 class TestEstimateCheck:
     def test_check_at_zero_is_one_induced_search(self, monkeypatch):
-        calls = []
-        real = editing._find_induced
-
-        def counted(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(editing, "_find_induced", counted)
+        _, calls = _spy_on_copy_searches(monkeypatch)
         # every edgeless sample is P3-free: the first gets the exact run,
         # which finds it free at its root, and each later sample is settled
         # by a depth-0 check that searches its rows once
@@ -320,23 +341,37 @@ class TestEstimateCheck:
         assert calls == [C5.adj]
 
     def test_one_flip_left_skips_children_outside_every_copy(self, monkeypatch):
-        searched = []
-        real = editing._find_induced
-
-        def counted(*args):
-            searched.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(editing, "_find_induced", counted)
+        _, searched = _spy_on_copy_searches(monkeypatch)
         # two disjoint P3s: their copies share no vertex, so none of the
-        # three flips inside the first copy can help and no child searches
+        # three flips inside the first copy can help and only the root
+        # searches
         two_p3 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert _flip_search(6, P3, 4)(two_p3.adj, 1) is None
-        assert searched == []
+        assert searched == [two_p3.adj]
         # the skipped children still count: the root and three children
         # need four nodes
         with pytest.raises(BudgetError):
             _flip_search(6, P3, 3)(two_p3.adj, 1)
+
+    def test_search_fetched_once_per_search_object(self, monkeypatch):
+        fetched, searched = _spy_on_copy_searches(monkeypatch)
+        # C8 is three flips from P4-free: deepen to it on one search object
+        search = _flip_search(8, P4, DEFAULT_NODE_LIMIT)
+        for depth in range(3):
+            assert search(C8.adj, depth) is None
+        assert search(C8.adj, 3) is not None
+        assert fetched == [P4]
+        assert len(searched) > 1
+
+    def test_pattern_larger_than_the_host_builds_no_search(self):
+        path17 = build_family("path", 17)
+        before = _copy_search.cache_info()
+        args = (8, F(1, 2), path17, 3, 7)
+        assert max_dist_estimate(*args) == max_dist_estimate_reference(*args)
+        after = _copy_search.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        rows = C8.adj
+        assert _flip_search(8, path17, 1)(rows, 0) is rows
 
     def test_first_sample_over_budget_next_still_exact(self, monkeypatch):
         events = _spy_on_runs(monkeypatch)

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heredit
-from heredit import graphs as graphs_module
 from heredit.editing import max_dist_estimate
 from heredit.errors import FormatError, ValidationError
 from heredit.graphs import (
     MAX_COMPILED_STEPS,
     Graph,
     _compiled_copies,
-    _induced_copies,
+    _copy_search,
+    _generic_copies,
     _induced_plan,
     build_family,
     complement,
@@ -161,14 +161,13 @@ class TestHasInduced:
             assert has_induced(host, pattern) == has_induced_recursive(host, pattern)
 
 
-def _copies_on_both_paths(monkeypatch, host, plan, cap):
-    """Every copy ``_induced_copies`` yields with the compiled-size cap at
-    ``cap``, after checking that the generic loop (cap 0) yields the same."""
-    with monkeypatch.context() as patched:
-        patched.setattr(graphs_module, "MAX_COMPILED_STEPS", cap)
-        yielded = list(_induced_copies(host.adj, host.n, plan))
-        patched.setattr(graphs_module, "MAX_COMPILED_STEPS", 0)
-        assert list(_induced_copies(host.adj, host.n, plan)) == yielded
+def _copies_on_both_paths(host, plan, compiled):
+    """Every copy the generic loop yields for ``plan`` in ``host``, after
+    checking that the compiled search ``compiled``, when given, yields the
+    same."""
+    yielded = list(_generic_copies(host.adj, host.n, plan))
+    if compiled is not None:
+        assert list(compiled(host.adj, host.n)) == yielded
     return yielded
 
 
@@ -179,7 +178,7 @@ def _relabelled(g, rng):
 
 
 class TestInducedCopies:
-    def test_every_copy_against_brute_force(self, monkeypatch):
+    def test_every_copy_against_brute_force(self):
         claw = graph_from_graph6("Cs")  # K_{1,3}, centre 0
         patterns = (
             build_family("path", 3),
@@ -192,10 +191,11 @@ class TestInducedCopies:
         for pattern in patterns:
             plan = _induced_plan(pattern)
             order = plan[0]
+            compiled = _compiled_copies(plan)
             hosts = 12 if pattern.n == 6 else 40
             for _ in range(hosts):
                 host = random_graph(rng, rng.randrange(pattern.n - 1, 9), rng.random())
-                yielded = _copies_on_both_paths(monkeypatch, host, plan, MAX_COMPILED_STEPS)
+                yielded = _copies_on_both_paths(host, plan, compiled)
                 copies = [copy for copy, _ in yielded]
                 for copy, mask in yielded:
                     assert mask == sum(1 << v for v in copy)
@@ -209,15 +209,16 @@ class TestInducedCopies:
     @pytest.mark.parametrize("k", [
         MAX_COMPILED_STEPS - 1, MAX_COMPILED_STEPS, MAX_COMPILED_STEPS + 1, 40,
     ])
-    def test_patterns_around_the_compiled_size(self, monkeypatch, k):
+    def test_patterns_around_the_compiled_size(self, k):
         # CPython can nest the loops of a 17-step pattern, so the compiled
         # path is checked one step past the cap as well
-        cap = min(k, MAX_COMPILED_STEPS + 1)
         rng = random.Random(k)
         for family in ("path", "cycle"):
             pattern = build_family(family, k)
             plan = _induced_plan(pattern)
             order = plan[0]
+            compiled = _compiled_copies(plan) if k <= MAX_COMPILED_STEPS + 1 else None
+            search = _copy_search(pattern)
             # the pattern plus three vertices, joined by random chords that
             # touch one of the three, so the pattern's own copies survive;
             # with no chord there is one copy per automorphism.  For the
@@ -236,7 +237,8 @@ class TestInducedCopies:
                 hosts.append((build_family("cycle", k + 3), 2 * (k + 3)))
             for host, count in hosts:
                 host = _relabelled(host, rng)
-                yielded = _copies_on_both_paths(monkeypatch, host, plan, cap)
+                yielded = _copies_on_both_paths(host, plan, compiled)
+                assert list(search(host.adj, host.n)) == yielded
                 copies = [copy for copy, _ in yielded]
                 _, witness = has_induced_recursive(host, pattern)
                 assert copies and copies[0] == witness
@@ -254,16 +256,24 @@ class TestInducedCopies:
 
 class TestCompiledCopies:
     def test_one_kernel_per_pattern_in_an_estimate(self):
-        _compiled_copies.cache_clear()
+        _copy_search.cache_clear()
         max_dist_estimate(8, Fraction(1, 2), build_family("path", 4), 50, 7)
-        info = _compiled_copies.cache_info()
+        info = _copy_search.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+    def test_kernel_chosen_once_by_pattern_order(self):
+        # compiled up to MAX_COMPILED_STEPS vertices, the generic loop above
+        small = _copy_search(build_family("path", MAX_COMPILED_STEPS))
+        large = _copy_search(build_family("path", MAX_COMPILED_STEPS + 1))
+        assert small.__name__ == "copies"
+        assert large.func is _generic_copies
+        assert _copy_search(build_family("path", MAX_COMPILED_STEPS)) is small
 
     def test_import_compiles_nothing(self):
         src = os.path.dirname(os.path.dirname(heredit.__file__))
         code = (
             "import heredit.cli, heredit.graphs as g;"
-            " print(g._compiled_copies.cache_info().misses)"
+            " print(g._copy_search.cache_info().misses)"
         )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
