@@ -1,25 +1,31 @@
-"""Command-line interface: one binary with subcommands, CSV/JSON emission,
-and a result cache for the long enumeration jobs.
+"""Command-line interface: one binary with subcommands and CSV/JSON emission.
 
 All artifacts (files, cached payloads, piped stdout) carry rationals as
 ``num/den`` strings.  ``--float`` only changes how stdout renders values
 for humans; it never changes stored artifacts.
+
+Each subcommand takes only the options that act on it: ``--out`` everywhere,
+``--float`` where stdout is a CSV holding rationals, ``--jobs`` where a grid
+is evaluated, and ``--cache-dir`` on ``search``, the one command whose
+artifact is cached (in ``_run_search``).  ``--no-cache`` is accepted
+everywhere for compatibility and acts only on ``search``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .cache import ResultCache, job_key
 from .crg import CRG, MAX_EMBED_CRG, MAX_ENUM_SIZE, crg_from_text, embeds, gray_crg
 from .curves import (
     Curve,
@@ -49,7 +55,6 @@ class JobSpec:
     out: Path | None = None
     float_display: bool = False
     jobs: int = 1
-    cache: ResultCache = field(default_factory=lambda: ResultCache(None))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,16 +66,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"heredit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *, floats: bool = False, jobs: bool = False,
+               cache: bool = False) -> None:
         p.add_argument("--out", help="write the artifact to this file instead of stdout")
-        p.add_argument("--float", action="store_true", dest="float_display",
-                       help="render stdout values as decimals (files keep rationals)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for grid evaluation (default 1; "
-                       "at most the CPU count are started)")
-        p.add_argument("--cache-dir", help="result cache directory "
-                       "(default: $HEREDIT_CACHE_DIR)")
-        p.add_argument("--no-cache", action="store_true", help="disable the result cache")
+        if floats:
+            p.add_argument("--float", action="store_true", dest="float_display",
+                           help="render stdout values as decimals (files keep rationals)")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes for grid evaluation (default 1; "
+                           "at most the CPU count are started)")
+        if cache:
+            p.add_argument("--cache-dir", help="result cache directory "
+                           "(default: $HEREDIT_CACHE_DIR)")
+        p.add_argument("--no-cache", action="store_true",
+                       help="disable the result cache" if cache
+                       else "accepted for compatibility; has no effect")
 
     def grid_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--p", help="single rational evaluation point, e.g. 1/3")
@@ -88,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="clique-spectrum upper bound at points p")
     p.add_argument("--graph", required=True)
     grid_opts(p)
-    common(p)
+    common(p, floats=True, jobs=True)
 
     p = sub.add_parser("gfun", help="solve the simplex program for one CRG")
     p.add_argument("--crg", help="path to a 'crg v1' file")
@@ -124,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print max/argmax/concavity analysis per source "
                    "(needs at least 3 points)")
     grid_opts(p)
-    common(p)
+    common(p, floats=True, jobs=True)
 
     p = sub.add_parser("search", help="min g over enumerated CRGs avoiding a graph")
     p.add_argument("--forbid", required=True)
@@ -133,13 +144,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true",
                    help="accepted for compatibility; has no effect")
     grid_opts(p)
-    common(p)
+    common(p, floats=True, jobs=True, cache=True)
 
     p = sub.add_parser("dist", help="exact edit distance of a small graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--forbid", required=True)
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    common(p)
+    common(p, floats=True)
 
     p = sub.add_parser("estimate", help="sampled max edit distance at a density")
     p.add_argument("--n", type=int, required=True)
@@ -148,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    common(p)
+    common(p, floats=True)
 
     return parser
 
@@ -194,17 +205,14 @@ def _search_size(m: int, flag: str) -> int:
 def parse_inputs(argv: list[str]) -> JobSpec:
     """Parse and validate argv into a JobSpec before any computation runs."""
     args = _build_parser().parse_args(argv)
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
-    cache = ResultCache.from_options(
-        getattr(args, "cache_dir", None), getattr(args, "no_cache", False)
-    )
+    jobs = getattr(args, "jobs", 1)
+    if jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     job = JobSpec(
         command=args.command,
         out=Path(args.out) if args.out else None,
-        float_display=args.float_display,
-        jobs=args.jobs,
-        cache=cache,
+        float_display=getattr(args, "float_display", False),
+        jobs=jobs,
     )
     params = job.params
 
@@ -261,6 +269,8 @@ def parse_inputs(argv: list[str]) -> JobSpec:
         params["forbid"] = parse_graph_spec(args.forbid)
         params["m"] = _search_size(args.max_size, "--max-size")
         params["points"] = _points_from(args)
+        cache_dir = args.cache_dir or os.environ.get("HEREDIT_CACHE_DIR")
+        params["cache_dir"] = Path(cache_dir) if cache_dir and not args.no_cache else None
     elif args.command == "dist":
         params["graph"] = parse_graph_spec(args.graph)
         params["forbid"] = parse_graph_spec(args.forbid)
@@ -327,6 +337,8 @@ def _evaluate_curve(job: JobSpec, curve_of, points: tuple[Fraction, ...]) -> Cur
     workers = min(job.jobs, os.cpu_count() or 1)
     if workers <= 1 or len(points) < 2 * workers:
         return curve_of(points)
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never imports it
+
     chunk = -(-len(points) // workers)
     chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -445,22 +457,67 @@ def _run_edcurve(job: JobSpec) -> int:
     return 0
 
 
+def _cache_entry(directory: Path, inputs: dict) -> Path:
+    """The cache file of a job: the SHA-256 of its inputs' canonical JSON.
+
+    The inputs hold the package version, so an upgrade misses cleanly.
+    """
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    return directory / f"{hashlib.sha256(canonical.encode()).hexdigest()}.json"
+
+
+def _cache_read(entry: Path) -> str | None:
+    """The artifact stored in ``entry``, or None when it is missing or is not
+    a JSON object holding a string ``payload``; such an entry is recomputed."""
+    try:
+        stored = json.loads(entry.read_text())
+    except (OSError, ValueError):
+        return None
+    payload = stored.get("payload") if isinstance(stored, dict) else None
+    return payload if isinstance(payload, str) else None
+
+
+def _cache_write(entry: Path, payload: str) -> None:
+    """Store ``payload`` as ``{"key", "payload"}`` in ``entry``.
+
+    The atomic rename keeps concurrent same-key writers safe.  When the
+    directory is unwritable this prints one warning line on stderr and
+    removes its temp file, and the run goes on without the cache.
+    """
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+        with os.fdopen(fd, "w") as handle:
+            json.dump({"key": entry.stem, "payload": payload}, handle)
+        os.replace(tmp, entry)
+    except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        print(f"warning: cache directory {entry.parent} not writable ({exc}); "
+              "continuing without cache", file=sys.stderr)
+
+
 def _run_search(job: JobSpec) -> int:
     params = job.params
     h: Graph = params["forbid"]
-    key = job_key({
-        "command": "search", "version": __version__,
-        "forbid": graph_to_graph6(h), "m": params["m"],
-        "points": [format_fraction(p) for p in params["points"]],
-    })
-    cached = job.cache.get(key)
-    if cached is not None:
-        _emit(job, [], [], text=cached)
-        return 0
     m = params["m"]
-    curve_of = partial(search_curve, h, m)
-    curve = _evaluate_curve(job, curve_of, params["points"])
-    job.cache.put(key, _emit_curve(job, curve, f"search-m{m}"))
+    entry = None
+    if params["cache_dir"] is not None:
+        entry = _cache_entry(params["cache_dir"], {
+            "command": "search", "version": __version__,
+            "forbid": graph_to_graph6(h), "m": m,
+            "points": [format_fraction(p) for p in params["points"]],
+        })
+        cached = _cache_read(entry)
+        if cached is not None:
+            _emit(job, [], [], text=cached)
+            return 0
+    curve = _evaluate_curve(job, partial(search_curve, h, m), params["points"])
+    artifact = _emit_curve(job, curve, f"search-m{m}")
+    if entry is not None:
+        _cache_write(entry, artifact)
     return 0
 
 

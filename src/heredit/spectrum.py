@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .crg import embeds, gray_crg
+from .crg import MAX_EMBED_CRG, embeds, gray_crg
 from .errors import ValidationError
 from .gfun import closed_form_gray
 from .graphs import Graph
@@ -60,11 +60,17 @@ def clique_spectrum(
     finds every member, whatever bounds are requested.  The reported bounds
     (default |V(h)|) are raised to one past the largest member coordinate,
     so no member ever touches the box edge.
+
+    The largest K(r, s) tested has |V(h)| - 1 vertices, and ``embeds``
+    takes targets of at most ``MAX_EMBED_CRG`` vertices, so ``h`` may have
+    at most ``MAX_EMBED_CRG + 1``.
     """
     if h.n < 1:
         raise ValidationError("clique spectrum needs a nonempty forbidden graph")
-    if h.n > 13:
-        raise ValidationError("clique spectrum capped at 13-vertex forbidden graphs")
+    if h.n > MAX_EMBED_CRG + 1:
+        raise ValidationError(
+            f"clique spectrum capped at {MAX_EMBED_CRG + 1}-vertex forbidden graphs"
+        )
     r_bound = h.n if r_max is None else r_max
     s_bound = h.n if s_max is None else s_max
     if r_bound < 1 or s_bound < 1:

@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from heredit import curves
+from heredit import cli, curves
 from heredit.cli import main, parse_inputs
 from heredit.crg import crg_to_text, gray_crg
 from heredit.errors import ValidationError
@@ -15,6 +18,8 @@ from heredit.rationals import parse_grid
 
 
 SEARCH_ARGV = ["search", "--forbid", "c2nstar:8", "--max-size", "3", "--p", "1/3"]
+# the cache file of SEARCH_ARGV: a changed key format would orphan existing caches
+SEARCH_ENTRY = "38d0eb94c65316e62fc0b9298f7a675c9062c83b7dc86bc3e40ddce332fa47dd.json"
 
 
 def run_cli(capsys, argv):
@@ -83,6 +88,33 @@ class TestParseInputs:
             parse_inputs(["gamma", "--graph", "path:5", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(("argv", "option"), [
+        (["gfun", "--gray", "2,1", "--p", "1/3"], "--float"),
+        (["spectrum", "--graph", "path:4"], "--jobs 2"),
+        (["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:4"], "--jobs 2"),
+        (["dist", "--graph", "cycle:5", "--forbid", "path:3"], "--cache-dir D"),
+    ], ids=["gfun --float", "spectrum --jobs", "estimate --jobs", "dist --cache-dir"])
+    def test_option_a_command_does_not_use_is_usage_error(
+        self, capsys, monkeypatch, argv, option
+    ):
+        def forbidden(job):
+            raise AssertionError("work started before the option was refused")
+
+        monkeypatch.setitem(cli._HANDLERS, argv[0], forbidden)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option.split())
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}\n" in capsys.readouterr().err
+
+    def test_import_starts_no_pool_machinery(self):
+        code = ("import sys, heredit.cli; print(sorted(m for m in sys.modules"
+                " if m.startswith(('concurrent', 'multiprocessing'))))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_malformed_rational(self, capsys):
         code, _, _ = run_cli(capsys, ["gamma", "--graph", "path:5", "--p", "0.5"])
         assert code == 3
@@ -110,7 +142,7 @@ class TestParseInputs:
         started = []
         argv = ["gamma", "--graph", "path:5", "--grid", "1/64"]
         _, serial, _ = run_cli(capsys, argv + ["--jobs", "1"])
-        monkeypatch.setattr("heredit.cli.ProcessPoolExecutor", _in_process_pool(started))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _in_process_pool(started))
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         code, stdout, _ = run_cli(capsys, argv + ["--jobs", "1000"])
         assert code == 0
@@ -147,7 +179,7 @@ class TestParseInputs:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(curves, "enumerate_crgs", counted)
-        monkeypatch.setattr("heredit.cli.ProcessPoolExecutor", _in_process_pool(started))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _in_process_pool(started))
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         code, stdout, _ = run_cli(capsys, argv + ["--jobs", "2"])
         assert code == 0
@@ -191,8 +223,9 @@ class TestParseInputs:
             raise AssertionError("work started before the input was refused")
 
         for name in ("search_curve", "core_curve", "clique_spectrum",
-                     "closed_form_curve", "ProcessPoolExecutor", "gray_crg"):
+                     "closed_form_curve", "gray_crg"):
             monkeypatch.setattr(f"heredit.cli.{name}", forbidden)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", forbidden)
         code, stdout, err = run_cli(capsys, argv + ["--no-cache"])
         assert code == 3
         assert stdout == ""
@@ -491,12 +524,51 @@ class TestSearchCommand:
         base = SEARCH_ARGV + ["--cache-dir", str(cache)]
         assert main(base + ["--out", str(out)]) == 0
         capsys.readouterr()
-        entry = next(cache.glob("*.json"))
+        entry = cache / SEARCH_ENTRY
         good = out.read_bytes()
-        entry.write_text("{ not json")
-        assert main(base + ["--out", str(out)]) == 0
+        # anything but an object holding a string payload is a miss
+        for corrupt in ('{ not json', '[1]', '"x"', '{"payload": 3}'):
+            entry.write_text(corrupt)
+            out.unlink()
+            assert main(base + ["--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            assert out.read_bytes() == good
+
+    def test_cache_entry_name_and_format_are_pinned(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        code, stdout, err = run_cli(capsys, SEARCH_ARGV + ["--cache-dir", str(cache)])
+        assert (code, err) == (0, "")
+        assert [path.name for path in cache.iterdir()] == [SEARCH_ENTRY]
+        stored = json.loads((cache / SEARCH_ENTRY).read_text())
+        assert stored == {"key": SEARCH_ENTRY.removesuffix(".json"), "payload": stdout}
+
+    def test_cache_dir_from_environment(self, tmp_path, capsys, monkeypatch):
+        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.setenv("HEREDIT_CACHE_DIR", str(env_dir))
+        assert main(SEARCH_ARGV + ["--no-cache"]) == 0
+        assert not env_dir.exists(), "--no-cache overrides HEREDIT_CACHE_DIR"
+        assert main(SEARCH_ARGV + ["--cache-dir", str(flag_dir)]) == 0
+        assert not env_dir.exists(), "--cache-dir wins over HEREDIT_CACHE_DIR"
+        assert (flag_dir / SEARCH_ENTRY).is_file()
+        assert main(SEARCH_ARGV) == 0
+        assert (env_dir / SEARCH_ENTRY).is_file()
         capsys.readouterr()
-        assert out.read_bytes() == good
+
+    @pytest.mark.parametrize("blocked", ["under_a_file", "entry_is_a_directory"])
+    def test_unwritable_cache_warns_once_and_keeps_bytes(self, tmp_path, capsys, blocked):
+        _, want, _ = run_cli(capsys, SEARCH_ARGV + ["--no-cache"])
+        if blocked == "under_a_file":
+            (tmp_path / "file").write_text("")
+            cache = tmp_path / "file" / "cache"
+        else:
+            cache = tmp_path / "cache"
+            (cache / SEARCH_ENTRY).mkdir(parents=True)
+        code, stdout, err = run_cli(capsys, SEARCH_ARGV + ["--cache-dir", str(cache)])
+        assert (code, stdout) == (0, want)
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"warning: cache directory {cache} not writable (")
+        assert err.endswith("); continuing without cache\n")
+        assert not list(tmp_path.rglob("*.tmp")), "a failed write leaves no temp file"
 
     def test_version_bump_misses_cache(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"

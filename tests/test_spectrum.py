@@ -63,6 +63,12 @@ class TestMembership:
         with pytest.raises(ValidationError):
             clique_spectrum(Graph.from_edges(0, []))
 
+    def test_rejects_graph_above_embedding_cap(self):
+        # the largest K(r, s) tested has |V(h)| - 1 vertices, at most MAX_EMBED_CRG
+        with pytest.raises(ValidationError) as exc:
+            clique_spectrum(build_family("path", 14))
+        assert str(exc.value) == "clique spectrum capped at 13-vertex forbidden graphs"
+
 
 class TestExtremePoints:
     def test_c8star(self):
