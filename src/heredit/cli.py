@@ -1,8 +1,13 @@
 """Command-line interface: one binary with subcommands and CSV/JSON emission.
 
-All artifacts (files, cached payloads, piped stdout) carry rationals as
-``num/den`` strings.  ``--float`` only changes how stdout renders values
-for humans; it never changes stored artifacts.
+``parse_inputs`` validates argv into one ``argparse.Namespace`` per run: each
+validated value (a ``Graph``, ``CRG``, ``Fraction``, the evaluation points,
+the resolved cache directory) replaces its option's string under the
+option's own name, and the handlers read those attributes.  Each handler
+builds its artifact as one string and hands it to ``_emit``, the one
+writer: the exact artifact goes to ``--out`` or stdout, and ``--float``
+shows stdout as decimals.  Files, cached payloads and piped stdout without
+``--float`` carry rationals as ``num/den`` strings.
 
 Each subcommand takes only the options that act on it: ``--out`` everywhere,
 ``--float`` where stdout is a CSV holding rationals, ``--jobs`` where a grid
@@ -18,16 +23,26 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .crg import CRG, MAX_EMBED_CRG, MAX_ENUM_SIZE, crg_from_text, embeds, gray_crg
+from .crg import (
+    CRG,
+    MAX_EMBED_CRG,
+    MAX_EMBED_PATTERN,
+    MAX_ENUM_SIZE,
+    crg_from_text,
+    embeds,
+    gray_crg,
+)
 from .curves import (
+    CURVE_FAMILIES,
+    SOURCES,
     Curve,
     closed_form_curve,
     closed_form_terms,
@@ -46,17 +61,6 @@ from .rationals import format_fraction, parse_grid, parse_probability
 from .spectrum import clique_spectrum
 
 
-@dataclass
-class JobSpec:
-    """A fully validated CLI job: command, parameters, and output options."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    out: Path | None = None
-    float_display: bool = False
-    jobs: int = 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heredit",
@@ -73,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--float", action="store_true", dest="float_display",
                            help="render stdout values as decimals (files keep rationals)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=int,
                            help="worker processes for grid evaluation (default 1; "
                            "at most the CPU count are started)")
         if cache:
@@ -82,6 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-cache", action="store_true",
                        help="disable the result cache" if cache
                        else "accepted for compatibility; has no effect")
+        p.set_defaults(jobs=1, float_display=False)
 
     def grid_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--p", help="single rational evaluation point, e.g. 1/3")
@@ -120,10 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("edcurve", help="edit-distance curve for a built-in family")
-    p.add_argument("--family", required=True, choices=("c8star", "ctilde", "path", "cycle"))
+    p.add_argument("--family", required=True, choices=CURVE_FAMILIES)
     p.add_argument("--n", type=int, help="family order (default 8 for c8star)")
     p.add_argument("--source", default="closed_form",
-                   help="comma list of distinct sources from closed_form,gamma,search "
+                   help=f"comma list of distinct sources from {','.join(SOURCES)} "
                    "(default closed_form)")
     p.add_argument("--m", type=int, default=3,
                    help=f"CRG size bound for the search source (1..{MAX_ENUM_SIZE})")
@@ -187,7 +192,10 @@ def _points_from(args) -> tuple[Fraction, ...]:
     if bool(args.p) == bool(args.grid):
         raise ValidationError("provide exactly one of --p or --grid")
     if args.p:
-        return (parse_probability(args.p),)
+        point = parse_probability(args.p)
+        if args.grid_from or args.grid_to:
+            raise ValidationError("--from and --to apply only to --grid, not to --p")
+        return (point,)
     lo = parse_probability(args.grid_from) if args.grid_from else Fraction(0)
     hi = parse_probability(args.grid_to) if args.grid_to else Fraction(1)
     points = parse_grid(args.grid, lo, hi)
@@ -196,104 +204,80 @@ def _points_from(args) -> tuple[Fraction, ...]:
     return points
 
 
-def _search_size(m: int, flag: str) -> int:
+def _search_size(m: int, flag: str) -> None:
     if not 1 <= m <= MAX_ENUM_SIZE:
         raise ValidationError(f"{flag} must lie in 1..{MAX_ENUM_SIZE}, got {m}")
-    return m
 
 
-def parse_inputs(argv: list[str]) -> JobSpec:
-    """Parse and validate argv into a JobSpec before any computation runs."""
-    args = _build_parser().parse_args(argv)
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
-    job = JobSpec(
-        command=args.command,
-        out=Path(args.out) if args.out else None,
-        float_display=getattr(args, "float_display", False),
-        jobs=jobs,
-    )
-    params = job.params
+def _search_pattern(h: Graph) -> None:
+    """Refuse at parse time the forbidden graph that ``embeds`` would refuse
+    on the search's first class."""
+    if h.n > MAX_EMBED_PATTERN:
+        raise ValidationError(f"embedding pattern capped at {MAX_EMBED_PATTERN} vertices")
 
-    if args.command == "spectrum":
-        params["graph"] = parse_graph_spec(args.graph)
-        params["r_max"] = args.r_max
-        params["s_max"] = args.s_max
-        params["extremes_out"] = Path(args.extremes_out) if args.extremes_out else None
-    elif args.command == "gamma":
-        params["graph"] = parse_graph_spec(args.graph)
-        params["points"] = _points_from(args)
-    elif args.command == "gfun":
-        params["crg"] = _load_crg(args, MAX_QP_SIZE)
-        params["p"] = parse_probability(args.p)
-    elif args.command == "embed":
-        params["graph"] = parse_graph_spec(args.graph)
-        params["crg"] = _load_crg(args, MAX_EMBED_CRG)
-    elif args.command == "pcore":
-        params["crg"] = _load_crg(args, MAX_QP_SIZE)
-        params["p"] = parse_probability(args.p)
-    elif args.command == "edcurve":
-        n = args.n if args.n is not None else (8 if args.family == "c8star" else None)
+
+def parse_inputs(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate argv before any computation runs.
+
+    Each option a command has is validated under its own name, in the
+    order below (the first failure is the one reported).
+    """
+    job = _build_parser().parse_args(argv)
+    if job.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {job.jobs}")
+    if hasattr(job, "graph"):
+        job.graph = parse_graph_spec(job.graph)
+    if hasattr(job, "crg"):
+        job.crg = _load_crg(job, MAX_EMBED_CRG if job.command == "embed" else MAX_QP_SIZE)
+    if hasattr(job, "p") and not hasattr(job, "grid"):
+        job.p = parse_probability(job.p)
+    if hasattr(job, "forbid"):
+        job.forbid = parse_graph_spec(job.forbid)
+
+    if job.command == "gamma":
+        job.points = _points_from(job)
+    elif job.command == "edcurve":
+        n = job.n if job.n is not None else (8 if job.family == "c8star" else None)
         if n is None:
-            raise ValidationError(f"--n is required for family {args.family}")
-        sources = tuple(s.strip() for s in args.source.split(",") if s.strip())
-        unknown = [s for s in sources if s not in ("closed_form", "gamma", "search")]
+            raise ValidationError(f"--n is required for family {job.family}")
+        sources = tuple(s.strip() for s in job.source.split(",") if s.strip())
+        unknown = [s for s in sources if s not in SOURCES]
         if unknown or not sources:
             raise ValidationError(f"unknown curve source(s): {', '.join(unknown) or '(none)'}")
         repeated = sorted({s for s in sources if sources.count(s) > 1})
         if repeated:
             raise ValidationError(f"repeated curve source(s): {', '.join(repeated)}")
-        if args.p is None and args.grid is None:
-            args.grid = "1/128"
-        points = _points_from(args)
-        if args.restrict_grid:
-            lo, hi = valid_interval(args.family, n)
+        if job.p is None and job.grid is None:
+            job.grid = "1/128"
+        points = _points_from(job)
+        if job.restrict_grid:
+            lo, hi = valid_interval(job.family, n)
             points = tuple(p for p in points if lo <= p <= hi)
             if not points:
                 raise ValidationError("grid restriction left no evaluation points")
-        if args.analyze and len(points) < 3:
+        if job.analyze and len(points) < 3:
             raise ValidationError(
                 f"--analyze needs at least 3 evaluation points, got {len(points)}"
             )
-        graph = family_graph(args.family, n)
-        if "closed_form" in sources and not args.restrict_grid:
-            closed_form_terms(args.family, n, points)
+        graph = family_graph(job.family, n)
+        if "closed_form" in sources and not job.restrict_grid:
+            closed_form_terms(job.family, n, points)
         if "search" in sources:
-            _search_size(args.m, "--m")
-        params.update(
-            family=args.family, n=n, graph=graph, sources=sources, m=args.m,
-            points=points, analyze=args.analyze,
-        )
-    elif args.command == "search":
-        params["forbid"] = parse_graph_spec(args.forbid)
-        params["m"] = _search_size(args.max_size, "--max-size")
-        params["points"] = _points_from(args)
-        cache_dir = args.cache_dir or os.environ.get("HEREDIT_CACHE_DIR")
-        params["cache_dir"] = Path(cache_dir) if cache_dir and not args.no_cache else None
-    elif args.command == "dist":
-        params["graph"] = parse_graph_spec(args.graph)
-        params["forbid"] = parse_graph_spec(args.forbid)
-        params["node_limit"] = args.node_limit
-    elif args.command == "estimate":
-        params["n"] = args.n
-        params["p"] = parse_probability(args.p)
-        params["forbid"] = parse_graph_spec(args.forbid)
-        params["samples"] = args.samples
-        params["seed"] = args.seed
-        params["node_limit"] = args.node_limit
+            _search_size(job.m, "--m")
+            _search_pattern(graph)
+        job.n, job.sources, job.points, job.graph = n, sources, points, graph
+    elif job.command == "search":
+        _search_size(job.max_size, "--max-size")
+        job.points = _points_from(job)
+        cache_dir = job.cache_dir or os.environ.get("HEREDIT_CACHE_DIR")
+        job.cache_dir = Path(cache_dir) if cache_dir and not job.no_cache else None
+        _search_pattern(job.forbid)
     return job
 
 
 # ---------------------------------------------------------------------------
-# output rendering
+# artifacts and their one writer
 # ---------------------------------------------------------------------------
-
-
-def _render(value, float_display: bool) -> str:
-    if isinstance(value, Fraction):
-        return repr(float(value)) if float_display else format_fraction(value)
-    return str(value)
 
 
 def _csv_cell(text: str) -> str:
@@ -303,31 +287,44 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _csv_text(header: list[str], rows: list[list], float_display: bool = False) -> str:
-    lines = [",".join(_csv_cell(cell) for cell in header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(_render(cell, float_display)) for cell in row))
-    return "\n".join(lines) + "\n"
+def _csv_text(header: list[str], rows) -> str:
+    """The CSV artifact; a ``Fraction`` cell is written ``num/den``."""
+    lines = [header]
+    lines += [[format_fraction(c) if isinstance(c, Fraction) else str(c) for c in row]
+              for row in rows]
+    return "".join(",".join(_csv_cell(cell) for cell in line) + "\n" for line in lines)
 
 
-def _emit(job: JobSpec, header: list[str], rows: list[list], text: str | None = None) -> str:
-    """Write the exact artifact; echo to stdout (possibly as floats) otherwise."""
-    artifact = text if text is not None else _csv_text(header, rows)
+_RATIONAL_CELL = re.compile(r"-?\d+/\d+")
+
+
+def _decimal_view(artifact: str) -> str:
+    """``artifact`` with each cell that is exactly ``num/den`` shown as its float."""
+    import csv  # only --float reads a CSV back
+
+    return "".join(
+        ",".join(
+            _csv_cell(repr(float(Fraction(cell))) if _RATIONAL_CELL.fullmatch(cell) else cell)
+            for cell in row
+        ) + "\n"
+        for row in csv.reader(artifact.splitlines())
+    )
+
+
+def _emit(job: argparse.Namespace, artifact: str) -> None:
+    """Write the exact artifact to ``--out``, or to stdout (as decimals with ``--float``)."""
     if job.out:
-        job.out.write_text(artifact)
-    elif text is not None or not job.float_display:
-        sys.stdout.write(artifact)
+        Path(job.out).write_text(artifact)
     else:
-        sys.stdout.write(_csv_text(header, rows, float_display=True))
-    return artifact
+        sys.stdout.write(_decimal_view(artifact) if job.float_display else artifact)
 
 
 # ---------------------------------------------------------------------------
-# curve evaluation and rows (--jobs chunks merge in order)
+# curve evaluation (--jobs chunks merge in order)
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_curve(job: JobSpec, curve_of, points: tuple[Fraction, ...]) -> Curve:
+def _evaluate_curve(job: argparse.Namespace, curve_of, points: tuple[Fraction, ...]) -> Curve:
     """``curve_of(points)``, or with ``--jobs`` its ordered chunks concatenated.
 
     ``curve_of`` is a ``functools.partial`` of a module-level library curve
@@ -350,12 +347,12 @@ def _evaluate_curve(job: JobSpec, curve_of, points: tuple[Fraction, ...]) -> Cur
     )
 
 
-def _emit_curve(job: JobSpec, curve: Curve, source: str) -> str:
+def _curve_csv(curve: Curve, source: str) -> str:
     rows = [
         [p, value, source, ";".join(wits)]
         for (p, value), wits in zip(curve.samples, curve.witnesses)
     ]
-    return _emit(job, ["p", "value", "source", "witness"], rows)
+    return _csv_text(["p", "value", "source", "witness"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -363,88 +360,78 @@ def _emit_curve(job: JobSpec, curve: Curve, source: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_spectrum(job: JobSpec) -> int:
-    params = job.params
-    spect = clique_spectrum(params["graph"], params["r_max"], params["s_max"])
+def _run_spectrum(job: argparse.Namespace) -> int:
+    spect = clique_spectrum(job.graph, job.r_max, job.s_max)
     rows = [
         [r, s, 1 if (r, s) in spect.members else 0]
         for r in range(spect.r_max + 1)
         for s in range(spect.s_max + 1)
         if r + s >= 1
     ]
-    _emit(job, ["r", "s", "member"], rows)
-    extremes_text = _csv_text(["r", "s"], [[r, s] for r, s in spect.extreme_points()])
-    extremes_out = params["extremes_out"]
-    if extremes_out:
-        extremes_out.write_text(extremes_text)
-    if job.out or extremes_out:
+    _emit(job, _csv_text(["r", "s", "member"], rows))
+    extremes_text = _csv_text(["r", "s"], spect.extreme_points())
+    if job.extremes_out:
+        Path(job.extremes_out).write_text(extremes_text)
+    if job.out or job.extremes_out:
         sys.stdout.write(extremes_text)
     return 0
 
 
-def _run_gamma(job: JobSpec) -> int:
-    h: Graph = job.params["graph"]
-    curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
-    _emit_curve(job, _evaluate_curve(job, curve_of, job.params["points"]), "gamma")
+def _run_gamma(job: argparse.Namespace) -> int:
+    curve_of = partial(gamma_curve, job.graph, spectrum=clique_spectrum(job.graph))
+    _emit(job, _curve_csv(_evaluate_curve(job, curve_of, job.points), "gamma"))
     return 0
 
 
-def _run_gfun(job: JobSpec) -> int:
-    result = g_value(job.params["crg"], job.params["p"])
-    _emit(job, [], [], text=json.dumps(result.as_json_dict()) + "\n")
+def _run_gfun(job: argparse.Namespace) -> int:
+    _emit(job, json.dumps(g_value(job.crg, job.p).as_json_dict()) + "\n")
     return 0
 
 
-def _run_embed(job: JobSpec) -> int:
-    found, witness = embeds(job.params["graph"], job.params["crg"])
+def _run_embed(job: argparse.Namespace) -> int:
+    found, witness = embeds(job.graph, job.crg)
     payload = {
         "embeds": found,
         "witness": list(witness.mapping) if witness else None,
     }
-    _emit(job, [], [], text=json.dumps(payload) + "\n")
+    _emit(job, json.dumps(payload) + "\n")
     return 0
 
 
-def _run_pcore(job: JobSpec) -> int:
-    k = job.params["crg"]
-    p = job.params["p"]
+def _run_pcore(job: argparse.Namespace) -> int:
     payload = {
-        "p_core": is_p_core(k, p),
-        "g": format_fraction(g_value(k, p).value),
+        "p_core": is_p_core(job.crg, job.p),
+        "g": format_fraction(g_value(job.crg, job.p).value),
     }
-    _emit(job, [], [], text=json.dumps(payload) + "\n")
+    _emit(job, json.dumps(payload) + "\n")
     return 0
 
 
-def _run_edcurve(job: JobSpec) -> int:
-    params = job.params
-    family, n = params["family"], params["n"]
-    points = params["points"]
-    h = params["graph"]
-    sources = params["sources"]
+def _run_edcurve(job: argparse.Namespace) -> int:
+    sources = job.sources
     curves: dict[str, Curve] = {}
     for source in sources:
         if source == "closed_form":
-            curve_of = partial(closed_form_curve, family, n)
+            curve_of = partial(closed_form_curve, job.family, job.n)
         elif source == "gamma":
-            curve_of = partial(gamma_curve, h, spectrum=clique_spectrum(h))
+            curve_of = partial(gamma_curve, job.graph, spectrum=clique_spectrum(job.graph))
         elif len(sources) == 1:
-            curve_of = partial(search_curve, h, params["m"])
+            curve_of = partial(search_curve, job.graph, job.m)
         else:  # only the values are printed, so the growth pass is skipped
-            curve_of = partial(core_curve, h, params["m"])
-        curves[source] = _evaluate_curve(job, curve_of, points)
+            curve_of = partial(core_curve, job.graph, job.m)
+        curves[source] = _evaluate_curve(job, curve_of, job.points)
 
     if len(sources) == 1:
-        _emit_curve(job, curves[sources[0]], sources[0])
+        _emit(job, _curve_csv(curves[sources[0]], sources[0]))
     else:
         header = ["p"] + [f"value_{s}" for s in sources] + ["diff"]
         rows = []
-        for idx, p in enumerate(points):
+        for idx, p in enumerate(job.points):
             values = [curves[s].samples[idx][1] for s in sources]
             rows.append([p, *values, max(values) - min(values)])
-        _emit(job, header, rows)
+        _emit(job, _csv_text(header, rows))
 
-    if params["analyze"]:
+    if job.analyze:
         for source in sources:
             analysis = curve_scan(curves[source])
             print(
@@ -499,46 +486,41 @@ def _cache_write(entry: Path, payload: str) -> None:
               "continuing without cache", file=sys.stderr)
 
 
-def _run_search(job: JobSpec) -> int:
-    params = job.params
-    h: Graph = params["forbid"]
-    m = params["m"]
+def _run_search(job: argparse.Namespace) -> int:
+    h, m = job.forbid, job.max_size
     entry = None
-    if params["cache_dir"] is not None:
-        entry = _cache_entry(params["cache_dir"], {
+    if job.cache_dir is not None:
+        entry = _cache_entry(job.cache_dir, {
             "command": "search", "version": __version__,
             "forbid": graph_to_graph6(h), "m": m,
-            "points": [format_fraction(p) for p in params["points"]],
+            "points": [format_fraction(p) for p in job.points],
         })
         cached = _cache_read(entry)
         if cached is not None:
-            _emit(job, [], [], text=cached)
+            _emit(job, cached)
             return 0
-    curve = _evaluate_curve(job, partial(search_curve, h, m), params["points"])
-    artifact = _emit_curve(job, curve, f"search-m{m}")
+    curve = _evaluate_curve(job, partial(search_curve, h, m), job.points)
+    artifact = _curve_csv(curve, f"search-m{m}")
+    _emit(job, artifact)
     if entry is not None:
         _cache_write(entry, artifact)
     return 0
 
 
-def _run_dist(job: JobSpec) -> int:
-    result = edit_distance(
-        job.params["graph"], job.params["forbid"], node_limit=job.params["node_limit"]
-    )
+def _run_dist(job: argparse.Namespace) -> int:
+    result = edit_distance(job.graph, job.forbid, node_limit=job.node_limit)
     rows = [[result.edits, result.normalized, graph_to_graph6(result.witness)]]
-    _emit(job, ["edits", "normalized", "witness_graph6"], rows)
+    _emit(job, _csv_text(["edits", "normalized", "witness_graph6"], rows))
     return 0
 
 
-def _run_estimate(job: JobSpec) -> int:
-    params = job.params
+def _run_estimate(job: argparse.Namespace) -> int:
     result = max_dist_estimate(
-        params["n"], params["p"], params["forbid"],
-        params["samples"], params["seed"], node_limit=params["node_limit"],
+        job.n, job.p, job.forbid, job.samples, job.seed, node_limit=job.node_limit
     )
     witness6 = graph_to_graph6(result.witness) if result.witness else ""
     rows = [[result.max_normalized, witness6, result.skipped]]
-    _emit(job, ["max_normalized", "witness_graph6", "skipped"], rows)
+    _emit(job, _csv_text(["max_normalized", "witness_graph6", "skipped"], rows))
     return 0
 
 
@@ -555,8 +537,8 @@ _HANDLERS = {
 }
 
 
-def run(job: JobSpec) -> int:
-    """Dispatch a validated JobSpec to its command handler."""
+def run(job: argparse.Namespace) -> int:
+    """Dispatch a validated job to its command handler."""
     return _HANDLERS[job.command](job)
 
 

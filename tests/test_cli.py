@@ -1,11 +1,15 @@
+import argparse
 import csv
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,8 +56,8 @@ class TestParseInputs:
     def test_edcurve_jobspec(self):
         job = parse_inputs(["edcurve", "--family", "c8star", "--grid", "1/64"])
         assert job.command == "edcurve"
-        assert job.params["n"] == 8
-        assert job.params["points"] == parse_grid("1/64")
+        assert job.n == 8
+        assert job.points == parse_grid("1/64")
 
     def test_restricted_grid_is_the_filtered_grid(self):
         bounds = ("0", "1/3", "1/2", "9/10", "1")
@@ -65,7 +69,7 @@ class TestParseInputs:
                             "--from", lo, "--to", hi]
                     want = tuple(p for p in full if Fraction(lo) <= p <= Fraction(hi))
                     if want:
-                        assert parse_inputs(argv).params["points"] == want
+                        assert parse_inputs(argv).points == want
                     else:
                         with pytest.raises(ValidationError, match="left no evaluation points"):
                             parse_inputs(argv)
@@ -75,7 +79,7 @@ class TestParseInputs:
         argv = ["gamma", "--graph", "path:4", "--grid", "1/2000000",
                 "--from", "1/2", "--to", "1/2"]
         start = time.perf_counter()
-        assert parse_inputs(argv).params["points"] == (Fraction(1, 2),)
+        assert parse_inputs(argv).points == (Fraction(1, 2),)
         assert time.perf_counter() - start < 1
 
     def test_rejects_p_outside_unit_interval(self, capsys):
@@ -105,6 +109,27 @@ class TestParseInputs:
             main(argv + option.split())
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}\n" in capsys.readouterr().err
+
+    def test_readme_option_table_matches_parser(self):
+        """Each row of the README's option table under "## CLI" lists the
+        long options of its subcommand, in the parser's order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = readme.split("\n## CLI\n", 1)[1].splitlines()
+        rows = itertools.takewhile(
+            lambda line: line.startswith("|"), lines[lines.index("| command | options |") + 2 :]
+        )
+        table = {
+            row.split("|")[1].strip().strip("`"): re.findall(r"`(--[\w-]+)`", row.split("|")[2])
+            for row in rows
+        }
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {
+            name: [opt for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"]
+            for name, sub in subparsers.choices.items()
+        }
+        assert table == options
 
     def test_import_starts_no_pool_machinery(self):
         code = ("import sys, heredit.cli; print(sorted(m for m in sys.modules"
@@ -217,6 +242,13 @@ class TestParseInputs:
           "--grid", "1/2"], "repeated curve source(s): closed_form"),
         (["edcurve", "--family", "c8star", "--source", "search,gamma,search,gamma",
           "--grid", "1/2"], "repeated curve source(s): gamma, search"),
+        (["search", "--forbid", "path:17", "--max-size", "5", "--grid", "1/8", "--jobs", "2"],
+         "embedding pattern capped at 16 vertices"),
+        (["edcurve", "--family", "path", "--n", "17", "--source", "closed_form,search",
+          "--m", "3", "--grid", "1/8", "--restrict-grid", "--jobs", "2"],
+         "embedding pattern capped at 16 vertices"),
+        (["search", "--forbid", "path:5", "--max-size", "3", "--p", "1/3", "--from", "1/2"],
+         "--from and --to apply only to --grid, not to --p"),
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         def forbidden(*args, **kwargs):
@@ -517,6 +549,23 @@ class TestSearchCommand:
         assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_cache_hit_honours_float(self, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        argv = SEARCH_ARGV + ["--cache-dir", str(cache), "--float"]
+        code, first, _ = run_cli(capsys, argv)
+        assert code == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("searched again although the cache holds the job")
+
+        monkeypatch.setattr("heredit.cli.search_curve", forbidden)
+        code, second, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert second == first
+        assert first.splitlines()[1].startswith("0.3333333333333333,0.16666666666666666,")
+        payload = json.loads((cache / SEARCH_ENTRY).read_text())["payload"]
+        assert payload.splitlines()[1].startswith("1/3,1/6,search-m3,")
 
     def test_corrupt_cache_entry_recomputes(self, tmp_path, capsys):
         cache = tmp_path / "cache"
