@@ -7,118 +7,58 @@ The package computes, entirely in exact rational arithmetic:
 * clique spectra and the gamma upper bound of Forb(H) properties,
 * closed-form and search-based edit-distance curves with exact analysis,
 * ground-truth finite-n edit distances by branch-and-bound.
+
+Importing the package loads none of its submodules: each name in
+``__all__`` is imported from the submodule that defines it on first use
+(PEP 562), so a CLI command imports only the layers it runs.
 """
 
-from .crg import (
-    CRG,
-    EmbeddingWitness,
-    canonical_form,
-    crg_compact,
-    crg_from_compact,
-    crg_from_text,
-    crg_to_text,
-    embeds,
-    enumerate_crgs,
-    gray_crg,
-    restrict,
-    sub_crgs,
-    swap_colors,
-    validate_witness,
-)
-from .curves import (
-    Curve,
-    CurveAnalysis,
-    SearchResult,
-    bounded_min_g,
-    closed_form_curve,
-    core_min_g,
-    curve_scan,
-    family_graph,
-    gamma_curve,
-    search_curve,
-    valid_interval,
-)
-from .editing import EditResult, EstimateResult, edit_distance, max_dist_estimate, sample_graph
-from .errors import BudgetError, FormatError, HereditError, RangeError, ValidationError
-from .gfun import (
-    GResult,
-    PMatrix,
-    WeightStats,
-    build_matrix,
-    closed_form_gray,
-    g_value,
-    is_p_core,
-    weight_stats,
-)
-from .graphs import (
-    Graph,
-    PathCycleProfile,
-    build_family,
-    complement,
-    graph_from_graph6,
-    graph_to_graph6,
-    has_induced,
-    parse_graph_spec,
-    path_cycle_profile,
-)
-from .spectrum import CliqueSpectrum, clique_spectrum, gamma
+import importlib
+
+# each exported name, under the submodule that defines it
+_EXPORTS = {
+    "crg": (
+        "CRG", "EmbeddingWitness", "canonical_form", "crg_compact", "crg_from_compact",
+        "crg_from_text", "crg_to_text", "embeds", "enumerate_crgs", "gray_crg", "restrict",
+        "sub_crgs", "swap_colors", "validate_witness",
+    ),
+    "curves": (
+        "Curve", "CurveAnalysis", "SearchResult", "bounded_min_g", "closed_form_curve",
+        "core_min_g", "curve_scan", "family_graph", "gamma_curve", "search_curve",
+        "valid_interval",
+    ),
+    "editing": ("EditResult", "EstimateResult", "edit_distance", "max_dist_estimate",
+                "sample_graph"),
+    "errors": ("BudgetError", "FormatError", "HereditError", "RangeError", "ValidationError"),
+    "gfun": (
+        "GResult", "PMatrix", "WeightStats", "build_matrix", "closed_form_gray", "g_value",
+        "is_p_core", "weight_stats",
+    ),
+    "graphs": (
+        "Graph", "PathCycleProfile", "build_family", "complement", "graph_from_graph6",
+        "graph_to_graph6", "has_induced", "parse_graph_spec", "path_cycle_profile",
+    ),
+    "spectrum": ("CliqueSpectrum", "clique_spectrum", "gamma"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CRG",
-    "CliqueSpectrum",
-    "Curve",
-    "CurveAnalysis",
-    "EditResult",
-    "EmbeddingWitness",
-    "EstimateResult",
-    "GResult",
-    "Graph",
-    "HereditError",
-    "BudgetError",
-    "FormatError",
-    "PathCycleProfile",
-    "PMatrix",
-    "RangeError",
-    "SearchResult",
-    "ValidationError",
-    "WeightStats",
-    "bounded_min_g",
-    "build_family",
-    "build_matrix",
-    "canonical_form",
-    "clique_spectrum",
-    "closed_form_curve",
-    "closed_form_gray",
-    "complement",
-    "core_min_g",
-    "crg_compact",
-    "crg_from_compact",
-    "crg_from_text",
-    "crg_to_text",
-    "curve_scan",
-    "edit_distance",
-    "embeds",
-    "enumerate_crgs",
-    "family_graph",
-    "g_value",
-    "gamma",
-    "gamma_curve",
-    "graph_from_graph6",
-    "graph_to_graph6",
-    "gray_crg",
-    "has_induced",
-    "is_p_core",
-    "max_dist_estimate",
-    "parse_graph_spec",
-    "path_cycle_profile",
-    "restrict",
-    "sample_graph",
-    "search_curve",
-    "sub_crgs",
-    "swap_colors",
-    "valid_interval",
-    "validate_witness",
-    "weight_stats",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` on its first use; a
+    layer's own name, such as ``crg``, imports that submodule."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,51 +14,47 @@ Each subcommand takes only the options that act on it: ``--out`` everywhere,
 is evaluated, and ``--cache-dir`` on ``search``, the one command whose
 artifact is cached (in ``_run_search``).  ``--no-cache`` is accepted
 everywhere for compatibility and acts only on ``search``.
+
+Each command imports only the layers it runs: the module level holds what
+``parse_inputs`` needs for every command (errors, graphs, rationals and
+the caps in ``limits``), and each handler, each command's branch of
+``parse_inputs`` and the result cache import the rest when they run.  So
+``estimate`` and ``dist`` never load the CRG solver, and only a cached
+``search`` loads ``hashlib``.  A name imported inside a function is read
+from its defining module at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .crg import (
-    CRG,
+from .errors import BudgetError, FormatError, HereditError, ValidationError
+from .graphs import Graph, graph_to_graph6, parse_graph_spec
+from .limits import (
+    CURVE_FAMILIES,
+    DEFAULT_NODE_LIMIT,
     MAX_EMBED_CRG,
     MAX_EMBED_PATTERN,
     MAX_ENUM_SIZE,
-    crg_from_text,
-    embeds,
-    gray_crg,
-)
-from .curves import (
-    CURVE_FAMILIES,
+    MAX_QP_SIZE,
     SOURCES,
-    Curve,
-    closed_form_curve,
-    closed_form_terms,
-    core_curve,
-    curve_scan,
-    family_graph,
-    gamma_curve,
-    search_curve,
-    valid_interval,
+    parse_int,
 )
-from .editing import DEFAULT_NODE_LIMIT, edit_distance, max_dist_estimate
-from .errors import BudgetError, FormatError, HereditError, ValidationError
-from .gfun import MAX_QP_SIZE, g_value, is_p_core
-from .graphs import Graph, graph_to_graph6, parse_graph_spec
 from .rationals import format_fraction, parse_grid, parse_probability
-from .spectrum import clique_spectrum
+
+if TYPE_CHECKING:
+    from .crg import CRG
+    from .curves import Curve
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,6 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_crg(args, cap: int) -> CRG:
     """The ``--crg`` or ``--gray`` CRG; a K(r, s) above ``cap`` vertices is never built."""
+    from .crg import crg_from_text, gray_crg
+
     if bool(args.crg) == bool(args.gray):
         raise ValidationError("provide exactly one of --crg FILE or --gray r,s")
     if args.crg:
@@ -182,7 +180,7 @@ def _load_crg(args, cap: int) -> CRG:
     parts = args.gray.split(",")
     if len(parts) != 2 or not all(part.strip().isdecimal() for part in parts):
         raise ValidationError(f"--gray expects 'r,s' with integers, got {args.gray!r}")
-    r, s = int(parts[0]), int(parts[1])
+    r, s = parse_int(parts[0].strip(), "--gray r"), parse_int(parts[1].strip(), "--gray s")
     if r + s > cap:
         raise ValidationError(f"--gray K({r},{s}) has {r + s} vertices; at most {cap} allowed")
     return gray_crg(r, s)
@@ -237,6 +235,8 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
     if job.command == "gamma":
         job.points = _points_from(job)
     elif job.command == "edcurve":
+        from .curves import closed_form_terms, family_graph, valid_interval
+
         n = job.n if job.n is not None else (8 if job.family == "c8star" else None)
         if n is None:
             raise ValidationError(f"--n is required for family {job.family}")
@@ -336,6 +336,8 @@ def _evaluate_curve(job: argparse.Namespace, curve_of, points: tuple[Fraction, .
         return curve_of(points)
     from concurrent.futures import ProcessPoolExecutor  # a serial run never imports it
 
+    from .curves import Curve
+
     chunk = -(-len(points) // workers)
     chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -361,6 +363,8 @@ def _curve_csv(curve: Curve, source: str) -> str:
 
 
 def _run_spectrum(job: argparse.Namespace) -> int:
+    from .spectrum import clique_spectrum
+
     spect = clique_spectrum(job.graph, job.r_max, job.s_max)
     rows = [
         [r, s, 1 if (r, s) in spect.members else 0]
@@ -378,17 +382,24 @@ def _run_spectrum(job: argparse.Namespace) -> int:
 
 
 def _run_gamma(job: argparse.Namespace) -> int:
+    from .curves import gamma_curve
+    from .spectrum import clique_spectrum
+
     curve_of = partial(gamma_curve, job.graph, spectrum=clique_spectrum(job.graph))
     _emit(job, _curve_csv(_evaluate_curve(job, curve_of, job.points), "gamma"))
     return 0
 
 
 def _run_gfun(job: argparse.Namespace) -> int:
+    from .gfun import g_value
+
     _emit(job, json.dumps(g_value(job.crg, job.p).as_json_dict()) + "\n")
     return 0
 
 
 def _run_embed(job: argparse.Namespace) -> int:
+    from .crg import embeds
+
     found, witness = embeds(job.graph, job.crg)
     payload = {
         "embeds": found,
@@ -399,6 +410,8 @@ def _run_embed(job: argparse.Namespace) -> int:
 
 
 def _run_pcore(job: argparse.Namespace) -> int:
+    from .gfun import g_value, is_p_core
+
     payload = {
         "p_core": is_p_core(job.crg, job.p),
         "g": format_fraction(g_value(job.crg, job.p).value),
@@ -408,6 +421,9 @@ def _run_pcore(job: argparse.Namespace) -> int:
 
 
 def _run_edcurve(job: argparse.Namespace) -> int:
+    from .curves import closed_form_curve, core_curve, curve_scan, gamma_curve, search_curve
+    from .spectrum import clique_spectrum
+
     sources = job.sources
     curves: dict[str, Curve] = {}
     for source in sources:
@@ -449,6 +465,8 @@ def _cache_entry(directory: Path, inputs: dict) -> Path:
 
     The inputs hold the package version, so an upgrade misses cleanly.
     """
+    import hashlib  # loads OpenSSL, so only a cached search pays for it
+
     canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
     return directory / f"{hashlib.sha256(canonical.encode()).hexdigest()}.json"
 
@@ -471,6 +489,8 @@ def _cache_write(entry: Path, payload: str) -> None:
     directory is unwritable this prints one warning line on stderr and
     removes its temp file, and the run goes on without the cache.
     """
+    import tempfile
+
     tmp = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
@@ -487,6 +507,8 @@ def _cache_write(entry: Path, payload: str) -> None:
 
 
 def _run_search(job: argparse.Namespace) -> int:
+    from .curves import search_curve
+
     h, m = job.forbid, job.max_size
     entry = None
     if job.cache_dir is not None:
@@ -508,6 +530,8 @@ def _run_search(job: argparse.Namespace) -> int:
 
 
 def _run_dist(job: argparse.Namespace) -> int:
+    from .editing import edit_distance
+
     result = edit_distance(job.graph, job.forbid, node_limit=job.node_limit)
     rows = [[result.edits, result.normalized, graph_to_graph6(result.witness)]]
     _emit(job, _csv_text(["edits", "normalized", "witness_graph6"], rows))
@@ -515,6 +539,8 @@ def _run_dist(job: argparse.Namespace) -> int:
 
 
 def _run_estimate(job: argparse.Namespace) -> int:
+    from .editing import max_dist_estimate
+
     result = max_dist_estimate(
         job.n, job.p, job.forbid, job.samples, job.seed, node_limit=job.node_limit
     )

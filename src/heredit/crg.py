@@ -16,15 +16,12 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError, FormatError, ValidationError
 from .graphs import Graph, _bits, _induced_plan
+from .limits import MAX_EMBED_CRG, MAX_EMBED_PATTERN, MAX_ENUM_SIZE
 
 VERTEX_COLORS = ("W", "B")
 EDGE_COLORS = ("W", "G", "B")
 _VERTEX_COLOR_SET = frozenset(VERTEX_COLORS)
 _EDGE_COLOR_SET = frozenset(EDGE_COLORS)
-
-MAX_EMBED_PATTERN = 16
-MAX_EMBED_CRG = 12
-MAX_ENUM_SIZE = 5
 
 DEFAULT_EMBED_BUDGET = 5_000_000
 

@@ -32,10 +32,8 @@ from .crg import CRG, crg_compact, embeds, enumerate_crgs, gray_label
 from .errors import RangeError, ValidationError
 from .gfun import core_regime, core_structured, full_support_value
 from .graphs import Graph, build_family
+from .limits import CURVE_FAMILIES, SOURCES
 from .spectrum import CliqueSpectrum, gamma_points, min_gray
-
-CURVE_FAMILIES = ("c8star", "ctilde", "path", "cycle")
-SOURCES = ("closed_form", "gamma", "search")
 
 
 @dataclass(frozen=True)

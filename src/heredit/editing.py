@@ -51,10 +51,10 @@ from typing import Callable
 
 from .errors import BudgetError, ValidationError
 from .graphs import Graph, _copy_search, has_induced
+from .limits import DEFAULT_NODE_LIMIT
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
-DEFAULT_NODE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -222,13 +222,23 @@ def sample_graph(n: int, edge_count: int, rng: random.Random) -> Graph:
     ``random.Random(seed)`` (MT19937) the output is reproducible
     bit-for-bit for a fixed seed.
     """
+    return Graph(n, _sample_rows(n, edge_count, rng))
+
+
+def _sample_rows(n: int, edge_count: int, rng: random.Random) -> tuple[int, ...]:
+    """The adjacency rows of ``sample_graph(n, edge_count, rng)``, drawn with
+    the same ``rng`` calls but not validated as a ``Graph``."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if edge_count > len(pairs):
         raise ValidationError("edge count exceeds the number of vertex pairs")
+    rows = [0] * n
     for t in range(edge_count):
         swap = t + rng.randrange(len(pairs) - t)
         pairs[t], pairs[swap] = pairs[swap], pairs[t]
-    return Graph.from_edges(n, pairs[:edge_count])
+        u, v = pairs[t]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
 
 
 def max_dist_estimate(
@@ -273,16 +283,17 @@ def max_dist_estimate(
     witness: Graph | None = None
     skipped = 0
     for index in range(samples):
-        g = sample_graph(n, edge_count, rng)
+        rows = _sample_rows(n, edge_count, rng)
         if witness is not None:
             # ties keep the earliest sample, so one within best_edits flips
             # of the property cannot raise the maximum
             search = _flip_search(n, forbidden, node_limit)
             try:
-                if search(g.adj, best_edits) is not None:
+                if search(rows, best_edits) is not None:
                     continue
             except BudgetError:
                 pass  # undecided within the limit: the exact run decides
+        g = Graph(n, rows)  # only a sample that gets the exact run is validated
         try:
             result = edit_distance(g, forbidden, node_limit=node_limit)
         except BudgetError:

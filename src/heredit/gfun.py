@@ -40,9 +40,8 @@ from typing import Mapping
 
 from .crg import CRG, _color_rows
 from .errors import ValidationError
+from .limits import MAX_QP_SIZE
 from .rationals import format_fraction
-
-MAX_QP_SIZE = 12
 
 ZERO = Fraction(0)
 

@@ -26,6 +26,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, ValidationError
+from .limits import parse_int
 
 MAX_VERTICES = 4096
 PROFILE_MAX_VERTICES = 16
@@ -489,10 +490,10 @@ def parse_graph_spec(text: str) -> Graph:
     text = text.strip()
     match = _FAMILY_SPEC_RE.match(text)
     if match:
-        family, order = match.group(1), int(match.group(2))
+        family = match.group(1)
         if family not in FAMILIES:
             raise ValidationError(f"unknown family {family!r} (expected one of {FAMILIES})")
-        return build_family(family, order)
+        return build_family(family, parse_int(match.group(2), f"{family} order"))
     if ":" in text:
         raise ValidationError(f"malformed family spec {text!r}")
     return graph_from_graph6(text)

@@ -1,0 +1,42 @@
+"""Size caps and CLI choices, each defined once, and the integer-size guard.
+
+This module imports nothing but the error types, so the CLI can build its
+parser and validate every command's input without loading a solver.  The
+modules that enforce a cap (``crg``, ``gfun``, ``editing``, ``curves``)
+import it from here, so it stays importable from its old home too.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from .errors import ValidationError
+
+# embedding (crg.embeds): pattern and target vertex counts
+MAX_EMBED_PATTERN = 16
+MAX_EMBED_CRG = 12
+# CRG enumeration (crg.enumerate_crgs): largest class size
+MAX_ENUM_SIZE = 5
+# simplex program (gfun.g_value, gfun.is_p_core): largest CRG
+MAX_QP_SIZE = 12
+# edit search (editing): nodes before a BudgetError
+DEFAULT_NODE_LIMIT = 2_000_000
+
+# built-in curve families and curve sources (curves)
+CURVE_FAMILIES = ("c8star", "ctilde", "path", "cycle")
+SOURCES = ("closed_form", "gamma", "search")
+
+
+def parse_int(digits: str, what: str) -> int:
+    """``int(digits)`` for a string already known to hold a decimal integer.
+
+    CPython refuses to convert more than ``sys.get_int_max_str_digits()``
+    digits; such a number is refused here as a :class:`ValidationError`
+    naming ``what``, so it never escapes as an internal error.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValidationError(
+            f"{what} has {len(digits)} digits; at most {sys.get_int_max_str_digits()} allowed"
+        ) from None

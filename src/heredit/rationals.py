@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 
 from .errors import ValidationError
+from .limits import parse_int
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -19,12 +20,12 @@ def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValidationError(f"malformed rational {text!r} (expected num or num/den)")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValidationError(f"zero denominator in rational {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    numerator = parse_int(num, "rational numerator")
+    denominator = parse_int(den, "rational denominator") if den else 1
+    if denominator == 0:
+        raise ValidationError(f"zero denominator in rational {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def parse_probability(text: str) -> Fraction:

@@ -22,7 +22,8 @@ through ``edge_color``, where the package works on integer color rows.
 share the pattern search order with the package (and the edit reference
 the flip helper), since the witness they return depends on that order;
 ``max_dist_estimate_reference`` runs the package's ``edit_distance`` on
-every sample.  ``enumerate_crgs_reference`` canonicalizes with the
+every sample, each drawn by ``sample_graph_reference``, which shuffles the
+pair list and builds the graph with ``Graph.from_edges``.  ``enumerate_crgs_reference`` canonicalizes with the
 package's ``_canonical_key``, on which the enumeration order and the
 recorded parents depend.
 """
@@ -59,7 +60,6 @@ from heredit.editing import (
     _normalized,
     _symmetric_difference,
     edit_distance,
-    sample_graph,
 )
 from heredit.curves import SearchResult
 from heredit.errors import BudgetError, ValidationError
@@ -535,6 +535,20 @@ def edit_distance_reference(g: Graph, forbidden: Graph, node_limit: int) -> Edit
     raise AssertionError("deepening must terminate within C(n,2) flips")
 
 
+def sample_graph_reference(n: int, edge_count: int, rng: random.Random) -> Graph:
+    """The fixed-edge-count sampler: a partial Fisher-Yates shuffle of the
+    lexicographic pair list by ``rng.randrange``, then ``Graph.from_edges``.
+
+    The package draws the same ``rng`` calls straight into adjacency rows;
+    both must give the same graph and leave ``rng`` in the same state.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for t in range(edge_count):
+        swap = t + rng.randrange(len(pairs) - t)
+        pairs[t], pairs[swap] = pairs[swap], pairs[t]
+    return Graph.from_edges(n, pairs[:edge_count])
+
+
 def max_dist_estimate_reference(
     n: int,
     p: Fraction,
@@ -562,7 +576,7 @@ def max_dist_estimate_reference(
     witness: Graph | None = None
     skipped = 0
     for index in range(samples):
-        g = sample_graph(n, edge_count, rng)
+        g = sample_graph_reference(n, edge_count, rng)
         try:
             result = edit_distance(g, forbidden, node_limit=node_limit)
         except BudgetError:

@@ -24,6 +24,7 @@ from heredit.rationals import parse_grid
 SEARCH_ARGV = ["search", "--forbid", "c2nstar:8", "--max-size", "3", "--p", "1/3"]
 # the cache file of SEARCH_ARGV: a changed key format would orphan existing caches
 SEARCH_ENTRY = "38d0eb94c65316e62fc0b9298f7a675c9062c83b7dc86bc3e40ddce332fa47dd.json"
+INT_DIGITS = sys.get_int_max_str_digits()  # CPython's int() conversion limit
 
 
 def run_cli(capsys, argv):
@@ -130,15 +131,6 @@ class TestParseInputs:
             for name, sub in subparsers.choices.items()
         }
         assert table == options
-
-    def test_import_starts_no_pool_machinery(self):
-        code = ("import sys, heredit.cli; print(sorted(m for m in sys.modules"
-                " if m.startswith(('concurrent', 'multiprocessing'))))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
 
     def test_malformed_rational(self, capsys):
         code, _, _ = run_cli(capsys, ["gamma", "--graph", "path:5", "--p", "0.5"])
@@ -249,14 +241,22 @@ class TestParseInputs:
          "embedding pattern capped at 16 vertices"),
         (["search", "--forbid", "path:5", "--max-size", "3", "--p", "1/3", "--from", "1/2"],
          "--from and --to apply only to --grid, not to --p"),
+        # integers longer than int() converts are refused, not internal errors
+        (["gamma", "--graph", "path:5", "--p", "1/" + "9" * 5000],
+         f"rational denominator has 5000 digits; at most {INT_DIGITS} allowed"),
+        (["gfun", "--gray", "9" * 5000 + ",1", "--p", "1/2"],
+         f"--gray r has 5000 digits; at most {INT_DIGITS} allowed"),
+        (["spectrum", "--graph", "path:" + "9" * 5000],
+         f"path order has 5000 digits; at most {INT_DIGITS} allowed"),
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("work started before the input was refused")
 
-        for name in ("search_curve", "core_curve", "clique_spectrum",
-                     "closed_form_curve", "gray_crg"):
-            monkeypatch.setattr(f"heredit.cli.{name}", forbidden)
+        # the CLI imports these from their defining modules when it runs them
+        for name in ("curves.search_curve", "curves.core_curve", "spectrum.clique_spectrum",
+                     "curves.closed_form_curve", "crg.gray_crg"):
+            monkeypatch.setattr(f"heredit.{name}", forbidden)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", forbidden)
         code, stdout, err = run_cli(capsys, argv + ["--no-cache"])
         assert code == 3
@@ -274,7 +274,7 @@ class TestParseInputs:
         def forbidden(*args, **kwargs):
             raise AssertionError("search started before the node limit was refused")
 
-        for name in ("has_induced", "_flip_search", "sample_graph"):
+        for name in ("has_induced", "_flip_search", "_sample_rows"):
             monkeypatch.setattr(f"heredit.editing.{name}", forbidden)
         code, stdout, err = run_cli(capsys, argv)
         assert code == 3
@@ -293,7 +293,7 @@ class TestParseInputs:
         def forbidden(*args, **kwargs):
             raise AssertionError("sampling started before the input was refused")
 
-        for name in ("has_induced", "_flip_search", "sample_graph"):
+        for name in ("has_induced", "_flip_search", "_sample_rows"):
             monkeypatch.setattr(f"heredit.editing.{name}", forbidden)
         out = tmp_path / "estimate.csv"
         code, stdout, err = run_cli(capsys, argv + ["--out", str(out)])
@@ -327,6 +327,53 @@ class TestParseInputs:
         assert code == 6
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+
+SOLVER = ("heredit.crg", "heredit.curves", "heredit.gfun", "heredit.spectrum")
+HASHLIB = ("hashlib", "_hashlib")
+POOL = ("concurrent", "multiprocessing")
+
+
+def _main_code(argv: list[str]) -> str:
+    return f"from heredit.cli import main; main({argv!r})"
+
+
+class TestImports:
+    @pytest.mark.parametrize(("code", "absent"), [
+        ("import heredit.cli", POOL),
+        ("import heredit", ("heredit.",)),
+        ("import heredit; assert heredit.Graph is heredit.graphs.Graph", SOLVER),
+        (_main_code(["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:4",
+                     "--samples", "5", "--no-cache"]), SOLVER + HASHLIB + POOL),
+        (_main_code(["dist", "--graph", "cycle:5", "--forbid", "path:3", "--no-cache"]),
+         SOLVER + HASHLIB + POOL),
+        (_main_code(SEARCH_ARGV + ["--no-cache"]), HASHLIB + POOL),
+    ], ids=["cli-no-pool", "package-no-submodule", "graph-no-solver", "estimate",
+            "dist", "search-no-cache"])
+    def test_import_footprint(self, code, absent):
+        """Each command imports only the layers it runs: the modules named
+        in ``absent`` are never loaded by ``code``."""
+        script = (f"import sys; {code}; print(sorted(m for m in sys.modules"
+                  f" if m.startswith({absent!r})))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("HEREDIT_CACHE_DIR", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_lazy_exports(self):
+        import heredit
+
+        for name in heredit.__all__:
+            value = getattr(heredit, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
+        assert set(heredit.__all__) <= set(dir(heredit))
+        namespace: dict = {}
+        exec("from heredit import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(heredit.__all__)
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            heredit.no_such_name
 
 
 # byte length and sha256 of each job's stdout; the path given to
@@ -545,7 +592,7 @@ class TestSearchCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("searched again although the cache holds the job")
 
-        monkeypatch.setattr("heredit.cli.search_curve", forbidden)
+        monkeypatch.setattr("heredit.curves.search_curve", forbidden)
         assert main(base + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
@@ -559,7 +606,7 @@ class TestSearchCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("searched again although the cache holds the job")
 
-        monkeypatch.setattr("heredit.cli.search_curve", forbidden)
+        monkeypatch.setattr("heredit.curves.search_curve", forbidden)
         code, second, _ = run_cli(capsys, argv)
         assert code == 0
         assert second == first

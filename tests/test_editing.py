@@ -8,6 +8,7 @@ from heredit.editing import (
     DEFAULT_NODE_LIMIT,
     _flip,
     _flip_search,
+    _sample_rows,
     edit_distance,
     max_dist_estimate,
     sample_graph,
@@ -26,6 +27,7 @@ from oracle_utils import (
     edit_distance_reference,
     max_dist_estimate_reference,
     random_graph,
+    sample_graph_reference,
 )
 
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -185,6 +187,18 @@ class TestSampleGraph:
         b = sample_graph(7, 10, random.Random(99))
         assert a == b
 
+    def test_rows_are_the_reference_draws(self):
+        """The estimate's unvalidated rows, ``sample_graph`` and the
+        reference sampler give one graph and leave ``rng`` in one state."""
+        for seed in range(8):
+            draws = [random.Random(seed) for _ in range(3)]
+            for n in range(10):
+                for edge_count in (0, n * (n - 1) // 4, n * (n - 1) // 2):
+                    rows = _sample_rows(n, edge_count, draws[0])
+                    assert rows == sample_graph(n, edge_count, draws[1]).adj
+                    assert rows == sample_graph_reference(n, edge_count, draws[2]).adj
+            assert len({rng.random() for rng in draws}) == 1
+
 
 class TestMaxDistEstimate:
     def test_empty_density_is_free(self):
@@ -224,7 +238,7 @@ def test_node_limit_below_one_refused_before_any_search(monkeypatch, limit):
     def forbidden(*args, **kwargs):
         raise AssertionError("search started before the node limit was refused")
 
-    for name in ("has_induced", "_flip_search", "sample_graph"):
+    for name in ("has_induced", "_flip_search", "_sample_rows"):
         monkeypatch.setattr(editing, name, forbidden)
     with pytest.raises(ValidationError, match=f"node limit must be at least 1, got {limit}"):
         edit_distance(C5, P3, node_limit=limit)
