@@ -13,13 +13,14 @@ Every graph whose subtree fails with at least one flip left is remembered
 with the remaining depth it failed at and the induced copy found in it; a
 graph that still holds a copy with no flips left is not stored, so a later
 visit to it searches for a copy again (storing those would save some of
-these searches but grow the memo by every leaf of the search tree).  A later visit to a stored graph
-with at most that depth left fails at once; one with more depth left
-reuses the stored copy instead of searching again, since the induced-copy
-search is deterministic and would return the same copy.  Both are exact:
-only graphs that contain a copy are stored, so a hit never hides a graph
-that is already free, and the search visits the same nodes and returns the
-same witness as one that called ``has_induced`` at every node.
+these searches but grow the memo by every leaf of the search tree).  A
+later visit to a stored graph with at most that depth left fails at once;
+one with more depth left reuses the stored copy instead of searching
+again, since the induced-copy search is deterministic and would return the
+same copy.  Both are exact: only graphs that contain a copy are stored, so
+a hit never hides a graph that is already free, and the search visits the
+same nodes and returns the same witness as one that called ``has_induced``
+at every node.
 
 With one flip left, only a pair inside every induced copy can help:
 flipping the pair {a, b} leaves each copy whose vertex set does not hold
@@ -28,6 +29,19 @@ its copies and searches only the children whose flipped pair lies inside
 that intersection.  Each other child is still counted as a node and checked
 against the node limit, and it would have failed at once, so the node
 count, the memo, every limit that raises and every witness are unchanged.
+
+With two flips left, the same rule is applied one level up, to the
+children of a node with first copy C.  Each copy of the node that does not
+hold both ends of a pair e of C survives the flip of e, so the common
+vertices of the child's copies lie inside the AND of those copies' vertex
+masks.  One pass over the node's copies (``graphs._survivor_commons``)
+computes that AND for every pair of C.  A child whose AND has at most one
+vertex holds a copy that no single flip clears, so it is not searched: it
+costs one node if it is in the memo, and otherwise one node plus one per
+pair of its own copy, exactly what its search would count, and it is
+remembered as failed at one flip left with no copy, ``(1, None)``.  A
+later visit with more flips left searches for its copy, which is the copy
+its own search would have stored.
 
 ``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the
@@ -50,7 +64,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _copy_search, has_induced
+from .graphs import Graph, _copy_search, _survivor_commons, has_induced
 from .limits import DEFAULT_NODE_LIMIT
 
 MAX_ORACLE_VERTICES = 10
@@ -104,60 +118,77 @@ def _flip_search(
     pattern on more than n vertices has no copy, so its ``search`` returns
     the rows it is given and builds no copy search at all.
 
-    A node that is not in the memo makes one call of the copy search and
-    takes its first copy.  With one flip left it goes on ANDing the vertex
-    masks of the copies, in search order, until fewer than two vertices
-    remain, and recurses only into the pairs with both ends in that common
-    set.  Flipping any other pair leaves some copy untouched, so that child
-    holds a copy with no flips left and would fail at once; it is counted
-    as one node and checked against ``node_limit`` in its place.  The node
-    count, the memo, every ``BudgetError`` and every witness are those of
-    the search that visits each such child.
+    A node that is not in the memo, or is in it without a copy, makes one
+    call of the copy search and takes its first copy.  With one flip left
+    it goes on ANDing the vertex masks of the copies, in search order,
+    until fewer than two vertices remain, and recurses only into the pairs
+    with both ends in that common set.  Flipping any other pair leaves some
+    copy untouched, so that child holds a copy with no flips left and would
+    fail at once; it is counted as one node and checked against
+    ``node_limit`` in its place.  With two flips left the node runs the
+    pattern's survivor pass (``graphs._survivor_commons``, fetched with the
+    copy search) on its first copy and recurses only into the children it
+    leaves open.  A ruled-out child fails at one flip left without a copy
+    search: it is counted as one node if it is in the memo, and otherwise
+    as itself and one node per pair, then stored as ``(1, None)``.  The
+    node count, the memo's verdicts, every ``BudgetError`` and every
+    witness are those of the search that visits each such child.
     """
     if forbidden.n > n:
         return lambda adj, remaining: adj  # no copy fits, so every graph is free
     copy_search = _copy_search(forbidden)
+    survivors_wide = _survivor_commons(forbidden)
     k = forbidden.n
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    every_pair = (True,) * len(pairs)
     over = f"edit search node limit of {node_limit} exceeded"
     nodes = 0
-    # rows -> (largest remaining depth proven hopeless, induced copy found)
-    failed: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    # rows -> (largest remaining depth proven hopeless, induced copy found,
+    # or None for a graph ruled out at its parent without a copy search)
+    failed: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]] = {}
 
     def search(adj: tuple[int, ...], remaining: int) -> tuple[int, ...] | None:
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise BudgetError(over)
-        common = -1  # vertices a helpful flip must keep both ends inside
-        stored = failed.get(adj)
-        if stored is None:
+        proven, copy = failed.get(adj, (-1, None))
+        if proven >= remaining:
+            return None
+        if copy is None:
             copies = copy_search(adj, n)
-            copy, mask = next(copies, (None, 0))
+            copy, common = next(copies, (None, 0))
             if copy is None:
                 return adj
             if remaining == 0:
                 return None
-            if remaining == 1:
-                common = mask
-                for _, mask in copies:
-                    common &= mask
-                    if common & (common - 1) == 0:
-                        break
-        elif stored[0] >= remaining:
-            return None
+        if remaining == 1:  # not in the memo, so ``copies`` has run
+            for _, mask in copies:
+                common &= mask
+                if common & (common - 1) == 0:
+                    break
+            wide = [common >> copy[i] & common >> copy[j] & 1 for i, j in pairs]
+        elif remaining == 2:
+            wide = survivors_wide(adj, n, copy)
         else:
-            copy = stored[1]
-        for i, j in pairs:
-            u, v = copy[i], copy[j]
-            if common >> u & common >> v & 1:
-                result = search(_flip(adj, u, v), remaining - 1)
+            wide = every_pair
+        for (i, j), open_child in zip(pairs, wide):
+            if open_child:
+                result = search(_flip(adj, copy[i], copy[j]), remaining - 1)
                 if result is not None:
                     return result
-            else:
-                nodes += 1
-                if nodes > node_limit:
-                    raise BudgetError(over)
+                continue
+            if remaining == 1:
+                nodes += 1  # this child still holds a copy, with no flip left
+            else:  # this child fails at one flip left, as the pass shows
+                child = _flip(adj, copy[i], copy[j])
+                if child in failed:
+                    nodes += 1
+                else:
+                    nodes += 1 + len(pairs)
+                    failed[child] = (1, None)
+            if nodes > node_limit:
+                raise BudgetError(over)
         failed[adj] = (remaining, copy)
         return None
 

@@ -16,6 +16,13 @@ search interprets its plan.  Larger patterns run a generic loop over the
 plan, because CPython caps nested blocks at 20 and the generated source
 grows with the square of the pattern order.  Both yield the same copies in
 the same order.
+
+One emitter, ``_compile_loops``, writes those nested loops; each compiled
+kernel supplies only what runs before the loops, at every copy, and after
+them.  Besides the copy generator it builds ``_survivor_commons``, the pass
+the edit search runs at nodes with two flips left: a plain function that
+ANDs, per pair of a given copy, the vertex masks of the copies that do not
+hold both ends of that pair.
 """
 
 from __future__ import annotations
@@ -289,28 +296,84 @@ def _generic_copies(
 def _compiled_copies(
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
 ) -> Callable[[tuple[int, ...], int], Iterator[tuple[tuple[int, ...], int]]]:
-    """The ``_copy_search`` of one plan, compiled into nested loops.
+    """The ``_copy_search`` of one plan, compiled into nested loops
+    (``_compile_loops``) whose innermost body yields each copy.  The order
+    of the copies is the plan's step order with candidates lowest bit
+    first, as in the generic loop."""
+    order, _ = plan
+    k = len(order)
+    where = sorted(range(k), key=order.__getitem__)  # step placing each vertex
+    copy = "".join(f"v{t}, " for t in where)
+    mask = " | ".join(f"b{t}" for t in range(k))
+    return _compile_loops(plan, "copies(adj, n)", [], [f"yield ({copy}), {mask}"])
 
-    The generated generator has one nested ``while`` per step t.  It peels
-    the lowest candidate bit of ``c_t`` into ``b_t`` (host vertex ``v_t``),
-    then sets the candidates of step t + 1 to one ``&`` over the earlier
-    steps: ``adj[v_s]`` for a pattern edge, ``non_s`` for a non-edge.
-    ``non_s = full ^ adj[v_s] ^ b_s`` is every other host vertex not
-    adjacent to ``v_s``; it is computed once per placement, and only for
-    a step that some later step is not adjacent to, so a search costs
-    nothing per host vertex up front.  Every step after the first is
+
+@lru_cache
+def _survivor_commons(
+    pattern: Graph,
+) -> Callable[[tuple[int, ...], int, tuple[int, ...]], tuple[bool, ...]]:
+    """``wide(adj, n, copy)``: for each pair of one induced copy of
+    ``pattern``, whether the copies that survive its flip share two vertices.
+
+    ``copy`` is a copy of ``pattern`` in the host rows ``adj``, indexed by
+    pattern vertex, and its pairs {copy[i], copy[j]} come in the order
+    i < j, lexicographically.  Flipping the pair e leaves every copy whose
+    vertex set does not hold both ends of e.  Entry e of the result is
+    ``False`` when the AND of those copies' vertex masks has at most one
+    vertex: then at least one copy survives the flip, and no single flip
+    after it clears all the survivors.  ``True`` means the AND keeps two or
+    more vertices, or that no copy survives.
+
+    One pass over the copies of ``_copy_search``'s loops
+    (``_compile_loops``), with one unrolled accumulator per pair, in a
+    plain function that returns as soon as every accumulator has at most
+    one vertex.  Built once per pattern of 2 to ``MAX_COMPILED_STEPS``
+    vertices; the edit oracle's patterns have 2 to 10.
+    """
+    plan = _induced_plan(pattern)
+    k = pattern.n
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    acc = [f"a{e}" for e in range(len(pairs))]
+    head = [f"p{e} = 1 << copy[{i}] | 1 << copy[{j}]" for e, (i, j) in enumerate(pairs)]
+    head.append(f"{' = '.join(acc)} = -1")
+    leaf = [f"m = {' | '.join(f'b{t}' for t in range(k))}"]
+    for e, a in enumerate(acc):
+        leaf += [f"if m & p{e} != p{e}:", f"    {a} &= m"]
+    leaf += [
+        f"if not ({' or '.join(f'{a} & {a} - 1' for a in acc)}):",
+        f"    return ({'False, ' * len(acc)})",
+    ]
+    tail = [f"return ({''.join(f'{a} & {a} - 1 != 0, ' for a in acc)})"]
+    return _compile_loops(plan, "wide(adj, n, copy)", head, leaf, tail)
+
+
+def _compile_loops(
+    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
+    signature: str,
+    head: Iterable[str],
+    leaf: Iterable[str],
+    tail: Iterable[str] = (),
+) -> Callable:
+    """Compile ``def <signature>:`` running one nested loop per step of
+    ``plan`` over the host rows ``adj`` on vertices 0..n-1.
+
+    The body is the ``head`` lines, then the loops, with the ``leaf`` lines
+    run once per induced copy at the innermost level, then the ``tail``
+    lines.  Loop t peels the lowest candidate bit of ``c_t`` into ``b_t``
+    (host vertex ``v_t``), then sets the candidates of step t + 1 to one
+    ``&`` over the earlier steps: ``adj[v_s]`` for a pattern edge, ``non_s``
+    for a non-edge.  ``non_s = full ^ adj[v_s] ^ b_s`` is every other host
+    vertex not adjacent to ``v_s``; it is computed once per placement, and
+    only for a step that some later step is not adjacent to, so a search
+    costs nothing per host vertex up front.  Every step after the first is
     constrained by every earlier step, and neither row holds its own
     vertex, so no placed vertex is a candidate again and no mask of used
-    vertices is kept.  The order of the copies is the plan's step order
-    with candidates lowest bit first, as in the generic loop.
+    vertices is kept.  The leaf sees ``v_t`` and ``b_t`` of every step t.
     """
-    order, steps = plan
-    k = len(order)
-    lines = [
-        "def copies(adj, n):",
-        "    full = (1 << n) - 1",
-        "    c0 = full",
-    ]
+    _, steps = plan
+    k = len(steps)
+    lines = [f"def {signature}:", *(f"    {line}" for line in head)]
+    lines += ["    full = (1 << n) - 1", "    c0 = full"]
     for t in range(k):
         pad = "    " * (t + 1)
         lines += [
@@ -324,13 +387,11 @@ def _compiled_copies(
         if t + 1 < k:
             terms = (f"adj[v{s}]" if edge else f"non{s}" for s, edge in steps[t + 1])
             lines.append(f"{pad}    c{t + 1} = {' & '.join(terms)}")
-    where = sorted(range(k), key=order.__getitem__)
-    copy = "".join(f"v{t}, " for t in where)
-    mask = " | ".join(f"b{t}" for t in range(k))
-    lines.append(f"{'    ' * (k + 1)}yield ({copy}), {mask}")
+    lines += [f"{'    ' * (k + 1)}{line}" for line in leaf]
+    lines += [f"    {line}" for line in tail]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["copies"]
+    return namespace[signature.partition("(")[0]]
 
 
 class PathCycleProfile(NamedTuple):

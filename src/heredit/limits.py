@@ -21,6 +21,8 @@ MAX_ENUM_SIZE = 5
 MAX_QP_SIZE = 12
 # edit search (editing): nodes before a BudgetError
 DEFAULT_NODE_LIMIT = 2_000_000
+# evaluation grid (rationals.parse_grid): points built, so step 1/100000 fits
+MAX_GRID_POINTS = 100_001
 
 # built-in curve families and curve sources (curves)
 CURVE_FAMILIES = ("c8star", "ctilde", "path", "cycle")

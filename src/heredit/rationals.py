@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .errors import ValidationError
-from .limits import parse_int
+from .limits import MAX_GRID_POINTS, parse_int
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -48,11 +48,17 @@ def parse_grid(
 
     The spec names the step; the grid is every nonnegative multiple of the
     step that lies in [0, 1], and only the points between ``lo`` and
-    ``hi`` (inclusive) are built, in ascending order.
+    ``hi`` (inclusive) are built, in ascending order.  More than
+    ``MAX_GRID_POINTS`` points to build is refused before any is built.
     """
     step = parse_fraction(step_text)
     if step <= 0 or step > 1:
         raise ValidationError(f"grid step must lie in (0,1], got {step_text}")
     first = max(0, -(-lo // step))
     last = min(1 // step, hi // step)
+    if last - first + 1 > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid {step_text} has {last - first + 1} points to evaluate; "
+            f"at most {MAX_GRID_POINTS} allowed"
+        )
     return tuple(k * step for k in range(first, last + 1))

@@ -18,6 +18,7 @@ from heredit.cli import main, parse_inputs
 from heredit.crg import crg_to_text, gray_crg
 from heredit.errors import ValidationError
 from heredit.curves import closed_form_curve
+from heredit.limits import MAX_GRID_POINTS
 from heredit.rationals import parse_grid
 
 
@@ -81,6 +82,16 @@ class TestParseInputs:
                 "--from", "1/2", "--to", "1/2"]
         start = time.perf_counter()
         assert parse_inputs(argv).points == (Fraction(1, 2),)
+        assert time.perf_counter() - start < 1
+
+    def test_grid_capped_by_the_points_it_would_build(self):
+        # the cap counts the points between --from and --to, before any is built
+        assert len(parse_grid("1/200000", hi=Fraction(1, 2))) == MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match=f"at most {MAX_GRID_POINTS} allowed"):
+            parse_grid("1/200002", hi=Fraction(1, 2))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="has 1000000000000000001 points"):
+            parse_grid("1/1000000000000000000")
         assert time.perf_counter() - start < 1
 
     def test_rejects_p_outside_unit_interval(self, capsys):
@@ -248,6 +259,11 @@ class TestParseInputs:
          f"--gray r has 5000 digits; at most {INT_DIGITS} allowed"),
         (["spectrum", "--graph", "path:" + "9" * 5000],
          f"path order has 5000 digits; at most {INT_DIGITS} allowed"),
+        # grids are refused by the points they would build
+        (["gamma", "--graph", "path:4", "--grid", "1/1000000000"],
+         "grid 1/1000000000 has 1000000001 points to evaluate; at most 100001 allowed"),
+        (["edcurve", "--family", "c8star", "--grid", "1/1000000", "--from", "1/2"],
+         "grid 1/1000000 has 500001 points to evaluate; at most 100001 allowed"),
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         def forbidden(*args, **kwargs):

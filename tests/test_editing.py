@@ -34,6 +34,7 @@ K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 P3 = build_family("path", 3)
 P4 = build_family("path", 4)
 C5 = build_family("cycle", 5)
+P5 = build_family("path", 5)
 C8 = build_family("cycle", 8)
 
 
@@ -166,6 +167,44 @@ class TestEditDistance:
                     assert got.value.best_bound == exc.best_bound
                     continue
             assert edit_distance(g, pattern, node_limit=limit) == want
+
+    def test_budget_error_parity_at_every_limit_for_five_vertex_patterns(self):
+        # C5 and P5, which the test above does not cover, on hosts at least
+        # two flips from free, so nodes with two flips left rule children
+        # out by the survivor pass; the three fixed P5 hosts are three flips
+        # from free and take 229 to 316 nodes, past the largest limit
+        rng = random.Random(41)
+        for pattern, fixed in ((C5, ()), (P5, ("GBYULO", "GAiVOw", "GhMKmC"))):
+            hosts = [graph_from_graph6(text) for text in fixed]
+            while len(hosts) < len(fixed) + 4:
+                g = random_graph(rng, 8, rng.choice((0.3, 0.5, 0.7)))
+                if edit_distance(g, pattern).edits >= 2:
+                    hosts.append(g)
+            for g in hosts:
+                self._check_parity_by_bisection(g, pattern, 200)
+
+    @staticmethod
+    def _check_parity_by_bisection(g, pattern, top):
+        """Parity at every limit 1..top, running the reference only to find
+        the smallest limit it fits in: it visits the same nodes at every
+        limit, so it raises at exactly the limits below that one."""
+        fits, hi = 1, top + 1
+        while fits < hi:
+            mid = (fits + hi) // 2
+            try:
+                edit_distance_reference(g, pattern, mid)
+            except BudgetError:
+                fits = mid + 1
+            else:
+                hi = mid
+        want = edit_distance_reference(g, pattern, fits) if fits <= top else None
+        for limit in range(1, top + 1):
+            if limit < fits:
+                with pytest.raises(BudgetError) as got:
+                    edit_distance(g, pattern, node_limit=limit)
+                assert got.value.best_bound == g.edge_count()  # emptying g
+            else:
+                assert edit_distance(g, pattern, node_limit=limit) == want
 
     def test_size_gate(self):
         with pytest.raises(ValidationError):
@@ -366,6 +405,31 @@ class TestEstimateCheck:
         # need four nodes
         with pytest.raises(BudgetError):
             _flip_search(6, P3, 3)(two_p3.adj, 1)
+
+    def test_two_flips_left_rules_out_children_without_searching_them(
+        self, monkeypatch
+    ):
+        _, searched = _spy_on_copy_searches(monkeypatch)
+        # three disjoint P3s: each flip inside the first leaves the copies
+        # of the other two, which share no vertex, so all three children
+        # fail at one flip left and only the root searches
+        three_p3 = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
+        assert _flip_search(9, P3, 13)(three_p3.adj, 2) is None
+        assert searched == [three_p3.adj]
+        # each ruled-out child still counts as itself and its three
+        # children: the root and 3 * (1 + 3) nodes need a limit of 13
+        with pytest.raises(BudgetError):
+            _flip_search(9, P3, 12)(three_p3.adj, 2)
+        # a ruled-out child is remembered as failed at one flip left; with
+        # more flips left it searches for its copy, and two flips suffice
+        search = _flip_search(9, P3, DEFAULT_NODE_LIMIT)
+        search(three_p3.adj, 2)
+        searched.clear()
+        child = _flip(three_p3.adj, 0, 1)
+        assert search(child, 1) is None
+        assert searched == []
+        assert search(child, 2) is not None
+        assert searched[0] == child
 
     def test_search_fetched_once_per_search_object(self, monkeypatch):
         fetched, searched = _spy_on_copy_searches(monkeypatch)

@@ -19,6 +19,7 @@ from heredit.graphs import (
     _copy_search,
     _generic_copies,
     _induced_plan,
+    _survivor_commons,
     build_family,
     complement,
     graph_from_graph6,
@@ -254,12 +255,65 @@ class TestInducedCopies:
                     assert len(copies) == count
 
 
+class TestSurvivorCommons:
+    PATTERNS = (
+        build_family("path", 3),
+        build_family("path", 4),
+        build_family("cycle", 4),
+        graph_from_graph6("Cs"),  # the claw K_{1,3}, centre 0
+        build_family("cycle", 5),
+        build_family("path", 5),
+    )
+
+    def test_against_every_copy_and_every_single_flip(self):
+        """Per pair of the first copy: the pass agrees with the common vertices
+        of the listed copies that survive the pair's flip, and a ruled-out
+        child holds a copy that no single flip clears."""
+        rng = random.Random(43)
+        for pattern in self.PATTERNS:
+            k = pattern.n
+            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+            wide = _survivor_commons(pattern)
+            outcomes = set()
+            hosts = 0
+            while hosts < 25:
+                host = random_graph(rng, rng.randrange(5, 10), rng.choice((0.3, 0.5, 0.7)))
+                copies = [set(copy) for copy, _ in _copy_search(pattern)(host.adj, host.n)]
+                if not copies:
+                    continue
+                hosts += 1
+                first = has_induced(host, pattern)[1]
+                got = wide(host.adj, host.n, first)
+                assert len(got) == len(pairs)
+                for (i, j), open_child in zip(pairs, got):
+                    u, v = first[i], first[j]
+                    survivors = [c for c in copies if not {u, v} <= c]
+                    narrow = bool(survivors) and len(set.intersection(*survivors)) <= 1
+                    assert open_child is not narrow
+                    outcomes.add(narrow)
+                    if narrow:
+                        child = _toggled(host, u, v)
+                        assert has_induced(child, pattern)[0]
+                        assert all(
+                            has_induced(_toggled(child, a, b), pattern)[0]
+                            for a in range(host.n) for b in range(a + 1, host.n)
+                        )
+            assert outcomes == {False, True}
+
+
+def _toggled(g: Graph, u: int, v: int) -> Graph:
+    """``g`` with the pair {u, v} flipped, rebuilt from its edge list."""
+    return Graph.from_edges(g.n, set(g.edges()) ^ {(min(u, v), max(u, v))})
+
+
 class TestCompiledCopies:
     def test_one_kernel_per_pattern_in_an_estimate(self):
         _copy_search.cache_clear()
+        _survivor_commons.cache_clear()
         max_dist_estimate(8, Fraction(1, 2), build_family("path", 4), 50, 7)
-        info = _copy_search.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        for kernel in (_copy_search, _survivor_commons):
+            info = kernel.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
 
     def test_kernel_chosen_once_by_pattern_order(self):
         # compiled up to MAX_COMPILED_STEPS vertices, the generic loop above
