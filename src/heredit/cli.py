@@ -47,6 +47,7 @@ from .limits import (
     MAX_EMBED_PATTERN,
     MAX_ENUM_SIZE,
     MAX_QP_SIZE,
+    MAX_SPECTRUM_ROWS,
     SOURCES,
     parse_int,
 )
@@ -232,7 +233,17 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
     if hasattr(job, "forbid"):
         job.forbid = parse_graph_spec(job.forbid)
 
-    if job.command == "gamma":
+    if job.command == "spectrum":
+        # clique_spectrum raises each bound to at most the graph's order,
+        # and refuses a graph above MAX_EMBED_CRG + 1 vertices
+        order = min(job.graph.n, MAX_EMBED_CRG + 1)
+        r_max, s_max = (max(bound or 0, order) for bound in (job.r_max, job.s_max))
+        rows = (r_max + 1) * (s_max + 1) - 1
+        if rows > MAX_SPECTRUM_ROWS:
+            raise ValidationError(
+                f"spectrum table would have {rows} rows; at most {MAX_SPECTRUM_ROWS} allowed"
+            )
+    elif job.command == "gamma":
         job.points = _points_from(job)
     elif job.command == "edcurve":
         from .curves import closed_form_terms, family_graph, valid_interval

@@ -519,7 +519,12 @@ def crg_to_text(k: CRG) -> str:
 
 
 def crg_from_text(text: str) -> CRG:
-    """Parse the ``crg v1`` format; any deviation is a :class:`FormatError`."""
+    """Parse the ``crg v1`` format; any deviation is a :class:`FormatError`.
+
+    Every row is checked before the colours are collected, so a file that
+    claims many vertices but lists short rows is refused without building
+    anything as large as its claim.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != "crg v1":
         raise FormatError("CRG text must start with 'crg v1'")
@@ -532,15 +537,14 @@ def crg_from_text(text: str) -> CRG:
     rows = lines[2:]
     if len(rows) != max(m - 1, 0):
         raise FormatError(f"expected {max(m - 1, 0)} edge rows, got {len(rows)}")
-    ecolors = [""] * (m * (m - 1) // 2)
     for i, row in enumerate(rows):
         if len(row) != m - 1 - i:
             raise FormatError(f"edge row {i} must list {m - 1 - i} colors")
-        for offset, c in enumerate(row):
-            if c not in EDGE_COLORS:
-                raise FormatError(f"edge colors must be over {EDGE_COLORS}")
-            ecolors[pair_index(i, i + 1 + offset)] = c
-    return CRG(tuple(vcolors), tuple(ecolors))
+        if any(c not in EDGE_COLORS for c in row):
+            raise FormatError(f"edge colors must be over {EDGE_COLORS}")
+    # column-major: pair (i, j) is row i's entry j - 1 - i, ordered by j then i
+    ecolors = tuple(rows[i][j - 1 - i] for j in range(m) for i in range(j))
+    return CRG(tuple(vcolors), ecolors)
 
 
 def crg_compact(k: CRG) -> str:

@@ -6,42 +6,32 @@ deepening: at each depth the search locates one induced copy and branches
 only on the pairs inside it, since any valid edit set must touch every
 copy.  The search runs on raw adjacency rows and holds the forbidden
 graph's induced-copy search (``graphs._copy_search``), built once per
-pattern; each node takes its copies from one call of it, already indexed
-by pattern vertex.  Only the returned witness becomes a ``Graph``.
+pattern; each node takes its first copy from one call of it, already
+indexed by pattern vertex.  Only the returned witness becomes a ``Graph``.
 
 Every graph whose subtree fails with at least one flip left is remembered
-with the remaining depth it failed at and the induced copy found in it; a
-graph that still holds a copy with no flips left is not stored, so a later
-visit to it searches for a copy again (storing those would save some of
-these searches but grow the memo by every leaf of the search tree).  A
-later visit to a stored graph with at most that depth left fails at once;
-one with more depth left reuses the stored copy instead of searching
-again, since the induced-copy search is deterministic and would return the
-same copy.  Both are exact: only graphs that contain a copy are stored, so
-a hit never hides a graph that is already free, and the search visits the
-same nodes and returns the same witness as one that called ``has_induced``
-at every node.
+with the largest remaining depth it failed at; a graph that still holds a
+copy with no flips left is not stored, so a later visit to it searches for
+a copy again (storing those would save some of these searches but grow the
+memo by every leaf of the search tree).  A later visit to a stored graph
+with at most that depth left fails at once; one with more depth left
+searches for its copy again, and the induced-copy search is deterministic,
+so it branches on the same copy as before.  This is exact: only graphs
+that contain a copy are stored, so a hit never hides a graph that is
+already free, and the search visits the same nodes and returns the same
+witness as one that called ``has_induced`` at every node.
 
-With one flip left, only a pair inside every induced copy can help:
-flipping the pair {a, b} leaves each copy whose vertex set does not hold
-both a and b.  So a node with one flip left intersects the vertex sets of
-its copies and searches only the children whose flipped pair lies inside
-that intersection.  Each other child is still counted as a node and checked
-against the node limit, and it would have failed at once, so the node
-count, the memo, every limit that raises and every witness are unchanged.
-
-With two flips left, the same rule is applied one level up, to the
-children of a node with first copy C.  Each copy of the node that does not
-hold both ends of a pair e of C survives the flip of e, so the common
-vertices of the child's copies lie inside the AND of those copies' vertex
-masks.  One pass over the node's copies (``graphs._survivor_commons``)
-computes that AND for every pair of C.  A child whose AND has at most one
-vertex holds a copy that no single flip clears, so it is not searched: it
-costs one node if it is in the memo, and otherwise one node plus one per
-pair of its own copy, exactly what its search would count, and it is
-remembered as failed at one flip left with no copy, ``(1, None)``.  A
-later visit with more flips left searches for its copy, which is the copy
-its own search would have stored.
+With two flips left, a node with first copy C decides which of its
+children can still be fixed by one flip.  Flipping the pair e of C leaves
+each copy of the node that does not hold both ends of e, and a single flip
+clears all those survivors only if it lies inside every one of them, so
+the child is hopeless when the AND of their vertex masks has at most one
+vertex.  One pass over the node's copies (``graphs._survivor_commons``)
+computes that AND for every pair of C.  A hopeless child is not searched:
+it costs one node if it is in the memo, and otherwise one node plus one
+per pair of its own copy, exactly what its search would count, and it is
+remembered as failed at one flip left.  A later visit with more flips left
+searches for its copy as any memo hit with more depth left does.
 
 ``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the
@@ -118,21 +108,15 @@ def _flip_search(
     pattern on more than n vertices has no copy, so its ``search`` returns
     the rows it is given and builds no copy search at all.
 
-    A node that is not in the memo, or is in it without a copy, makes one
-    call of the copy search and takes its first copy.  With one flip left
-    it goes on ANDing the vertex masks of the copies, in search order,
-    until fewer than two vertices remain, and recurses only into the pairs
-    with both ends in that common set.  Flipping any other pair leaves some
-    copy untouched, so that child holds a copy with no flips left and would
-    fail at once; it is counted as one node and checked against
-    ``node_limit`` in its place.  With two flips left the node runs the
-    pattern's survivor pass (``graphs._survivor_commons``, fetched with the
-    copy search) on its first copy and recurses only into the children it
-    leaves open.  A ruled-out child fails at one flip left without a copy
-    search: it is counted as one node if it is in the memo, and otherwise
-    as itself and one node per pair, then stored as ``(1, None)``.  The
-    node count, the memo's verdicts, every ``BudgetError`` and every
-    witness are those of the search that visits each such child.
+    A node that the memo does not settle makes one call of the copy search
+    and takes its first copy.  With two flips left it runs the pattern's
+    survivor pass (``graphs._survivor_commons``, fetched with the copy
+    search) on that copy and recurses only into the children it leaves
+    open.  A ruled-out child fails at one flip left without a copy search:
+    it is counted as one node if it is in the memo, and otherwise as itself
+    and one node per pair, then stored as failed at depth 1.  The node
+    count, the memo's verdicts, every ``BudgetError`` and every witness are
+    those of the search that visits each such child.
     """
     if forbidden.n > n:
         return lambda adj, remaining: adj  # no copy fits, so every graph is free
@@ -143,53 +127,37 @@ def _flip_search(
     every_pair = (True,) * len(pairs)
     over = f"edit search node limit of {node_limit} exceeded"
     nodes = 0
-    # rows -> (largest remaining depth proven hopeless, induced copy found,
-    # or None for a graph ruled out at its parent without a copy search)
-    failed: dict[tuple[int, ...], tuple[int, tuple[int, ...] | None]] = {}
+    failed: dict[tuple[int, ...], int] = {}  # rows -> largest depth proven hopeless
 
     def search(adj: tuple[int, ...], remaining: int) -> tuple[int, ...] | None:
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise BudgetError(over)
-        proven, copy = failed.get(adj, (-1, None))
-        if proven >= remaining:
+        if failed.get(adj, -1) >= remaining:
             return None
+        copy = next(copy_search(adj, n), None)
         if copy is None:
-            copies = copy_search(adj, n)
-            copy, common = next(copies, (None, 0))
-            if copy is None:
-                return adj
-            if remaining == 0:
-                return None
-        if remaining == 1:  # not in the memo, so ``copies`` has run
-            for _, mask in copies:
-                common &= mask
-                if common & (common - 1) == 0:
-                    break
-            wide = [common >> copy[i] & common >> copy[j] & 1 for i, j in pairs]
-        elif remaining == 2:
-            wide = survivors_wide(adj, n, copy)
-        else:
-            wide = every_pair
+            return adj
+        if remaining == 0:
+            return None
+        wide = survivors_wide(adj, n, copy) if remaining == 2 else every_pair
         for (i, j), open_child in zip(pairs, wide):
+            child = _flip(adj, copy[i], copy[j])
             if open_child:
-                result = search(_flip(adj, copy[i], copy[j]), remaining - 1)
+                result = search(child, remaining - 1)
                 if result is not None:
                     return result
                 continue
-            if remaining == 1:
-                nodes += 1  # this child still holds a copy, with no flip left
-            else:  # this child fails at one flip left, as the pass shows
-                child = _flip(adj, copy[i], copy[j])
-                if child in failed:
-                    nodes += 1
-                else:
-                    nodes += 1 + len(pairs)
-                    failed[child] = (1, None)
+            # the pass shows this child fails at one flip left
+            if child in failed:
+                nodes += 1
+            else:
+                nodes += 1 + len(pairs)
+                failed[child] = 1
             if nodes > node_limit:
                 raise BudgetError(over)
-        failed[adj] = (remaining, copy)
+        failed[adj] = remaining
         return None
 
     return search

@@ -8,8 +8,9 @@ value and is safe to call from concurrent workers.
 
 The induced-copy search is built once per pattern and held by its
 callers: ``_copy_search(pattern)`` returns ``search(adj, n)``, which
-``has_induced`` and the edit search (``editing._flip_search``) run on raw
-adjacency rows.  ``_induced_plan`` fixes the pattern's step order, and a
+yields the pattern's induced copies in raw adjacency rows, each indexed by
+pattern vertex.  ``has_induced`` and the edit search
+(``editing._flip_search``) take only its first copy.  ``_induced_plan`` fixes the pattern's step order, and a
 pattern of at most ``MAX_COMPILED_STEPS`` vertices is compiled by
 ``_compiled_copies`` into a generator with one nested loop per step, so no
 search interprets its plan.  Larger patterns run a generic loop over the
@@ -209,9 +210,8 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
         return False, None
     if pattern.n == 0:
         return True, ()
-    for copy, _ in _copy_search(pattern)(host.adj, host.n):
-        return True, copy
-    return False, None
+    copy = next(_copy_search(pattern)(host.adj, host.n), None)
+    return copy is not None, copy
 
 
 # Largest pattern whose induced-copy search is compiled into nested loops.
@@ -224,19 +224,18 @@ MAX_COMPILED_STEPS = 16
 @lru_cache
 def _copy_search(
     pattern: Graph,
-) -> Callable[[tuple[int, ...], int], Iterator[tuple[tuple[int, ...], int]]]:
+) -> Callable[[tuple[int, ...], int], Iterator[tuple[int, ...]]]:
     """The induced-copy search of ``pattern``: ``search(adj, n)``.
 
     The search yields every induced copy of ``pattern`` in the host rows
-    ``adj`` on vertices 0..n-1, as ``(copy, mask)``: ``copy[i]`` is the host
-    vertex playing pattern vertex i, and ``mask`` is the bitmask of the
-    copy's host vertices.  Each labelled copy is yielded once, so a vertex
-    set appears once per automorphism of the pattern.  Order contract:
-    copies come in the order of the depth-first search, steps following the
+    ``adj`` on vertices 0..n-1: ``copy[i]`` is the host vertex playing
+    pattern vertex i.  Each labelled copy is yielded once, so a vertex set
+    appears once per automorphism of the pattern.  Order contract: copies
+    come in the order of the depth-first search, steps following the
     ``_induced_plan`` order and each step trying its candidates in
-    ascending host order.  The first copy is therefore ``has_induced``'s
-    witness, and the edit search branches on it.  The pattern must have at
-    least one vertex.
+    ascending host order.  Its callers (``has_induced`` and the edit
+    search) take only the first copy: ``has_induced``'s witness, which the
+    edit search branches on.  The pattern must have at least one vertex.
 
     Built once per pattern: a pattern of at most ``MAX_COMPILED_STEPS``
     vertices gets its compiled search (``_compiled_copies``), a larger one
@@ -253,7 +252,7 @@ def _generic_copies(
     adj: tuple[int, ...],
     n: int,
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> Iterator[tuple[tuple[int, ...], int]]:
+) -> Iterator[tuple[int, ...]]:
     """The ``_copy_search`` of a pattern of any order, interpreting its plan."""
     order, steps = plan
     k = len(order)
@@ -272,7 +271,7 @@ def _generic_copies(
             used |= low
             t += 1
             if t == k:
-                yield tuple([placed[s] for s in where]), used
+                yield tuple([placed[s] for s in where])
                 t -= 1
                 used ^= low
                 cands = rest[t]
@@ -295,7 +294,7 @@ def _generic_copies(
 
 def _compiled_copies(
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> Callable[[tuple[int, ...], int], Iterator[tuple[tuple[int, ...], int]]]:
+) -> Callable[[tuple[int, ...], int], Iterator[tuple[int, ...]]]:
     """The ``_copy_search`` of one plan, compiled into nested loops
     (``_compile_loops``) whose innermost body yields each copy.  The order
     of the copies is the plan's step order with candidates lowest bit
@@ -304,8 +303,7 @@ def _compiled_copies(
     k = len(order)
     where = sorted(range(k), key=order.__getitem__)  # step placing each vertex
     copy = "".join(f"v{t}, " for t in where)
-    mask = " | ".join(f"b{t}" for t in range(k))
-    return _compile_loops(plan, "copies(adj, n)", [], [f"yield ({copy}), {mask}"])
+    return _compile_loops(plan, "copies(adj, n)", [], [f"yield ({copy})"])
 
 
 @lru_cache

@@ -23,6 +23,8 @@ MAX_QP_SIZE = 12
 DEFAULT_NODE_LIMIT = 2_000_000
 # evaluation grid (rationals.parse_grid): points built, so step 1/100000 fits
 MAX_GRID_POINTS = 100_001
+# clique spectrum table (the CLI's spectrum command): rows written
+MAX_SPECTRUM_ROWS = 100_001
 
 # built-in curve families and curve sources (curves)
 CURVE_FAMILIES = ("c8star", "ctilde", "path", "cycle")

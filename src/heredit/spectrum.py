@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .crg import MAX_EMBED_CRG, embeds, gray_crg
+from .crg import embeds, gray_crg
 from .errors import ValidationError
 from .gfun import closed_form_gray
 from .graphs import Graph
+from .limits import MAX_EMBED_CRG
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from heredit.cli import main, parse_inputs
 from heredit.crg import crg_to_text, gray_crg
 from heredit.errors import ValidationError
 from heredit.curves import closed_form_curve
-from heredit.limits import MAX_GRID_POINTS
+from heredit.limits import MAX_GRID_POINTS, MAX_SPECTRUM_ROWS
 from heredit.rationals import parse_grid
 
 
@@ -32,6 +32,21 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_capped(argv: list[str], address_space: int) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a child process whose address space is capped at
+    ``address_space`` bytes, so an allocation that grows with the input
+    fails there instead of taking the machine's memory."""
+    script = (
+        "import resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space})); "
+        "from heredit.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("HEREDIT_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def _in_process_pool(started: list[int]):
@@ -152,6 +167,14 @@ class TestParseInputs:
         bad.write_text("crg v1\nvertices: XY\n")
         code, _, _ = run_cli(capsys, ["gfun", "--crg", str(bad), "--p", "1/2"])
         assert code == 4
+
+    def test_crg_rows_checked_before_colors_are_collected(self, tmp_path):
+        # 70,000 vertices claim 2.4e9 edge colours, but row 0 lists one
+        claim = tmp_path / "claim.crg"
+        claim.write_text("crg v1\nvertices: " + "W" * 70_000 + "\n" + "x\n" * 69_999)
+        done = _run_capped(["gfun", "--crg", str(claim), "--p", "1/2"], 2 << 30)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr == "error: edge row 0 must list 69999 colors\n"
 
     def test_malformed_graph6(self, capsys):
         code, _, _ = run_cli(capsys, ["dist", "--graph", "C", "--forbid", "path:3"])
@@ -457,6 +480,27 @@ class TestSpectrumCommand:
             if flag == "1"
         }
         assert (2, 0) in members and (3, 0) not in members
+
+    def test_table_capped_before_the_spectrum_runs(self, capsys):
+        done = _run_capped(
+            ["spectrum", "--graph", "path:4", "--r-max", "100000", "--s-max", "100000"],
+            1 << 30,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: spectrum table would have 10000200000 rows; "
+            f"at most {MAX_SPECTRUM_ROWS} allowed\n"
+        )
+        # a bound below the graph's order counts as the order (4), which
+        # caps the bounds clique_spectrum reports: 5 * 20000 - 1 rows run,
+        # 5 * 20001 - 1 do not
+        argv = ["spectrum", "--graph", "path:4", "--r-max", "1", "--s-max"]
+        code, stdout, _ = run_cli(capsys, argv + ["19999"])
+        assert code == 0
+        assert len(stdout.splitlines()) - 1 <= MAX_SPECTRUM_ROWS
+        code, _, err = run_cli(capsys, argv + ["20000"])
+        assert code == 3
+        assert err.startswith("error: spectrum table would have 100004 rows")
 
 
 class TestCurveCommands:

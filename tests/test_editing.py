@@ -140,9 +140,9 @@ class TestEditDistance:
                     assert edit_distance(g, pattern, node_limit=limit) == want
 
     def test_budget_error_parity_at_every_limit_on_random_graphs(self):
-        # a node with one flip left skips the children outside the common
-        # vertices of its copies but still counts each, so both searches
-        # raise at exactly the same limits; the 24 full searches here take
+        # a node with two flips left skips the children its pass rules out
+        # but still counts each with its pairs, so both searches raise at
+        # exactly the same limits; the 24 full searches here take
         # from 1 to 302 nodes, 8 of them more than 20
         claw = graph_from_graph6("Cs")
         rng = random.Random(29)
@@ -393,16 +393,17 @@ class TestEstimateCheck:
         assert _flip_search(5, P3, DEFAULT_NODE_LIMIT)(C5.adj, 0) is None
         assert calls == [C5.adj]
 
-    def test_one_flip_left_skips_children_outside_every_copy(self, monkeypatch):
+    def test_one_flip_left_searches_each_child_once(self, monkeypatch):
         _, searched = _spy_on_copy_searches(monkeypatch)
-        # two disjoint P3s: their copies share no vertex, so none of the
-        # three flips inside the first copy can help and only the root
-        # searches
+        # two disjoint P3s: no single flip clears both copies, so the root
+        # and each of the three children of its first copy search once,
+        # the children in copy order
         two_p3 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert _flip_search(6, P3, 4)(two_p3.adj, 1) is None
-        assert searched == [two_p3.adj]
-        # the skipped children still count: the root and three children
-        # need four nodes
+        copy = has_induced(two_p3, P3)[1]
+        children = [_flip(two_p3.adj, copy[i], copy[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert searched == [two_p3.adj, *children]
+        # the root and three children need four nodes
         with pytest.raises(BudgetError):
             _flip_search(6, P3, 3)(two_p3.adj, 1)
 
@@ -430,6 +431,15 @@ class TestEstimateCheck:
         assert searched == []
         assert search(child, 2) is not None
         assert searched[0] == child
+
+    def test_copy_searches_of_the_benchmark_estimate(self, monkeypatch):
+        # a work pin: every node the memo does not settle searches once
+        _, searched = _spy_on_copy_searches(monkeypatch)
+        res = max_dist_estimate(8, F(1, 2), P4, 800, 7)
+        assert (res.max_normalized, graph_to_graph6(res.witness), res.skipped) == (
+            F(5, 28), "G|AYUK", 0
+        )
+        assert len(searched) == 12_042
 
     def test_search_fetched_once_per_search_object(self, monkeypatch):
         fetched, searched = _spy_on_copy_searches(monkeypatch)
