@@ -13,7 +13,9 @@ Each subcommand takes only the options that act on it: ``--out`` everywhere,
 ``--float`` where stdout is a CSV holding rationals, ``--jobs`` where a grid
 is evaluated, and ``--cache-dir`` on ``search``, the one command whose
 artifact is cached (in ``_run_search``).  ``--no-cache`` is accepted
-everywhere for compatibility and acts only on ``search``.
+everywhere for compatibility and acts only on ``search``.  A run that
+names its command builds that command's options and no other's
+(``_build_parser``); help and usage errors read as on the full tree.
 
 Each command imports only the layers it runs: the module level holds what
 ``parse_inputs`` needs for every command (errors, graphs, rationals and
@@ -58,7 +60,27 @@ if TYPE_CHECKING:
     from .curves import Curve
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# each subcommand and its one-line help, in the order ``--help`` lists them
+_COMMANDS = {
+    "spectrum": "clique spectrum membership and extreme points",
+    "gamma": "clique-spectrum upper bound at points p",
+    "gfun": "solve the simplex program for one CRG",
+    "embed": "decide whether a graph embeds in a CRG",
+    "pcore": "check whether a CRG is p-core",
+    "edcurve": "edit-distance curve for a built-in family",
+    "search": "min g over enumerated CRGs avoiding a graph",
+    "dist": "exact edit distance of a small graph",
+    "estimate": "sampled max edit distance at a density",
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand's options or, given
+    ``command``, with that subcommand's only.
+
+    Every subcommand is registered either way, so the top-level usage, the
+    dispatch and ``invalid choice`` errors do not depend on ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="heredit",
         description="Exact edit-distance functions of hereditary graph "
@@ -66,104 +88,100 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"heredit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, floats: bool = False, jobs: bool = False,
-               cache: bool = False) -> None:
-        p.add_argument("--out", help="write the artifact to this file instead of stdout")
-        if floats:
-            p.add_argument("--float", action="store_true", dest="float_display",
-                           help="render stdout values as decimals (files keep rationals)")
-        if jobs:
-            p.add_argument("--jobs", type=int,
-                           help="worker processes for grid evaluation (default 1; "
-                           "at most the CPU count are started)")
-        if cache:
-            p.add_argument("--cache-dir", help="result cache directory "
-                           "(default: $HEREDIT_CACHE_DIR)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache" if cache
-                       else "accepted for compatibility; has no effect")
-        p.set_defaults(jobs=1, float_display=False)
-
-    def grid_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--p", help="single rational evaluation point, e.g. 1/3")
-        p.add_argument("--grid", help="grid step, e.g. 1/64 for {k/64}")
-        p.add_argument("--from", dest="grid_from", help="keep grid points >= this rational")
-        p.add_argument("--to", dest="grid_to", help="keep grid points <= this rational")
-
-    p = sub.add_parser("spectrum", help="clique spectrum membership and extreme points")
-    p.add_argument("--graph", required=True, help="graph6 string or family spec like c2nstar:8")
-    p.add_argument("--r-max", type=int, help="white-count bound (default: vertex count)")
-    p.add_argument("--s-max", type=int, help="black-count bound (default: vertex count)")
-    p.add_argument("--extremes-out", help="also write the extreme points to this file")
-    common(p)
-
-    p = sub.add_parser("gamma", help="clique-spectrum upper bound at points p")
-    p.add_argument("--graph", required=True)
-    grid_opts(p)
-    common(p, floats=True, jobs=True)
-
-    p = sub.add_parser("gfun", help="solve the simplex program for one CRG")
-    p.add_argument("--crg", help="path to a 'crg v1' file")
-    p.add_argument("--gray", help="all-gray CRG K(r,s) as 'r,s'")
-    p.add_argument("--p", required=True)
-    common(p)
-
-    p = sub.add_parser("embed", help="decide whether a graph embeds in a CRG")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--crg", help="path to a 'crg v1' file")
-    p.add_argument("--gray", help="all-gray CRG K(r,s) as 'r,s'")
-    common(p)
-
-    p = sub.add_parser("pcore", help="check whether a CRG is p-core")
-    p.add_argument("--crg", help="path to a 'crg v1' file")
-    p.add_argument("--gray", help="all-gray CRG K(r,s) as 'r,s'")
-    p.add_argument("--p", required=True)
-    common(p)
-
-    p = sub.add_parser("edcurve", help="edit-distance curve for a built-in family")
-    p.add_argument("--family", required=True, choices=CURVE_FAMILIES)
-    p.add_argument("--n", type=int, help="family order (default 8 for c8star)")
-    p.add_argument("--source", default="closed_form",
-                   help=f"comma list of distinct sources from {','.join(SOURCES)} "
-                   "(default closed_form)")
-    p.add_argument("--m", type=int, default=3,
-                   help=f"CRG size bound for the search source (1..{MAX_ENUM_SIZE})")
-    p.add_argument("--allow-large", action="store_true",
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--restrict-grid", action="store_true",
-                   help="drop grid points outside the closed form's stated interval")
-    p.add_argument("--analyze", action="store_true",
-                   help="print max/argmax/concavity analysis per source "
-                   "(needs at least 3 points)")
-    grid_opts(p)
-    common(p, floats=True, jobs=True)
-
-    p = sub.add_parser("search", help="min g over enumerated CRGs avoiding a graph")
-    p.add_argument("--forbid", required=True)
-    p.add_argument("--max-size", type=int, required=True,
-                   help=f"CRG size bound (1..{MAX_ENUM_SIZE})")
-    p.add_argument("--allow-large", action="store_true",
-                   help="accepted for compatibility; has no effect")
-    grid_opts(p)
-    common(p, floats=True, jobs=True, cache=True)
-
-    p = sub.add_parser("dist", help="exact edit distance of a small graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--forbid", required=True)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    common(p, floats=True)
-
-    p = sub.add_parser("estimate", help="sampled max edit distance at a density")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--forbid", required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    common(p, floats=True)
-
+    for name, help_text in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_options(p, name)
     return parser
+
+
+def _common(p: argparse.ArgumentParser, *, floats: bool = False, jobs: bool = False,
+            cache: bool = False) -> None:
+    p.add_argument("--out", help="write the artifact to this file instead of stdout")
+    if floats:
+        p.add_argument("--float", action="store_true", dest="float_display",
+                       help="render stdout values as decimals (files keep rationals)")
+    if jobs:
+        p.add_argument("--jobs", type=int,
+                       help="worker processes for grid evaluation (default 1; "
+                       "at most the CPU count are started)")
+    if cache:
+        p.add_argument("--cache-dir", help="result cache directory "
+                       "(default: $HEREDIT_CACHE_DIR)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="disable the result cache" if cache
+                   else "accepted for compatibility; has no effect")
+    p.set_defaults(jobs=1, float_display=False)
+
+
+def _grid_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", help="single rational evaluation point, e.g. 1/3")
+    p.add_argument("--grid", help="grid step, e.g. 1/64 for {k/64}")
+    p.add_argument("--from", dest="grid_from", help="keep grid points >= this rational")
+    p.add_argument("--to", dest="grid_to", help="keep grid points <= this rational")
+
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """The options of one subcommand, added to its parser ``p``."""
+    if command == "spectrum":
+        p.add_argument("--graph", required=True,
+                       help="graph6 string or family spec like c2nstar:8")
+        p.add_argument("--r-max", type=int, help="white-count bound (default: vertex count)")
+        p.add_argument("--s-max", type=int, help="black-count bound (default: vertex count)")
+        p.add_argument("--extremes-out", help="also write the extreme points to this file")
+        _common(p)
+    elif command == "gamma":
+        p.add_argument("--graph", required=True)
+        _grid_options(p)
+        _common(p, floats=True, jobs=True)
+    elif command in ("gfun", "pcore"):
+        p.add_argument("--crg", help="path to a 'crg v1' file")
+        p.add_argument("--gray", help="all-gray CRG K(r,s) as 'r,s'")
+        p.add_argument("--p", required=True)
+        _common(p)
+    elif command == "embed":
+        p.add_argument("--graph", required=True)
+        p.add_argument("--crg", help="path to a 'crg v1' file")
+        p.add_argument("--gray", help="all-gray CRG K(r,s) as 'r,s'")
+        _common(p)
+    elif command == "edcurve":
+        p.add_argument("--family", required=True, choices=CURVE_FAMILIES)
+        p.add_argument("--n", type=int, help="family order (default 8 for c8star)")
+        p.add_argument("--source", default="closed_form",
+                       help=f"comma list of distinct sources from {','.join(SOURCES)} "
+                       "(default closed_form)")
+        p.add_argument("--m", type=int, default=3,
+                       help=f"CRG size bound for the search source (1..{MAX_ENUM_SIZE})")
+        p.add_argument("--allow-large", action="store_true",
+                       help="accepted for compatibility; has no effect")
+        p.add_argument("--restrict-grid", action="store_true",
+                       help="drop grid points outside the closed form's stated interval")
+        p.add_argument("--analyze", action="store_true",
+                       help="print max/argmax/concavity analysis per source "
+                       "(needs at least 3 points)")
+        _grid_options(p)
+        _common(p, floats=True, jobs=True)
+    elif command == "search":
+        p.add_argument("--forbid", required=True)
+        p.add_argument("--max-size", type=int, required=True,
+                       help=f"CRG size bound (1..{MAX_ENUM_SIZE})")
+        p.add_argument("--allow-large", action="store_true",
+                       help="accepted for compatibility; has no effect")
+        _grid_options(p)
+        _common(p, floats=True, jobs=True, cache=True)
+    elif command == "dist":
+        p.add_argument("--graph", required=True)
+        p.add_argument("--forbid", required=True)
+        p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+        _common(p, floats=True)
+    else:  # estimate
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", required=True)
+        p.add_argument("--forbid", required=True)
+        p.add_argument("--samples", type=int, default=50)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+        _common(p, floats=True)
 
 
 def _load_crg(args, cap: int) -> CRG:
@@ -221,7 +239,8 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
     Each option a command has is validated under its own name, in the
     order below (the first failure is the one reported).
     """
-    job = _build_parser().parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    job = _build_parser(command).parse_args(argv)
     if job.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {job.jobs}")
     if hasattr(job, "graph"):

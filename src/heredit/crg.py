@@ -11,11 +11,10 @@ CRGs are immutable and hashable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError, FormatError, ValidationError
-from .graphs import Graph, _bits, _induced_plan
+from .graphs import Graph, Value, _bits, _induced_plan
 from .limits import MAX_EMBED_CRG, MAX_EMBED_PATTERN, MAX_ENUM_SIZE
 
 VERTEX_COLORS = ("W", "B")
@@ -41,8 +40,7 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-@dataclass(frozen=True)
-class CRG:
+class CRG(Value):
     """Complete vertex- and edge-colored graph.
 
     ``vcolors`` holds one of ``"W"``/``"B"`` per vertex; ``ecolors`` holds one of
@@ -88,8 +86,7 @@ class CRG:
         return f"CRG({crg_compact(self)!r})"
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(Value):
     """A map from pattern-graph vertices to CRG vertices (need not be injective)."""
 
     mapping: tuple[int, ...]
@@ -190,6 +187,19 @@ def _equiv_classes(rows: list[list[int]]) -> list[int]:
             ids[v] = len(reps)
             reps.append(v)
     return ids
+
+
+def _twin_pairs(rows: list[list[int]]) -> tuple[tuple[int, int], ...]:
+    """The pairs (a, b), a < b, of consecutive members of each class of
+    ``_equiv_classes``: a block sorted on these pairs is sorted within every
+    class."""
+    last: dict[int, int] = {}
+    pairs = []
+    for v, c in enumerate(_equiv_classes(rows)):
+        if c in last:
+            pairs.append((last[c], v))
+        last[c] = v
+    return tuple(pairs)
 
 
 def embeds(
@@ -430,6 +440,14 @@ def enumerate_crgs(
     other new class; above three vertices, only on those that pass the
     sieve.
 
+    Each parent P is extended only by the blocks that are sorted within
+    its twin classes (``_equiv_classes``: the vertices whose transposition
+    is a color automorphism of P).  That is exact: for twins a < b, the
+    transposition (a b), with the new vertex fixed, maps the child of a
+    block onto the child of that block with entries a and b exchanged, so
+    both have the same class and the same parent, and sorting a block
+    within each class is a product of such exchanges.
+
     Each surviving child is canonicalized from its parent's color rows
     with the new block appended (``_canonical_key``), and a ``CRG`` is
     built once per distinct class.
@@ -471,6 +489,7 @@ def enumerate_crgs(
         sieve = keep is not None and size >= 4
         # key -> bitmask of the positions in ``level`` it extends
         found = dict.fromkeys(root_keys.get(size, ()), 0)
+        sorted_blocks: dict[tuple, list[tuple[int, ...]]] = {}  # twin pairs -> blocks
         for bit, rows in enumerate(level):
             mask = 1 << bit
             if sieve:
@@ -479,7 +498,14 @@ def enumerate_crgs(
                     for b in range(size - 1)
                     for a in range(b)
                 ]
-            for block in itertools.product(edge_ranks, repeat=size - 1):
+            twins = _twin_pairs(rows)
+            blocks = sorted_blocks.get(twins)
+            if blocks is None:
+                blocks = sorted_blocks[twins] = [
+                    block for block in itertools.product(edge_ranks, repeat=size - 1)
+                    if all(block[a] <= block[b] for a, b in twins)
+                ]
+            for block in blocks:
                 grown = None
                 for vc in vertex_ranks:
                     if sieve and not sieve_passes(pair_ranks, block, vc):

@@ -24,20 +24,18 @@ core pass only, for callers that want the values and no witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .crg import CRG, crg_compact, embeds, enumerate_crgs, gray_label
 from .errors import RangeError, ValidationError
 from .gfun import core_regime, core_structured, full_support_value
-from .graphs import Graph, build_family
+from .graphs import Graph, Value, build_family
 from .limits import CURVE_FAMILIES, SOURCES
 from .spectrum import CliqueSpectrum, gamma_points, min_gray
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Value):
     """Exact samples of a curve on [0, 1], with per-sample witness labels."""
 
     samples: tuple[tuple[Fraction, Fraction], ...]
@@ -54,8 +52,7 @@ class Curve:
             raise ValidationError("one witness tuple per sample required")
 
 
-@dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(Value):
     """Exact maximum, leftmost argmax, and midpoint-concavity violations."""
 
     d_star: Fraction
@@ -63,8 +60,7 @@ class CurveAnalysis:
     concavity_violations: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Value):
     """Minimum g over the candidate CRGs at one p, with the attaining CRGs:
     every attaining class from ``bounded_min_g``, the attaining cores from
     ``core_min_g``."""

@@ -49,20 +49,18 @@ node limit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, _copy_search, _survivor_commons, has_induced
+from .graphs import Graph, Value, _copy_search, _survivor_commons, has_induced
 from .limits import DEFAULT_NODE_LIMIT
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
 
 
-@dataclass(frozen=True)
-class EditResult:
+class EditResult(Value):
     """Exact edit distance with a witness of the edited graph.
 
     ``normalized`` is edits / C(n, 2), taken to be 0 when n <= 1.
@@ -73,8 +71,7 @@ class EditResult:
     witness: Graph
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(Value):
     max_normalized: Fraction
     witness: Graph | None
     skipped: int

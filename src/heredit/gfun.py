@@ -34,20 +34,19 @@ argument above, and no skipped support can produce the winning key.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .crg import CRG, _color_rows
 from .errors import ValidationError
+from .graphs import Value
 from .limits import MAX_QP_SIZE
 from .rationals import format_fraction
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class PMatrix:
+class PMatrix(Value):
     """The cost matrix of a CRG at density p.
 
     Diagonal entries are p for white vertices and 1-p for black ones;
@@ -58,8 +57,7 @@ class PMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class GResult:
+class GResult(Value):
     """Optimal value of the simplex program together with one witness.
 
     ``weights`` has one entry per CRG vertex (zeros off the support),
@@ -292,8 +290,7 @@ def is_p_core(k: CRG, p: Fraction) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class VertexStats:
+class VertexStats(Value):
     """Weighted degree report for one vertex under an optimal weight vector.
 
     The vertex's own weight counts toward the class matching its vertex
@@ -308,8 +305,7 @@ class VertexStats:
     gray_degree: int
 
 
-@dataclass(frozen=True)
-class WeightStats:
+class WeightStats(Value):
     vertices: tuple[VertexStats, ...]
     gray_codegree_weight: Mapping[tuple[int, int], Fraction]
     gray_codegree_count: Mapping[tuple[int, int], int]

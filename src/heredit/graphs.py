@@ -29,8 +29,8 @@ hold both ends of that pair.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, ValidationError
@@ -52,8 +52,74 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Value:
+    """Base of the immutable value types; a subclass's annotations are its fields.
+
+    It gives each subclass what a frozen dataclass would, with no code
+    generated at import: construction by position or keyword, then the
+    class's ``__post_init__``; ``==`` (same class and equal fields) and a
+    hash over the field tuple; the ``Name(field=value, ...)`` repr unless the
+    class has its own; and assignment or deletion that raises
+    ``AttributeError``.  Each subclass gets its own ``__init__``, ``__eq__``
+    and ``__hash__`` as closures over its fields, which read them in one
+    ``attrgetter`` call.  Fields live in the instance ``__dict__``, so values
+    pickle as plain objects.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        get = attrgetter(*fields)
+        astuple = get if len(fields) > 1 else lambda obj: (get(obj),)
+        post = getattr(cls, "__post_init__", None)
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(fields):
+                args = _bind(cls, args, kwargs)
+            self.__dict__.update(zip(fields, args))
+            if post is not None:
+                post(self)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(astuple(self))
+
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> list:
+    """The field values of a ``Value`` call that does not pass one per field by position."""
+    name, fields = cls.__name__, cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+    values = dict(zip(fields, args))
+    for key in kwargs:
+        if key not in fields or key in values:
+            raise TypeError(f"{name}() got an unexpected or repeated argument {key!r}")
+    values.update(kwargs)
+    missing = [field for field in fields if field not in values]
+    if missing:
+        raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+    return [values[field] for field in fields]
+
+
+class Graph(Value):
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the neighbour bitmask of vertex v.  The adjacency must be

@@ -8,19 +8,17 @@ closed form over the spectrum and upper-bounds the edit distance function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .crg import embeds, gray_crg
 from .errors import ValidationError
 from .gfun import closed_form_gray
-from .graphs import Graph
+from .graphs import Graph, Value
 from .limits import MAX_EMBED_CRG
 
 
-@dataclass(frozen=True)
-class CliqueSpectrum:
+class CliqueSpectrum(Value):
     """Membership of (r, s) points inside the computed bounds.
 
     ``members`` excludes the vacuous point (0, 0); bounds are inclusive.

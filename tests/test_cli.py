@@ -158,6 +158,41 @@ class TestParseInputs:
         }
         assert table == options
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_command_parser_reads_as_the_full_tree(self, capsys, monkeypatch, command):
+        """``parse_inputs`` builds only the named command's options, and
+        that parser's ``--help`` and usage errors are byte for byte those
+        of the full tree."""
+        built, real_build = [], cli._build_parser
+
+        def recording(name=None):
+            built.append(name)
+            return real_build(name)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        outputs = []
+        for parser in (real_build(command), real_build()):
+            texts = []
+            for argv in ([command, "--help"], [command], [command, "--frobnicate"]):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                texts.append((exc.value.code, *capsys.readouterr()))
+            outputs.append(texts)
+        assert outputs[0] == outputs[1]
+        assert [code for code, _, _ in outputs[0]] == [0, 2, 2]
+        with pytest.raises(SystemExit):
+            parse_inputs([command])
+        with pytest.raises(SystemExit):
+            parse_inputs(["--help"])
+        capsys.readouterr()
+        assert built == [command, None]
+        # the other subcommands are registered with no options of their own
+        subparsers = next(action for action in real_build(command)._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(cli._COMMANDS)
+        assert {name for name, sub in subparsers.choices.items()
+                if len(sub._actions) > 1} == {command}
+
     def test_malformed_rational(self, capsys):
         code, _, _ = run_cli(capsys, ["gamma", "--graph", "path:5", "--p", "0.5"])
         assert code == 3
@@ -371,6 +406,9 @@ class TestParseInputs:
 SOLVER = ("heredit.crg", "heredit.curves", "heredit.gfun", "heredit.spectrum")
 HASHLIB = ("hashlib", "_hashlib")
 POOL = ("concurrent", "multiprocessing")
+CODEGEN = ("dataclasses", "inspect")  # the value types generate no code at import
+CURVE_ARGV = ["edcurve", "--family", "c8star", "--source", "closed_form,gamma,search",
+              "--m", "4", "--grid", "1/4", "--analyze", "--no-cache"]
 
 
 def _main_code(argv: list[str]) -> str:
@@ -383,12 +421,13 @@ class TestImports:
         ("import heredit", ("heredit.",)),
         ("import heredit; assert heredit.Graph is heredit.graphs.Graph", SOLVER),
         (_main_code(["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:4",
-                     "--samples", "5", "--no-cache"]), SOLVER + HASHLIB + POOL),
+                     "--samples", "5", "--no-cache"]), SOLVER + HASHLIB + POOL + CODEGEN),
         (_main_code(["dist", "--graph", "cycle:5", "--forbid", "path:3", "--no-cache"]),
-         SOLVER + HASHLIB + POOL),
-        (_main_code(SEARCH_ARGV + ["--no-cache"]), HASHLIB + POOL),
+         SOLVER + HASHLIB + POOL + CODEGEN),
+        (_main_code(SEARCH_ARGV + ["--no-cache"]), HASHLIB + POOL + CODEGEN),
+        (_main_code(CURVE_ARGV), HASHLIB + POOL + CODEGEN),
     ], ids=["cli-no-pool", "package-no-submodule", "graph-no-solver", "estimate",
-            "dist", "search-no-cache"])
+            "dist", "search-no-cache", "edcurve"])
     def test_import_footprint(self, code, absent):
         """Each command imports only the layers it runs: the modules named
         in ``absent`` are never loaded by ``code``."""
@@ -596,7 +635,9 @@ class TestValuesOnlyWork:
         """The ``curve-c8star`` job (closed_form,gamma,search, m = 4, grid
         1/4, ``--analyze``) in process.  It prints no witness, so only the
         core pass runs; with the growth pass it enumerated twice and made
-        3,181 canonical keys and 716 ``embeds`` calls."""
+        3,181 canonical keys and 716 ``embeds`` calls.  Extending each
+        parent by every block, not only the twin-sorted ones, made 254
+        keys."""
         from heredit import crg
 
         keys, tested, enumerated = [0], [0], []
@@ -625,7 +666,7 @@ class TestValuesOnlyWork:
         digest = next(d for c, _, d in GOLDEN if c == command)
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
         assert enumerated == [((4,), None)]
-        assert keys[0] == 254
+        assert keys[0] == 207
         assert tested[0] == 43
 
 
@@ -820,6 +861,16 @@ class TestDistAndEstimate:
         _, second, _ = run_cli(capsys, ["dist", "--graph", "cycle:8", "--forbid", "cycle:8"])
         assert first == second
         assert first.splitlines()[1].startswith("1,1/28,")
+
+    def test_cluster_editing_node_limit_brackets_the_distance(self, capsys):
+        """P3 on a 10-vertex host with 27 edges: the default node limit runs
+        out after seconds (README, ``dist``); a small limit stops at once,
+        every depth below 9 exhausted and 27 deletions always enough."""
+        argv = ["dist", "--graph", "IjvndUky?", "--forbid", "path:3", "--node-limit", "20000"]
+        code, stdout, err = run_cli(capsys, argv)
+        assert (code, stdout) == (5, "")
+        assert err == ("error: edit search node limit of 20000 exceeded at depth 9;"
+                       " the distance lies in [9, 27]\n")
 
     def test_estimate_pinned(self, capsys):
         code, stdout, _ = run_cli(

@@ -11,6 +11,7 @@ from heredit.crg import (
     EDGE_COLORS,
     VERTEX_COLORS,
     EmbeddingWitness,
+    _canonical_key,
     _color_rows,
     _equiv_classes,
     _refined_cells,
@@ -484,6 +485,59 @@ class TestSieve:
             enumerate_crgs_reference(4, parents=parents)
         )
         assert tuple(parents) == _classes_with_parents(4)[1]
+
+
+class TestTwinBlocks:
+    """``enumerate_crgs`` extends each parent only by the blocks sorted
+    within its twin classes (``_equiv_classes``).  A block and its
+    twin-sorted block give one class from one parent, so the classes and
+    the recorded parents are those of every block."""
+
+    @staticmethod
+    def child_key(rows, block, vc):
+        return _canonical_key([row + [c] for row, c in zip(rows, block)] + [[*block, vc]])
+
+    def test_a_block_and_its_twin_sorted_block_give_one_class(self):
+        checked = moved = 0
+        for k in _classes_with_parents(4)[0][::9]:
+            rows = _color_rows(k)
+            eq = _equiv_classes(rows)
+            twins = {c: [v for v in range(k.m) if eq[v] == c] for c in eq}
+            for block in itertools.product(range(3), repeat=k.m):
+                sorted_block = list(block)
+                for members in twins.values():
+                    for v, c in zip(members, sorted(block[v] for v in members)):
+                        sorted_block[v] = c
+                for vc in (0, 2):
+                    key = self.child_key(rows, block, vc)
+                    assert key == self.child_key(rows, sorted_block, vc), (k, block)
+                    checked += 1
+                moved += tuple(sorted_block) != block
+        assert (checked, moved) == (12_984, 1_373)
+
+    @pytest.mark.parametrize("max_size, forbid, root_step", [
+        (4, None, None), (4, None, 7), (5, "ctilde:5", None), (5, "path:4", 3),
+    ], ids=["every-class", "every-class-roots", "ctilde5-free", "path4-free-roots"])
+    def test_same_classes_and_parents_as_every_block(self, max_size, forbid, root_step):
+        roots = None
+        if root_step is not None:
+            roots = list(_classes_with_parents(3, forbid)[0])[::root_step]
+        TestSieve.assert_same(max_size, _free_of(forbid), roots=roots)
+
+    def test_fewer_canonical_keys(self, monkeypatch):
+        # extending every parent by every block makes 3,200 keys up to 4
+        from heredit import crg
+
+        keys = [0]
+        real_key = crg._canonical_key
+
+        def counted_key(rows):
+            keys[0] += 1
+            return real_key(rows)
+
+        monkeypatch.setattr(crg, "_canonical_key", counted_key)
+        assert len(list(enumerate_crgs(4))) == 772
+        assert keys[0] == 2_420
 
 
 def _labelled_crgs(max_m: int):

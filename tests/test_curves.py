@@ -348,7 +348,8 @@ class TestSieveWork:
     def test_search_m5_counts(self, monkeypatch):
         """The ``search-m5`` job (cycle:4, m = 5, p = 45/64) in process.
         Without ``enumerate_crgs``'s three-vertex sieve it canonicalized
-        8,043 children and ran ``embeds`` 4,777 times."""
+        8,043 children and ran ``embeds`` 4,777 times; extending each parent
+        by every block, not only the twin-sorted ones, made 1,548 keys."""
         from heredit import crg
 
         keys, tested = [0], []
@@ -366,7 +367,7 @@ class TestSieveWork:
         monkeypatch.setattr(curves, "embeds", counted_embeds)
         result = bounded_min_g(parse_graph_spec("cycle:4"), 5, F(45, 64))
         assert (result.value, len(result.witnesses)) == (F(855, 4096), 396)
-        assert keys[0] == 1_548
+        assert keys[0] == 1_358
         assert len(tested) == 446
         # two passes, each asking keep at most once per three-vertex class
         triples = [canonical_form(k) for k in tested if k.m == 3]
