@@ -11,6 +11,7 @@ CRGs are immutable and hashable.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError, FormatError, ValidationError
@@ -147,6 +148,9 @@ def _pair_ok(k: CRG, a: int, b: int, is_edge: bool) -> bool:
 # color ranks: B=0, G=1, W=2 keep the order of the color strings
 _RANK = {"B": 0, "G": 1, "W": 2}
 _COLOR = "BGW"
+# rank bytes to the binary digits of "the pair is not white" / "not black"
+_NOT_WHITE = bytes.maketrans(b"\0\1\2", b"110")
+_NOT_BLACK = bytes.maketrans(b"\0\1\2", b"011")
 
 
 def _color_rows(k: CRG) -> list[list[int]]:
@@ -202,6 +206,60 @@ def _twin_pairs(rows: list[list[int]]) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@lru_cache
+def _embed_search(h: Graph) -> Callable:
+    """``embeds``'s search for ``h``: ``search(can_edge, can_non, base,
+    twins, budget)``, one ``while`` loop per step of ``_induced_plan(h)``.
+
+    Step t's candidates are ``scan(u_t) & <one & over the can_edge/can_non
+    rows of the earlier steps>``: ``u_t`` holds the CRG vertices the earlier
+    steps use, and ``scan(u)`` is ``u``, ``base`` and the lowest vertex
+    outside ``u`` of each ``twins`` class.  ``r_t`` holds step t's scan bits
+    not yet counted.  Returns the placements by pattern vertex, or ``None``.
+    """
+    order, steps = _induced_plan(h)
+    n = len(order)
+    witness = "".join(f"v{t}, " for t in sorted(range(n), key=order.__getitem__))
+    lines = ["def search(ce, cn, base, twins, budget):", "    nodes = u0 = 0"]
+    tails = []
+    for t in range(n):
+        pad = "    " * (t + 1)
+        cands = "".join(f" & ce[v{s}]" if edge else f" & cn[v{s}]" for s, edge in steps[t])
+        lines += [
+            f"{pad}s = base | u{t}",
+            f"{pad}for c in twins:",
+            f"{pad}    c &= ~u{t}",
+            f"{pad}    s |= c & -c",
+            f"{pad}r{t} = s",
+            f"{pad}c{t} = s{cands}",
+            f"{pad}while c{t}:",
+            f"{pad}    b{t} = c{t} & -c{t}",
+            f"{pad}    c{t} ^= b{t}",
+            f"{pad}    x = r{t} & (b{t} << 1) - 1",
+            f"{pad}    nodes += x.bit_count()",
+            f"{pad}    if nodes > budget:",
+            f"{pad}        raise over(budget, {t})",
+            f"{pad}    r{t} ^= x",
+            f"{pad}    v{t} = b{t}.bit_length() - 1",
+            f"{pad}    u{t + 1} = u{t} | b{t}",
+        ]
+        tails[:0] = [
+            f"{pad}nodes += r{t}.bit_count()",
+            f"{pad}if nodes > budget:",
+            f"{pad}    raise over(budget, {t})",
+        ]
+    lines.append(f"{'    ' * (n + 1)}return ({witness})")
+    lines += tails
+    namespace = {
+        "over": lambda budget, t: BudgetError(
+            f"embedding search budget of {budget} placements exceeded "
+            f"at pattern step {t} of {n}"
+        )
+    }
+    exec("\n".join(lines), namespace)
+    return namespace["search"]
+
+
 def embeds(
     h: Graph, k: CRG, budget: int = DEFAULT_EMBED_BUDGET
 ) -> tuple[bool, EmbeddingWitness | None]:
@@ -211,16 +269,25 @@ def embeds(
     together) or a black/gray edge, and every non-edge onto a white vertex
     or a white/gray edge.  The map need not be injective.
 
-    Backtracking over the compiled pattern plan with bit-parallel candidate
-    sets (Ullmann 1976): per CRG vertex a, ``can_edge[a]`` holds the b whose
-    pair with a is not white (the diagonal is a's own color) and
-    ``can_non[a]`` those whose pair is not black; a step's candidates are
-    the AND of these masks over the earlier placements.
+    Backtracking with bit-parallel candidate sets (Ullmann 1976), compiled
+    once per pattern (``_embed_search``): per CRG vertex a, ``can_edge[a]``
+    holds the b whose pair with a is not white (the diagonal is a's own
+    color) and ``can_non[a]`` those whose pair is not black; a step's
+    candidates are the AND of these masks over the earlier placements,
+    taken lowest vertex first.  Unused vertices of one ``_equiv_classes``
+    class are interchangeable, so a step tries only the lowest unused one.
 
-    Raises :class:`BudgetError` when the backtracking search exceeds
-    ``budget`` candidate placements, so a ``False`` always means the search
-    space was exhausted.  The message names the pattern step (0-based, of
-    ``h.n``) that was being placed when the budget ran out.
+    Placement count: a step scans the CRG vertices in ascending order,
+    skipping an unused vertex that has an unused lower twin, and every
+    scanned vertex is one placement, candidate or not.  The compiled search
+    counts exactly that: on picking candidate b it adds the popcount of the
+    not-yet-counted scan bits up to and including b, and when the loop runs
+    out it adds the rest.  It checks the budget after each add and raises
+    at step t; between two checks at step t only step t scans, so the error
+    names the step a one-by-one count would.  Raises :class:`BudgetError`
+    when the count exceeds ``budget``, so a ``False`` always means the
+    search space was exhausted.  The message names the pattern step
+    (0-based, of ``h.n``) that was being placed when the budget ran out.
     """
     if h.n > MAX_EMBED_PATTERN:
         raise ValidationError(f"embedding pattern capped at {MAX_EMBED_PATTERN} vertices")
@@ -228,61 +295,19 @@ def embeds(
         raise ValidationError(f"embedding target capped at {MAX_EMBED_CRG} vertices")
     if h.n == 0:
         return True, EmbeddingWitness(())
-
-    m = k.m
     rows = _color_rows(k)
-    eq = _equiv_classes(rows)
-    can_non = [0] * m
-    can_edge = [0] * m
-    for a, row in enumerate(rows):
-        for b, c in enumerate(row):
-            if c != 0:  # not black
-                can_non[a] |= 1 << b
-            if c != 2:  # not white
-                can_edge[a] |= 1 << b
-    masks = (can_non, can_edge)  # indexed by is_edge
-    full = (1 << m) - 1
-    eq_bits = [1 << e for e in eq]
-    order, steps = _induced_plan(h)
-    placed = [0] * h.n  # CRG vertex chosen at each step
-    use_count = [0] * m
-    nodes = 0
-
-    def assign(t: int) -> bool:
-        nonlocal nodes
-        if t == h.n:
-            return True
-        cands = full
-        for s, edge in steps[t]:
-            cands &= masks[edge][placed[s]]
-        seen_fresh = 0  # bitmask of classes whose first unused vertex was tried
-        for b in range(m):
-            if use_count[b] == 0:
-                # unused vertices in the same automorphism class are
-                # interchangeable; trying the first is enough
-                if seen_fresh & eq_bits[b]:
-                    continue
-                seen_fresh |= eq_bits[b]
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError(
-                    f"embedding search budget of {budget} placements exceeded "
-                    f"at pattern step {t} of {h.n}"
-                )
-            if cands >> b & 1:
-                placed[t] = b
-                use_count[b] += 1
-                if assign(t + 1):
-                    return True
-                use_count[b] -= 1
-        return False
-
-    if not assign(0):
+    digits = [bytes(reversed(row)) for row in rows]  # ranks, vertex m-1 first
+    can_edge = [int(d.translate(_NOT_WHITE), 2) for d in digits]
+    can_non = [int(d.translate(_NOT_BLACK), 2) for d in digits]
+    members = [0] * k.m
+    for v, c in enumerate(_equiv_classes(rows)):
+        members[c] |= 1 << v
+    twins = [c for c in members if c & c - 1]
+    base = (1 << k.m) - 1 - sum(twins)  # the vertices without a twin
+    mapping = _embed_search(h)(can_edge, can_non, base, twins, budget)
+    if mapping is None:
         return False, None
-    mapping = [0] * h.n
-    for t, pv in enumerate(order):
-        mapping[pv] = placed[t]
-    return True, EmbeddingWitness(tuple(mapping))
+    return True, EmbeddingWitness(mapping)
 
 
 def validate_witness(h: Graph, k: CRG, witness: EmbeddingWitness) -> bool:
@@ -310,30 +335,36 @@ def _refined_cells(rows: list[list[int]]) -> list[list[int]]:
     neighbors), encoded as ``color * m + cell``.  Cells are numbered in
     ascending signature order, and refinement stops when a round splits no
     cell.
+
+    Both signatures are computed as cheaper ones that order the vertices
+    the same way.  Round 0 encodes (color, -#B, -#G) of the row as one int:
+    sorted color tuples of one length compare as their counts of B, then
+    of G, in reverse, and the diagonal adds the same count to every vertex
+    of one color.  A later round uses ``(cell, *sorted(color * m + cell))``
+    over the whole row, v's own entry included: that entry is equal for
+    every vertex of a cell, and the cells decide between cells.  Equal-size
+    sorted tuples compare by the least element of their multisets'
+    symmetric difference, which the shared entry does not change, so the
+    order, and every cell, is the same.
     """
     m = len(rows)
-    sig: list[tuple] = [
-        (row[v], tuple(sorted(row[:v] + row[v + 1 :]))) for v, row in enumerate(rows)
-    ]
+    w = m + 1
+    sig = [(row[v] * w - row.count(0)) * w - row.count(1) for v, row in enumerate(rows)]
     while True:
         ordered = sorted(set(sig))
-        cell_of = {s: i for i, s in enumerate(ordered)}
-        ids = [cell_of[s] for s in sig]
+        ids = [ordered.index(s) for s in sig]
         if len(ordered) == m:  # all singletons: no round can split further
             break
         new_sig = [
-            (
-                ids[v],
-                tuple(sorted(row[u] * m + ids[u] for u in range(m) if u != v)),
-            )
-            for v, row in enumerate(rows)
+            (i, *sorted([c * m + j for c, j in zip(row, ids)]))
+            for i, row in zip(ids, rows)
         ]
         if len(set(new_sig)) == len(ordered):
             break
         sig = new_sig
     cells: list[list[int]] = [[] for _ in ordered]
-    for v in range(m):
-        cells[ids[v]].append(v)
+    for v, i in enumerate(ids):
+        cells[i].append(v)
     return cells
 
 

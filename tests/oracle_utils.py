@@ -290,8 +290,11 @@ def equiv_classes_reference(k: CRG) -> list[int]:
     return ids
 
 
-def _refined_cells_reference(k: CRG) -> list[list[int]]:
-    """Stable ordered partition of vertices by iterated color signatures."""
+def _refined_cells_reference(k: CRG, rounds: list[int] | None = None) -> list[list[int]]:
+    """Stable ordered partition of vertices by iterated color signatures.
+
+    ``rounds``, when given a list, receives the number of cells after each
+    round, the last round being the one that splits no cell."""
     m = k.m
     sig: list[tuple] = [
         (k.vcolors[v], tuple(sorted(k.edge_color(v, u) for u in range(m) if u != v)))
@@ -301,6 +304,8 @@ def _refined_cells_reference(k: CRG) -> list[list[int]]:
         ordered = sorted(set(sig))
         cell_of = {s: i for i, s in enumerate(ordered)}
         ids = [cell_of[sig[v]] for v in range(m)]
+        if rounds is not None:
+            rounds.append(len(ordered))
         new_sig = [
             (
                 ids[v],

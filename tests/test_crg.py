@@ -31,7 +31,9 @@ from heredit.crg import (
 from heredit.errors import BudgetError, FormatError, ValidationError
 from heredit.gfun import core_regime, core_structured, g_value
 from heredit.graphs import build_family, complement, parse_graph_spec
+from heredit.limits import MAX_EMBED_CRG, MAX_EMBED_PATTERN
 from oracle_utils import (
+    _refined_cells_reference,
     black_white_gray,
     burnside_crg_count,
     canonical_form_reference,
@@ -165,6 +167,21 @@ def _random_crgs(seed: int) -> list[CRG]:
     ]
 
 
+@functools.cache
+def _twin_targets() -> list[CRG]:
+    """Every 40th class on 5 vertices, and every K(r, s) up to
+    ``MAX_EMBED_CRG`` vertices with its vertices shuffled, so that twin
+    classes are not runs of consecutive vertices."""
+    rng = random.Random(31)
+    targets = [k for k in _classes_with_parents(5)[0] if k.m == 5][::40]
+    for r, s in itertools.product(range(MAX_EMBED_CRG + 1), repeat=2):
+        if 1 <= r + s <= MAX_EMBED_CRG:
+            perm = list(range(r + s))
+            rng.shuffle(perm)
+            targets.append(_relabel(gray_crg(r, s), perm))
+    return targets
+
+
 def _embed_outcome(embed, h, k, budget):
     """``(found, witness)``, or the ``BudgetError`` message."""
     try:
@@ -174,9 +191,9 @@ def _embed_outcome(embed, h, k, budget):
 
 
 class TestEmbedsAgainstReference:
-    """``embeds`` reads the compiled pattern plan; ``embeds_reference`` is the
-    search that asked the pattern pair by pair.  Both must agree on the
-    result, the witness and the ``BudgetError`` text."""
+    """``embeds`` runs a search compiled per pattern; ``embeds_reference`` is
+    the recursive search that asked the pattern pair by pair.  Both must
+    agree on the result, the witness and the ``BudgetError`` text."""
 
     BUDGETS = (1, 3, 10, 40, DEFAULT_EMBED_BUDGET)
     TARGETS = (
@@ -185,11 +202,11 @@ class TestEmbedsAgainstReference:
         + _random_crgs(7)
     )
 
-    def _check(self, patterns):
+    def _check(self, patterns, targets=TARGETS, budgets=BUDGETS):
         kinds = set()
         for h in patterns:
-            for k in self.TARGETS:
-                for budget in self.BUDGETS:
+            for k in targets:
+                for budget in budgets:
                     got = _embed_outcome(embeds, h, k, budget)
                     assert got == _embed_outcome(embeds_reference, h, k, budget), (
                         h, k, budget
@@ -209,6 +226,31 @@ class TestEmbedsAgainstReference:
         rng = random.Random(23)
         patterns = [random_graph(rng, n) for n in range(1, 8) for _ in range(3)]
         assert {True, False} <= self._check(patterns)
+
+    @pytest.mark.parametrize("spec", ["path:4", "path:7", "cycle:5", "c2nstar:8", "ctilde:6"])
+    def test_targets_with_twin_classes(self, spec):
+        targets = _twin_targets()
+        assert max(k.m for k in targets) == MAX_EMBED_CRG
+        kinds = self._check([parse_graph_spec(spec)], targets)
+        assert {True, False} <= kinds and len(kinds) > 2, "every outcome is exercised"
+
+    @pytest.mark.parametrize("spec", ["path:5", "cycle:4", "c2nstar:8"])
+    def test_budget_runs_out_at_every_step(self, spec):
+        h = parse_graph_spec(spec)
+        targets = [gray_crg(2, 2), gray_crg(3, 2)] + _twin_targets()[:500:50]
+        kinds = self._check([h], targets, range(150))
+        steps = {int(got.split("step ")[1].split()[0]) for got in kinds if isinstance(got, str)}
+        assert steps == set(range(h.n))
+
+    def test_largest_pattern(self):
+        """A ``MAX_EMBED_PATTERN``-vertex pattern compiles: the nesting of
+        one loop per step plus the twin scan stays under CPython's limit
+        of 20 nested blocks."""
+        n = MAX_EMBED_PATTERN
+        patterns = [parse_graph_spec(f"cycle:{n}"), random_graph(random.Random(3), n)]
+        kinds = self._check(patterns, _twin_targets()[::4] + _random_crgs(7))
+        assert {True, False} <= kinds
+        assert any(f"step {n - 1} of {n}" in got for got in kinds if isinstance(got, str))
 
 
 class TestEnumeration:
@@ -582,6 +624,41 @@ class TestKernelsAgainstReference:
             assert form == k
             singletons += len(_refined_cells(_color_rows(k))) == k.m
         assert 0 < singletons < len(classes), "both refinement outcomes are exercised"
+
+    def test_refined_cells_on_every_labelled_crg_up_to_4(self):
+        count = 0
+        for k in _labelled_crgs(4):
+            assert _refined_cells(_color_rows(k)) == _refined_cells_reference(k), k
+            count += 1
+        assert count == 11_894
+
+    def test_refined_cells_on_relabelled_classes_at_5(self):
+        rng = random.Random(59)
+        classes = [k for k in _classes_with_parents(5)[0] if k.m == 5][::5]
+        assert len(classes) == 3_910
+        for k in classes:
+            perm = list(range(k.m))
+            rng.shuffle(perm)
+            shuffled = _relabel(k, perm)
+            assert _refined_cells(_color_rows(shuffled)) == _refined_cells_reference(shuffled), k
+
+    def test_refined_cells_on_seeded_inputs_with_few_edge_colors(self):
+        # one or two edge colors on 6 and 7 vertices: refinement runs up to
+        # four rounds there
+        rng = random.Random(61)
+        most = 0
+        for m in (6, 7):
+            for vertex_palette in ("W", "WB"):
+                for edge_palette in ("G", "GW", "GWWW", "BW", "BWWW", "BG", "BGGG"):
+                    for _ in range(40):
+                        k = CRG(
+                            tuple(rng.choice(vertex_palette) for _ in range(m)),
+                            tuple(rng.choice(edge_palette) for _ in range(m * (m - 1) // 2)),
+                        )
+                        rounds = []
+                        assert _refined_cells(_color_rows(k)) == _refined_cells_reference(k, rounds), k
+                        most = max(most, len(rounds))
+        assert most >= 4
 
     def test_equiv_classes_on_every_class_up_to_4(self):
         for k in enumerate_crgs(4):
