@@ -10,13 +10,12 @@ The induced-copy search is built once per pattern and held by its
 callers: ``_copy_search(pattern)`` returns ``search(adj, n)``, which
 yields the pattern's induced copies in raw adjacency rows, each indexed by
 pattern vertex.  ``has_induced`` and the edit search
-(``editing._flip_search``) take only its first copy.  ``_induced_plan`` fixes the pattern's step order, and a
-pattern of at most ``MAX_COMPILED_STEPS`` vertices is compiled by
-``_compiled_copies`` into a generator with one nested loop per step, so no
-search interprets its plan.  Larger patterns run a generic loop over the
-plan, because CPython caps nested blocks at 20 and the generated source
-grows with the square of the pattern order.  Both yield the same copies in
-the same order.
+(``editing._flip_search``) take only its first copy.  ``_induced_plan``
+fixes the pattern's step order, and the search is compiled into a
+generator with one nested loop per step, so no search interprets its
+plan.  Patterns are capped at ``MAX_EMBED_PATTERN`` vertices: CPython caps
+nested blocks at 20, and the generated source grows with the square of
+the pattern order.
 
 One emitter, ``_compile_loops``, writes those nested loops; each compiled
 kernel supplies only what runs before the loops, at every copy, and after
@@ -29,12 +28,12 @@ hold both ends of that pair.
 from __future__ import annotations
 
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError, ValidationError
-from .limits import parse_int
+from .limits import MAX_EMBED_PATTERN, parse_int
 
 MAX_VERTICES = 4096
 PROFILE_MAX_VERTICES = 16
@@ -271,6 +270,11 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
     order: the same copy a recursive backtracking search over
     ``_search_order`` returns.  ``edit_distance`` branches on the witness,
     so that order is part of the contract.
+
+    A pattern with more vertices than the host returns ``(False, None)``
+    at once.  Otherwise the pattern is capped at ``MAX_EMBED_PATTERN``
+    (16) vertices, the cap of its compiled search: a larger one raises
+    ``ValidationError``.
     """
     if pattern.n > host.n:
         return False, None
@@ -278,13 +282,6 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
         return True, ()
     copy = next(_copy_search(pattern)(host.adj, host.n), None)
     return copy is not None, copy
-
-
-# Largest pattern whose induced-copy search is compiled into nested loops.
-# CPython refuses more than 20 statically nested blocks in one function, and
-# the generated source grows with the square of the pattern order, so larger
-# patterns (``has_induced`` takes up to MAX_VERTICES) run the generic loop.
-MAX_COMPILED_STEPS = 16
 
 
 @lru_cache
@@ -301,73 +298,16 @@ def _copy_search(
     ``_induced_plan`` order and each step trying its candidates in
     ascending host order.  Its callers (``has_induced`` and the edit
     search) take only the first copy: ``has_induced``'s witness, which the
-    edit search branches on.  The pattern must have at least one vertex.
+    edit search branches on.
 
-    Built once per pattern: a pattern of at most ``MAX_COMPILED_STEPS``
-    vertices gets its compiled search (``_compiled_copies``), a larger one
-    ``_generic_copies`` bound to its plan.  Both yield the same copies in
-    the same order.
+    Built once per pattern of 1 to ``MAX_EMBED_PATTERN`` vertices: nested
+    loops (``_compile_loops``) whose innermost body yields each copy.  A
+    larger pattern raises ``ValidationError``.
     """
+    if pattern.n > MAX_EMBED_PATTERN:
+        raise ValidationError(f"induced-copy pattern capped at {MAX_EMBED_PATTERN} vertices")
     plan = _induced_plan(pattern)
-    if pattern.n <= MAX_COMPILED_STEPS:
-        return _compiled_copies(plan)
-    return partial(_generic_copies, plan=plan)
-
-
-def _generic_copies(
-    adj: tuple[int, ...],
-    n: int,
-    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> Iterator[tuple[int, ...]]:
-    """The ``_copy_search`` of a pattern of any order, interpreting its plan."""
-    order, steps = plan
-    k = len(order)
-    where = sorted(range(k), key=order.__getitem__)  # step placing each vertex
-    full = (1 << n) - 1
-    placed = [0] * k  # host vertex chosen at each step
-    rest = [0] * k  # candidates still untried at each step
-    used = 0
-    t = 0
-    cands = full
-    while True:
-        if cands:
-            low = cands & -cands
-            rest[t] = cands ^ low
-            placed[t] = low.bit_length() - 1
-            used |= low
-            t += 1
-            if t == k:
-                yield tuple([placed[s] for s in where])
-                t -= 1
-                used ^= low
-                cands = rest[t]
-                continue
-            cands = full & ~used
-            for s, edge in steps[t]:
-                if edge:
-                    cands &= adj[placed[s]]
-                else:
-                    cands &= ~adj[placed[s]]
-                if not cands:
-                    break
-        else:
-            t -= 1
-            if t < 0:
-                return
-            used ^= 1 << placed[t]
-            cands = rest[t]
-
-
-def _compiled_copies(
-    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-) -> Callable[[tuple[int, ...], int], Iterator[tuple[int, ...]]]:
-    """The ``_copy_search`` of one plan, compiled into nested loops
-    (``_compile_loops``) whose innermost body yields each copy.  The order
-    of the copies is the plan's step order with candidates lowest bit
-    first, as in the generic loop."""
-    order, _ = plan
-    k = len(order)
-    where = sorted(range(k), key=order.__getitem__)  # step placing each vertex
+    where = sorted(range(pattern.n), key=plan[0].__getitem__)  # step placing each vertex
     copy = "".join(f"v{t}, " for t in where)
     return _compile_loops(plan, "copies(adj, n)", [], [f"yield ({copy})"])
 
@@ -391,7 +331,7 @@ def _survivor_commons(
     One pass over the copies of ``_copy_search``'s loops
     (``_compile_loops``), with one unrolled accumulator per pair, in a
     plain function that returns as soon as every accumulator has at most
-    one vertex.  Built once per pattern of 2 to ``MAX_COMPILED_STEPS``
+    one vertex.  Built once per pattern of 2 to ``MAX_EMBED_PATTERN``
     vertices; the edit oracle's patterns have 2 to 10.
     """
     plan = _induced_plan(pattern)

@@ -2,8 +2,9 @@
 
 This module imports nothing but the error types, so the CLI can build its
 parser and validate every command's input without loading a solver.  The
-modules that enforce a cap (``crg``, ``gfun``, ``editing``, ``curves``)
-import it from here, so it stays importable from its old home too.
+modules that enforce a cap (``crg``, ``graphs``, ``gfun``, ``editing``,
+``curves``) import it from here, so it stays importable from its old home
+too.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import sys
 
 from .errors import ValidationError
 
-# embedding (crg.embeds): pattern and target vertex counts
+# every pattern search (crg.embeds and graphs._copy_search, so has_induced):
+# pattern vertex count
 MAX_EMBED_PATTERN = 16
+# embedding (crg.embeds): target vertex count
 MAX_EMBED_CRG = 12
 # CRG enumeration (crg.enumerate_crgs): largest class size
 MAX_ENUM_SIZE = 5

@@ -9,8 +9,9 @@ program g solved over every support by Gaussian elimination in
 ``Fraction``, the p-core test over every proper sub-CRG, and the clique
 spectrum by box widening.
 
-Eight are plain versions of fast paths, kept to pin exact outputs rather
-than to be independent: ``has_induced_recursive``, ``embeds_reference``,
+Nine are plain versions of fast paths, kept to pin exact outputs rather
+than to be independent: ``has_induced_recursive`` and
+``induced_copies_recursive``, its every-copy form, ``embeds_reference``,
 ``canonical_form_reference``, ``equiv_classes_reference``,
 ``enumerate_crgs_reference``, the enumeration that calls ``keep`` on every
 distinct child, ``edit_distance_reference``,
@@ -18,14 +19,15 @@ distinct child, ``edit_distance_reference``,
 search that solves g on every candidate class.  The
 canonical-form and equivalence-class references work on color strings
 through ``edge_color``, where the package works on integer color rows.
-``has_induced_recursive``, ``embeds_reference`` and the edit reference
-share the pattern search order with the package (and the edit reference
-the flip helper), since the witness they return depends on that order;
-``max_dist_estimate_reference`` runs the package's ``edit_distance`` on
-every sample, each drawn by ``sample_graph_reference``, which shuffles the
-pair list and builds the graph with ``Graph.from_edges``.  ``enumerate_crgs_reference`` canonicalizes with the
-package's ``_canonical_key``, on which the enumeration order and the
-recorded parents depend.
+``induced_copies_recursive``, ``embeds_reference`` and the edit
+reference share the pattern search order with the package (and the edit
+reference the flip helper), since the copies and witnesses they return
+depend on that order; ``max_dist_estimate_reference`` runs the package's
+``edit_distance`` on every sample, each drawn by
+``sample_graph_reference``, which shuffles the pair list and builds the
+graph with ``Graph.from_edges``.  ``enumerate_crgs_reference``
+canonicalizes with the package's ``_canonical_key``, on which the
+enumeration order and the recorded parents depend.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from typing import Iterator
 
 from heredit.crg import (
     CRG,
@@ -123,24 +126,28 @@ def induced_copies_brute(host: Graph, pattern: Graph) -> set[tuple[int, ...]]:
 
 
 def has_induced_recursive(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | None]:
-    """Recursive backtracking over ``_search_order``, candidates ascending.
+    """The first copy of ``induced_copies_recursive``, as ``(found, witness)``.
 
     ``has_induced`` must return this witness on every input.
     """
-    if pattern.n > host.n:
-        return False, None
-    if pattern.n == 0:
-        return True, ()
+    copy = next(induced_copies_recursive(host, pattern), None)
+    return copy is not None, copy
 
+
+def induced_copies_recursive(host: Graph, pattern: Graph) -> Iterator[tuple[int, ...]]:
+    """Every induced copy of ``pattern`` in ``host``, indexed by pattern vertex.
+
+    Recursive backtracking over ``_search_order``, candidates ascending, so
+    copies come in the order ``graphs._copy_search`` must yield them.
+    """
     order = _search_order(pattern)
     full = (1 << host.n) - 1
     chosen = [-1] * pattern.n
-    used = 0
 
-    def extend(t: int) -> bool:
-        nonlocal used
+    def extend(t: int, used: int) -> Iterator[tuple[int, ...]]:
         if t == pattern.n:
-            return True
+            yield tuple(chosen)
+            return
         pv = order[t]
         cands = full & ~used
         for s in range(t):
@@ -150,20 +157,11 @@ def has_induced_recursive(host: Graph, pattern: Graph) -> tuple[bool, tuple[int,
                 cands &= host.adj[hv]
             else:
                 cands &= ~host.adj[hv]
-            if not cands:
-                return False
         for hv in _bits(cands):
             chosen[pv] = hv
-            used |= 1 << hv
-            if extend(t + 1):
-                return True
-            used &= ~(1 << hv)
-            chosen[pv] = -1
-        return False
+            yield from extend(t + 1, used | 1 << hv)
 
-    if extend(0):
-        return True, tuple(chosen)
-    return False, None
+    yield from extend(0, 0)
 
 
 def black_white_gray(k: CRG) -> bool:

@@ -489,6 +489,12 @@ GOLDEN = [
      "0d20809d7590b878d41f22802cd492ba7f877d2f5d564501e95cc311154cf295"),
     ("dist --graph c2nstar:10 --forbid path:3", 49,
      "f356cbbe385d7bf94113793a727d3c360dfd0061bf541b71c77c4d6d0cda7aec"),
+    # patterns above the 16-vertex cap of the induced-copy search: larger
+    # than every host, so no search is built and no output changes
+    ("dist --graph path:5 --forbid path:17", 42,
+     "dee1066fee2a2dd2ce78add1bbf13860c3960af9ce198afe4590a4a37fe9c525"),
+    ("estimate --n 8 --p 1/2 --forbid path:17 --samples 20 --seed 1", 51,
+     "13125a8bb22875a18e33b933eb30466e5b8122d2ce15ddea4f917f7bcea5325e"),
 ]
 
 

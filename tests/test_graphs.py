@@ -13,11 +13,8 @@ import heredit
 from heredit.editing import max_dist_estimate
 from heredit.errors import FormatError, ValidationError
 from heredit.graphs import (
-    MAX_COMPILED_STEPS,
     Graph,
-    _compiled_copies,
     _copy_search,
-    _generic_copies,
     _induced_plan,
     _survivor_commons,
     build_family,
@@ -28,10 +25,12 @@ from heredit.graphs import (
     parse_graph_spec,
     path_cycle_profile,
 )
+from heredit.limits import MAX_EMBED_PATTERN
 from oracle_utils import (
     has_induced_brute,
     has_induced_recursive,
     induced_copies_brute,
+    induced_copies_recursive,
     is_connected,
     max_path_closes,
     paths_and_cycles_recursive,
@@ -130,7 +129,10 @@ class TestHasInduced:
         assert not has_induced(Graph.from_edges(0, []), Graph.from_edges(1, []))[0]
 
     def test_pattern_larger_than_host(self):
-        assert has_induced(build_family("path", 3), build_family("path", 4)) == (False, None)
+        # decided before any search is built, so also above the search's cap
+        for host, pattern in [("path:3", "path:4"), ("path:5", "path:17"),
+                              ("cycle:20", "path:40")]:
+            assert has_induced(parse_graph_spec(host), parse_graph_spec(pattern)) == (False, None)
 
     def test_matches_brute_force_on_random_pairs(self):
         rng = random.Random(11)
@@ -162,13 +164,12 @@ class TestHasInduced:
             assert has_induced(host, pattern) == has_induced_recursive(host, pattern)
 
 
-def _copies_on_both_paths(host, plan, compiled):
-    """Every copy the generic loop yields for ``plan`` in ``host``, after
-    checking that the compiled search ``compiled``, when given, yields the
-    same."""
-    yielded = list(_generic_copies(host.adj, host.n, plan))
-    if compiled is not None:
-        assert list(compiled(host.adj, host.n)) == yielded
+def _copies_on_both_paths(host, pattern):
+    """Every copy the compiled search of ``pattern`` yields in ``host``,
+    after checking that the recursive reference yields the same copies in
+    the same order."""
+    yielded = list(_copy_search(pattern)(host.adj, host.n))
+    assert yielded == list(induced_copies_recursive(host, pattern))
     return yielded
 
 
@@ -190,13 +191,11 @@ class TestInducedCopies:
         )
         rng = random.Random(23)
         for pattern in patterns:
-            plan = _induced_plan(pattern)
-            order = plan[0]
-            compiled = _compiled_copies(plan)
+            order = _induced_plan(pattern)[0]
             hosts = 12 if pattern.n == 6 else 40
             for _ in range(hosts):
                 host = random_graph(rng, rng.randrange(pattern.n - 1, 9), rng.random())
-                copies = _copies_on_both_paths(host, plan, compiled)
+                copies = _copies_on_both_paths(host, pattern)
                 assert len(set(copies)) == len(copies)
                 assert set(copies) == induced_copies_brute(host, pattern)
                 # search order: ascending host vertex at each pattern step
@@ -204,19 +203,14 @@ class TestInducedCopies:
                 _, witness = has_induced_recursive(host, pattern)
                 assert (copies[0] if copies else None) == witness
 
-    @pytest.mark.parametrize("k", [
-        MAX_COMPILED_STEPS - 1, MAX_COMPILED_STEPS, MAX_COMPILED_STEPS + 1, 40,
-    ])
+    @pytest.mark.parametrize("k", [MAX_EMBED_PATTERN - 1, MAX_EMBED_PATTERN])
     def test_patterns_around_the_compiled_size(self, k):
-        # CPython can nest the loops of a 17-step pattern, so the compiled
-        # path is checked one step past the cap as well
+        # the largest patterns the search takes, where brute force is too
+        # slow: checked against the recursive reference, copy for copy
         rng = random.Random(k)
         for family in ("path", "cycle"):
             pattern = build_family(family, k)
-            plan = _induced_plan(pattern)
-            order = plan[0]
-            compiled = _compiled_copies(plan) if k <= MAX_COMPILED_STEPS + 1 else None
-            search = _copy_search(pattern)
+            order = _induced_plan(pattern)[0]
             # the pattern plus three vertices, joined by random chords that
             # touch one of the three, so the pattern's own copies survive;
             # with no chord there is one copy per automorphism.  For the
@@ -235,8 +229,7 @@ class TestInducedCopies:
                 hosts.append((build_family("cycle", k + 3), 2 * (k + 3)))
             for host, count in hosts:
                 host = _relabelled(host, rng)
-                copies = _copies_on_both_paths(host, plan, compiled)
-                assert list(search(host.adj, host.n)) == copies
+                copies = _copies_on_both_paths(host, pattern)
                 _, witness = has_induced_recursive(host, pattern)
                 assert copies and copies[0] == witness
                 for copy in copies:
@@ -310,13 +303,22 @@ class TestCompiledCopies:
             info = kernel.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
 
-    def test_kernel_chosen_once_by_pattern_order(self):
-        # compiled up to MAX_COMPILED_STEPS vertices, the generic loop above
-        small = _copy_search(build_family("path", MAX_COMPILED_STEPS))
-        large = _copy_search(build_family("path", MAX_COMPILED_STEPS + 1))
-        assert small.__name__ == "copies"
-        assert large.func is _generic_copies
-        assert _copy_search(build_family("path", MAX_COMPILED_STEPS)) is small
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_kernels_build_at_the_cap(self, family):
+        # CPython refuses more than 20 nested blocks, and the loops of a
+        # 21-step pattern no longer compile, so the cap keeps clear of it
+        pattern = build_family(family, MAX_EMBED_PATTERN)
+        search = _copy_search(pattern)
+        assert search.__name__ == "copies"
+        assert _copy_search(build_family(family, MAX_EMBED_PATTERN)) is search
+        assert _survivor_commons(pattern).__name__ == "wide"
+
+    def test_larger_pattern_refused(self):
+        large = build_family("path", MAX_EMBED_PATTERN + 1)
+        with pytest.raises(ValidationError, match="capped at 16 vertices"):
+            _copy_search(large)
+        with pytest.raises(ValidationError, match="capped at 16 vertices"):
+            has_induced(build_family("cycle", 20), large)
 
     def test_import_compiles_nothing(self):
         src = os.path.dirname(os.path.dirname(heredit.__file__))
