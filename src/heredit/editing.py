@@ -4,10 +4,19 @@
 make a graph free of an induced copy of the forbidden graph, by iterative
 deepening: at each depth the search locates one induced copy and branches
 only on the pairs inside it, since any valid edit set must touch every
-copy.  The search runs on raw adjacency rows and holds the forbidden
-graph's induced-copy search (``graphs._copy_search``), built once per
-pattern; each node takes its first copy from one call of it, already
-indexed by pattern vertex.  Only the returned witness becomes a ``Graph``.
+copy.  The search runs on raw adjacency rows.  Only the returned witness
+becomes a ``Graph``.
+
+Each node the memo does not settle makes one call of one of two kernels,
+compiled once per forbidden graph by ``graphs._compile_loops``: the
+first-copy search ``_table_copy_search`` and, at nodes with two flips
+left, the survivor pass ``_survivor_commons``.  Both return the node's
+first copy, indexed by pattern vertex: the copy ``has_induced`` returns.
+Their loops take each step's candidates from ``_vertex_table(n)``, which
+lists the vertices of every mask on the host's n vertices and is built
+once per n; the oracle's cap of ``MAX_ORACLE_VERTICES`` host vertices
+bounds it at 1,024 rows.  These kernels live here, not in ``graphs``, so
+that only the commands that run the oracle compile their source.
 
 Every graph whose subtree fails with at least one flip left is remembered
 with the largest remaining depth it failed at; a graph that still holds a
@@ -26,12 +35,13 @@ children can still be fixed by one flip.  Flipping the pair e of C leaves
 each copy of the node that does not hold both ends of e, and a single flip
 clears all those survivors only if it lies inside every one of them, so
 the child is hopeless when the AND of their vertex masks has at most one
-vertex.  One pass over the node's copies (``graphs._survivor_commons``)
-computes that AND for every pair of C.  A hopeless child is not searched:
-it costs one node if it is in the memo, and otherwise one node plus one
-per pair of its own copy, exactly what its search would count, and it is
-remembered as failed at one flip left.  A later visit with more flips left
-searches for its copy as any memo hit with more depth left does.
+vertex.  The survivor pass finds C and computes that AND for every pair
+of C in one pass over the node's copies.  A hopeless child is not
+searched: it costs one node if it is in the memo, and otherwise one node
+plus one per pair of its own copy, exactly what its search would count,
+and it is remembered as failed at one flip left.  A later visit with more
+flips left searches for its copy as any memo hit with more depth left
+does.
 
 ``max_dist_estimate`` samples fixed-edge-count random graphs and
 reports the largest oracle distance seen; that is a lower bound on the
@@ -50,10 +60,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, Value, _copy_search, _survivor_commons, has_induced
+from .graphs import Graph, Value, _compile_loops, _first_copy, _induced_plan, has_induced
 from .limits import DEFAULT_NODE_LIMIT
 
 MAX_ORACLE_VERTICES = 10
@@ -75,6 +86,89 @@ class EstimateResult(Value):
     max_normalized: Fraction
     witness: Graph | None
     skipped: int
+
+
+@lru_cache
+def _table_copy_search(
+    pattern: Graph,
+) -> Callable[[tuple[int, ...], int, tuple], tuple[int, ...] | None]:
+    """``first_copy(adj, n, vb)``: the result of
+    ``graphs._copy_search(pattern)(adj, n)``, from the table form of
+    ``graphs._compile_loops`` over ``vb = _vertex_table(n)``."""
+    return _first_copy(pattern, table=True)
+
+
+@lru_cache
+def _survivor_commons(
+    pattern: Graph,
+) -> Callable[[tuple[int, ...], int, tuple], tuple[tuple[int, ...], tuple[bool, ...]] | None]:
+    """``wide(adj, n, vb)``: ``None`` when the host rows ``adj`` hold no
+    induced copy of ``pattern``, and otherwise ``(copy, flags)``: the copy
+    of ``_table_copy_search`` and, per pair of it, whether the copies that
+    survive the pair's flip share two vertices.
+
+    ``vb`` is ``_vertex_table(n)``.  The pairs {copy[i], copy[j]} come in
+    the order i < j, lexicographically (``_vertex_pairs``).  Flipping the
+    pair e leaves every copy whose vertex set does not hold both ends of e.
+    Flag e is ``False`` when the AND of those copies' vertex masks has at
+    most one vertex: then at least one copy survives the flip, and no
+    single flip after it clears all the survivors.  ``True`` means the AND
+    keeps two or more vertices, or that no copy survives.
+
+    One pass over the copies in ``graphs._compile_loops``' table form.  The
+    first copy met sets the pair masks from its vertex bits; it holds every
+    pair it has, so it survives none of their flips.  Every later copy feeds
+    one unrolled accumulator per pair, and the pass returns as soon as
+    every accumulator has at most one vertex.  Built once per pattern of 2
+    to ``MAX_EMBED_PATTERN`` vertices, larger ones raising
+    ``ValidationError``.
+    """
+    plan = _induced_plan(pattern)
+    k = pattern.n
+    where = sorted(range(k), key=plan[0].__getitem__)  # step placing each vertex
+    acc = [f"a{e}" for e in range(k * (k - 1) // 2)]
+    leaf = [
+        "if copy is None:",
+        f"    copy = ({''.join(f'v{t}, ' for t in where)})",
+        *(f"    p{e} = b{where[i]} | b{where[j]}" for e, (i, j) in enumerate(_vertex_pairs(k))),
+        "    continue",
+        f"m = {' | '.join(f'b{t}' for t in range(k))}",
+    ]
+    for e, a in enumerate(acc):
+        leaf += [f"if m & p{e} != p{e}:", f"    {a} &= m"]
+    leaf += [
+        f"if not ({' or '.join(f'{a} & {a} - 1' for a in acc)}):",
+        f"    return copy, ({'False, ' * len(acc)})",
+    ]
+    head = [f"{' = '.join(acc)} = -1", "copy = None"]
+    tail = [
+        "if copy is None:",
+        "    return None",
+        f"return copy, ({''.join(f'{a} & {a} - 1 != 0, ' for a in acc)})",
+    ]
+    return _compile_loops(plan, "wide", head, leaf, tail, table=True)
+
+
+def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j, of vertices 0..n-1, in lexicographic order."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+@lru_cache
+def _vertex_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``vb[c]``, for every mask c on vertices 0..n-1: the ``(v, 1 << v)``
+    pairs of the set bits v of c, in ascending v.
+
+    It has 2^n entries, so n is capped at ``MAX_ORACLE_VERTICES``, the
+    oracle's host cap (at most 1,024 rows); a larger n raises
+    ``ValidationError``.
+    """
+    if not 0 <= n <= MAX_ORACLE_VERTICES:
+        raise ValidationError(f"vertex table capped at {MAX_ORACLE_VERTICES} vertices, got {n}")
+    vb: list[tuple[tuple[int, int], ...]] = [()]
+    for v in range(n):  # the masks with top bit v follow those below 1 << v
+        vb += [row + ((v, 1 << v),) for row in vb]
+    return tuple(vb)
 
 
 def _flip(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -100,27 +194,28 @@ def _flip_search(
     it, trying children in copy order.  Every call of one ``search`` shares
     the memo of failed graphs and the node count; past ``node_limit`` nodes
     it raises :class:`BudgetError`.  Graphs are searched as raw adjacency
-    rows on vertices 0..n-1.  The pattern's copy search
-    (``graphs._copy_search``) is fetched once, when ``search`` is built; a
-    pattern on more than n vertices has no copy, so its ``search`` returns
-    the rows it is given and builds no copy search at all.
+    rows on vertices 0..n-1.  The pattern's two kernels
+    (``_table_copy_search`` and ``_survivor_commons``) and the vertex table
+    on n vertices (``_vertex_table``) are fetched once, when ``search`` is
+    built; a pattern on more than n vertices has no copy, so its ``search``
+    returns the rows it is given and builds none of them.
 
-    A node that the memo does not settle makes one call of the copy search
-    and takes its first copy.  With two flips left it runs the pattern's
-    survivor pass (``graphs._survivor_commons``, fetched with the copy
-    search) on that copy and recurses only into the children it leaves
-    open.  A ruled-out child fails at one flip left without a copy search:
-    it is counted as one node if it is in the memo, and otherwise as itself
-    and one node per pair, then stored as failed at depth 1.  The node
-    count, the memo's verdicts, every ``BudgetError`` and every witness are
-    those of the search that visits each such child.
+    A node that the memo does not settle makes exactly one kernel call.
+    With two flips left that is the survivor pass, which returns the first
+    copy and the children it leaves open, and the node recurses only into
+    those.  Otherwise it is the first-copy search.  A ruled-out child fails
+    at one flip left without a kernel call: it is counted as one node if it
+    is in the memo, and otherwise as itself and one node per pair, then
+    stored as failed at depth 1.  The node count, the memo's verdicts,
+    every ``BudgetError`` and every witness are those of the search that
+    visits each such child.
     """
     if forbidden.n > n:
         return lambda adj, remaining: adj  # no copy fits, so every graph is free
-    copy_search = _copy_search(forbidden)
+    first_copy = _table_copy_search(forbidden)
     survivors_wide = _survivor_commons(forbidden)
-    k = forbidden.n
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    vb = _vertex_table(n)
+    pairs = _vertex_pairs(forbidden.n)
     every_pair = (True,) * len(pairs)
     over = f"edit search node limit of {node_limit} exceeded"
     nodes = 0
@@ -133,12 +228,18 @@ def _flip_search(
             raise BudgetError(over)
         if failed.get(adj, -1) >= remaining:
             return None
-        copy = next(copy_search(adj, n), None)
-        if copy is None:
-            return adj
-        if remaining == 0:
-            return None
-        wide = survivors_wide(adj, n, copy) if remaining == 2 else every_pair
+        if remaining == 2:
+            found = survivors_wide(adj, n, vb)
+            if found is None:
+                return adj
+            copy, wide = found
+        else:
+            copy = first_copy(adj, n, vb)
+            if copy is None:
+                return adj
+            if remaining == 0:
+                return None
+            wide = every_pair
         for (i, j), open_child in zip(pairs, wide):
             child = _flip(adj, copy[i], copy[j])
             if open_child:
@@ -218,15 +319,22 @@ def sample_graph(n: int, edge_count: int, rng: random.Random) -> Graph:
     ``random.Random(seed)`` (MT19937) the output is reproducible
     bit-for-bit for a fixed seed.
     """
-    return Graph(n, _sample_rows(n, edge_count, rng))
+    return Graph(n, _sample_rows(n, _vertex_pairs(n), edge_count, rng))
 
 
-def _sample_rows(n: int, edge_count: int, rng: random.Random) -> tuple[int, ...]:
+def _sample_rows(
+    n: int, pairs: tuple[tuple[int, int], ...], edge_count: int, rng: random.Random
+) -> tuple[int, ...]:
     """The adjacency rows of ``sample_graph(n, edge_count, rng)``, drawn with
-    the same ``rng`` calls but not validated as a ``Graph``."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    the same ``rng`` calls but not validated as a ``Graph``.
+
+    ``pairs`` is the lexicographically ordered pair tuple of vertices
+    0..n-1, built once by a caller that draws many samples; each call
+    shuffles a list copy of it.
+    """
     if edge_count > len(pairs):
         raise ValidationError("edge count exceeds the number of vertex pairs")
+    pairs = list(pairs)
     rows = [0] * n
     for t in range(edge_count):
         swap = t + rng.randrange(len(pairs) - t)
@@ -278,8 +386,9 @@ def max_dist_estimate(
     best_edits = 0
     witness: Graph | None = None
     skipped = 0
+    pairs = _vertex_pairs(n)
     for index in range(samples):
-        rows = _sample_rows(n, edge_count, rng)
+        rows = _sample_rows(n, pairs, edge_count, rng)
         if witness is not None:
             # ties keep the earliest sample, so one within best_edits flips
             # of the property cannot raise the maximum

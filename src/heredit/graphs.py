@@ -6,23 +6,18 @@ per vertex, which keeps the subgraph searches fast without third-party
 dependencies.  Graph values are immutable; every operation returns a fresh
 value and is safe to call from concurrent workers.
 
-The induced-copy search is built once per pattern and held by its
-callers: ``_copy_search(pattern)`` returns ``search(adj, n)``, which
-yields the pattern's induced copies in raw adjacency rows, each indexed by
-pattern vertex.  ``has_induced`` and the edit search
-(``editing._flip_search``) take only its first copy.  ``_induced_plan``
-fixes the pattern's step order, and the search is compiled into a
-generator with one nested loop per step, so no search interprets its
-plan.  Patterns are capped at ``MAX_EMBED_PATTERN`` vertices: CPython caps
-nested blocks at 20, and the generated source grows with the square of
-the pattern order.
-
-One emitter, ``_compile_loops``, writes those nested loops; each compiled
-kernel supplies only what runs before the loops, at every copy, and after
-them.  Besides the copy generator it builds ``_survivor_commons``, the pass
-the edit search runs at nodes with two flips left: a plain function that
-ANDs, per pair of a given copy, the vertex masks of the copies that do not
-hold both ends of that pair.
+The induced-copy searches are built once per pattern and held by their
+callers.  ``_induced_plan`` fixes the pattern's step order, and
+``_compile_loops`` compiles a plain function with one nested loop per step,
+so no search interprets its plan.  Every caller takes only the first copy,
+so the searches return it, indexed by pattern vertex, or ``None``
+(``_first_copy``).  ``has_induced`` uses ``_copy_search``, whose loops peel
+candidate bits and take hosts of any size.  The loops' other form reads
+each candidate mask's vertices from a table with one row per mask; the
+edit oracle (``editing``), whose hosts are small, builds its kernels in
+that form.  Patterns are capped at ``MAX_EMBED_PATTERN`` vertices: CPython
+caps nested blocks at 20, and the generated source grows with the square
+of the pattern order.
 """
 
 from __future__ import annotations
@@ -280,112 +275,90 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
         return False, None
     if pattern.n == 0:
         return True, ()
-    copy = next(_copy_search(pattern)(host.adj, host.n), None)
+    copy = _copy_search(pattern)(host.adj, host.n)
     return copy is not None, copy
 
 
 @lru_cache
 def _copy_search(
     pattern: Graph,
-) -> Callable[[tuple[int, ...], int], Iterator[tuple[int, ...]]]:
-    """The induced-copy search of ``pattern``: ``search(adj, n)``.
+) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
+    """The induced-copy search of ``pattern``: ``first_copy(adj, n)``.
 
-    The search yields every induced copy of ``pattern`` in the host rows
-    ``adj`` on vertices 0..n-1: ``copy[i]`` is the host vertex playing
-    pattern vertex i.  Each labelled copy is yielded once, so a vertex set
-    appears once per automorphism of the pattern.  Order contract: copies
-    come in the order of the depth-first search, steps following the
-    ``_induced_plan`` order and each step trying its candidates in
-    ascending host order.  Its callers (``has_induced`` and the edit
-    search) take only the first copy: ``has_induced``'s witness, which the
-    edit search branches on.
+    It returns the first induced copy of ``pattern`` in the host rows
+    ``adj`` on vertices 0..n-1, or ``None``: ``copy[i]`` is the host vertex
+    playing pattern vertex i.  Order contract: the first copy of the
+    depth-first search whose steps follow the ``_induced_plan`` order and
+    try their candidates in ascending host order.  It is ``has_induced``'s
+    witness, which the edit search branches on.
 
-    Built once per pattern of 1 to ``MAX_EMBED_PATTERN`` vertices: nested
-    loops (``_compile_loops``) whose innermost body yields each copy.  A
-    larger pattern raises ``ValidationError``.
+    Built once per pattern of 1 to ``MAX_EMBED_PATTERN`` vertices, as
+    ``_compile_loops``' bit-peeling loops, so the host may have any size;
+    a larger pattern raises ``ValidationError``.
     """
-    if pattern.n > MAX_EMBED_PATTERN:
-        raise ValidationError(f"induced-copy pattern capped at {MAX_EMBED_PATTERN} vertices")
+    return _first_copy(pattern, table=False)
+
+
+def _first_copy(pattern: Graph, table: bool) -> Callable:
+    """Compile the first-copy search of ``pattern``: ``first_copy(adj, n)``,
+    or with ``table`` ``first_copy(adj, n, vb)`` (``_compile_loops``)."""
     plan = _induced_plan(pattern)
     where = sorted(range(pattern.n), key=plan[0].__getitem__)  # step placing each vertex
     copy = "".join(f"v{t}, " for t in where)
-    return _compile_loops(plan, "copies(adj, n)", [], [f"yield ({copy})"])
-
-
-@lru_cache
-def _survivor_commons(
-    pattern: Graph,
-) -> Callable[[tuple[int, ...], int, tuple[int, ...]], tuple[bool, ...]]:
-    """``wide(adj, n, copy)``: for each pair of one induced copy of
-    ``pattern``, whether the copies that survive its flip share two vertices.
-
-    ``copy`` is a copy of ``pattern`` in the host rows ``adj``, indexed by
-    pattern vertex, and its pairs {copy[i], copy[j]} come in the order
-    i < j, lexicographically.  Flipping the pair e leaves every copy whose
-    vertex set does not hold both ends of e.  Entry e of the result is
-    ``False`` when the AND of those copies' vertex masks has at most one
-    vertex: then at least one copy survives the flip, and no single flip
-    after it clears all the survivors.  ``True`` means the AND keeps two or
-    more vertices, or that no copy survives.
-
-    One pass over the copies of ``_copy_search``'s loops
-    (``_compile_loops``), with one unrolled accumulator per pair, in a
-    plain function that returns as soon as every accumulator has at most
-    one vertex.  Built once per pattern of 2 to ``MAX_EMBED_PATTERN``
-    vertices; the edit oracle's patterns have 2 to 10.
-    """
-    plan = _induced_plan(pattern)
-    k = pattern.n
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    acc = [f"a{e}" for e in range(len(pairs))]
-    head = [f"p{e} = 1 << copy[{i}] | 1 << copy[{j}]" for e, (i, j) in enumerate(pairs)]
-    head.append(f"{' = '.join(acc)} = -1")
-    leaf = [f"m = {' | '.join(f'b{t}' for t in range(k))}"]
-    for e, a in enumerate(acc):
-        leaf += [f"if m & p{e} != p{e}:", f"    {a} &= m"]
-    leaf += [
-        f"if not ({' or '.join(f'{a} & {a} - 1' for a in acc)}):",
-        f"    return ({'False, ' * len(acc)})",
-    ]
-    tail = [f"return ({''.join(f'{a} & {a} - 1 != 0, ' for a in acc)})"]
-    return _compile_loops(plan, "wide(adj, n, copy)", head, leaf, tail)
+    return _compile_loops(plan, "first_copy", [], [f"return ({copy})"], table=table)
 
 
 def _compile_loops(
     plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-    signature: str,
+    name: str,
     head: Iterable[str],
     leaf: Iterable[str],
     tail: Iterable[str] = (),
+    table: bool = False,
 ) -> Callable:
-    """Compile ``def <signature>:`` running one nested loop per step of
-    ``plan`` over the host rows ``adj`` on vertices 0..n-1.
+    """Compile ``def <name>(adj, n):``, or with ``table`` ``def <name>(adj,
+    n, vb):``, running one nested loop per step of ``plan`` over the host
+    rows ``adj`` on vertices 0..n-1.
 
     The body is the ``head`` lines, then the loops, with the ``leaf`` lines
     run once per induced copy at the innermost level, then the ``tail``
-    lines.  Loop t peels the lowest candidate bit of ``c_t`` into ``b_t``
-    (host vertex ``v_t``), then sets the candidates of step t + 1 to one
-    ``&`` over the earlier steps: ``adj[v_s]`` for a pattern edge, ``non_s``
-    for a non-edge.  ``non_s = full ^ adj[v_s] ^ b_s`` is every other host
-    vertex not adjacent to ``v_s``; it is computed once per placement, and
-    only for a step that some later step is not adjacent to, so a search
-    costs nothing per host vertex up front.  Every step after the first is
-    constrained by every earlier step, and neither row holds its own
-    vertex, so no placed vertex is a candidate again and no mask of used
-    vertices is kept.  The leaf sees ``v_t`` and ``b_t`` of every step t.
+    lines.  Loop t takes each candidate of ``c_t`` in ascending order as
+    the host vertex ``v_t`` with bit ``b_t``, in one of two forms:
+
+    - ``while c_t:`` peels the lowest bit, ``b_t = c_t & -c_t``, clears it
+      and sets ``v_t = b_t.bit_length() - 1``; it takes hosts of any size.
+    - with ``table``, ``for v_t, b_t in vb[c_t]:`` reads them from
+      ``vb``, whose row c lists the ``(v, 1 << v)`` pairs of the set bits
+      of c in ascending v (``editing._vertex_table``).
+
+    Then the candidates of step t + 1 are one ``&`` over the earlier steps:
+    ``adj[v_s]`` for a pattern edge, ``non_s`` for a non-edge.
+    ``non_s = full ^ adj[v_s] ^ b_s`` is every other host vertex not
+    adjacent to ``v_s``; it is computed once per placement, and only for a
+    step that some later step is not adjacent to, so a search costs nothing
+    per host vertex up front.  Every step after the first is constrained by
+    every earlier step, and neither row holds its own vertex, so no placed
+    vertex is a candidate again and no mask of used vertices is kept.  The
+    leaf sees ``v_t`` and ``b_t`` of every step t.  A plan of more than
+    ``MAX_EMBED_PATTERN`` steps raises ``ValidationError``.
     """
     _, steps = plan
     k = len(steps)
-    lines = [f"def {signature}:", *(f"    {line}" for line in head)]
+    if k > MAX_EMBED_PATTERN:
+        raise ValidationError(f"induced-copy pattern capped at {MAX_EMBED_PATTERN} vertices")
+    lines = [f"def {name}(adj, n{', vb' if table else ''}):", *(f"    {line}" for line in head)]
     lines += ["    full = (1 << n) - 1", "    c0 = full"]
     for t in range(k):
         pad = "    " * (t + 1)
-        lines += [
-            f"{pad}while c{t}:",
-            f"{pad}    b{t} = c{t} & -c{t}",
-            f"{pad}    c{t} ^= b{t}",
-            f"{pad}    v{t} = b{t}.bit_length() - 1",
-        ]
+        if table:
+            lines.append(f"{pad}for v{t}, b{t} in vb[c{t}]:")
+        else:
+            lines += [
+                f"{pad}while c{t}:",
+                f"{pad}    b{t} = c{t} & -c{t}",
+                f"{pad}    c{t} ^= b{t}",
+                f"{pad}    v{t} = b{t}.bit_length() - 1",
+            ]
         if any(not steps[u][t][1] for u in range(t + 1, k)):
             lines.append(f"{pad}    non{t} = full ^ adj[v{t}] ^ b{t}")
         if t + 1 < k:
@@ -395,7 +368,7 @@ def _compile_loops(
     lines += [f"    {line}" for line in tail]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace[signature.partition("(")[0]]
+    return namespace[name]
 
 
 class PathCycleProfile(NamedTuple):

@@ -138,7 +138,8 @@ def induced_copies_recursive(host: Graph, pattern: Graph) -> Iterator[tuple[int,
     """Every induced copy of ``pattern`` in ``host``, indexed by pattern vertex.
 
     Recursive backtracking over ``_search_order``, candidates ascending, so
-    copies come in the order ``graphs._copy_search`` must yield them.
+    copies come in the order the compiled searches of ``graphs`` meet them,
+    and the first is the one they must return.
     """
     order = _search_order(pattern)
     full = (1 << host.n) - 1

@@ -9,6 +9,10 @@ from heredit.editing import (
     _flip,
     _flip_search,
     _sample_rows,
+    _survivor_commons,
+    _table_copy_search,
+    _vertex_pairs,
+    _vertex_table,
     edit_distance,
     max_dist_estimate,
     sample_graph,
@@ -233,7 +237,7 @@ class TestSampleGraph:
             draws = [random.Random(seed) for _ in range(3)]
             for n in range(10):
                 for edge_count in (0, n * (n - 1) // 4, n * (n - 1) // 2):
-                    rows = _sample_rows(n, edge_count, draws[0])
+                    rows = _sample_rows(n, _vertex_pairs(n), edge_count, draws[0])
                     assert rows == sample_graph(n, edge_count, draws[1]).adj
                     assert rows == sample_graph_reference(n, edge_count, draws[2]).adj
             assert len({rng.random() for rng in draws}) == 1
@@ -359,23 +363,30 @@ class TestEstimateAgainstReference:
 
 
 def _spy_on_copy_searches(monkeypatch) -> tuple[list, list]:
-    """Record each copy search the edit search fetches, and the rows of each
-    call of a fetched search, through ``editing._copy_search``."""
+    """Record each kernel the edit search fetches, as ``(name, pattern)``,
+    and in one list the rows of each call of a fetched kernel: the
+    first-copy search (``editing._table_copy_search``) and the survivor
+    pass (``editing._survivor_commons``)."""
     fetched: list = []
     searched: list = []
-    real = editing._copy_search
 
-    def fetch(pattern):
-        search = real(pattern)
-        fetched.append(pattern)
+    def spy(name):
+        real = getattr(editing, name)
 
-        def counted(adj, n):
-            searched.append(adj)
-            return search(adj, n)
+        def fetch(pattern):
+            kernel = real(pattern)
+            fetched.append((name, pattern))
 
-        return counted
+            def counted(adj, n, vb):
+                searched.append(adj)
+                return kernel(adj, n, vb)
 
-    monkeypatch.setattr(editing, "_copy_search", fetch)
+            return counted
+
+        monkeypatch.setattr(editing, name, fetch)
+
+    spy("_table_copy_search")
+    spy("_survivor_commons")
     return fetched, searched
 
 
@@ -413,7 +424,8 @@ class TestEstimateCheck:
         _, searched = _spy_on_copy_searches(monkeypatch)
         # three disjoint P3s: each flip inside the first leaves the copies
         # of the other two, which share no vertex, so all three children
-        # fail at one flip left and only the root searches
+        # fail at one flip left and only the root runs a kernel, its
+        # survivor pass
         three_p3 = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
         assert _flip_search(9, P3, 13)(three_p3.adj, 2) is None
         assert searched == [three_p3.adj]
@@ -433,7 +445,8 @@ class TestEstimateCheck:
         assert searched[0] == child
 
     def test_copy_searches_of_the_benchmark_estimate(self, monkeypatch):
-        # a work pin: every node the memo does not settle searches once
+        # a work pin: every node the memo does not settle makes one kernel
+        # call, a first-copy search or, with two flips left, a survivor pass
         _, searched = _spy_on_copy_searches(monkeypatch)
         res = max_dist_estimate(8, F(1, 2), P4, 800, 7)
         assert (res.max_normalized, graph_to_graph6(res.witness), res.skipped) == (
@@ -448,16 +461,17 @@ class TestEstimateCheck:
         for depth in range(3):
             assert search(C8.adj, depth) is None
         assert search(C8.adj, 3) is not None
-        assert fetched == [P4]
+        assert fetched == [("_table_copy_search", P4), ("_survivor_commons", P4)]
         assert len(searched) > 1
 
     def test_pattern_larger_than_the_host_builds_no_search(self):
         path17 = build_family("path", 17)
-        before = _copy_search.cache_info()
+        cached = (_copy_search, _table_copy_search, _survivor_commons, _vertex_table)
+        before = [(f.cache_info().misses, f.cache_info().currsize) for f in cached]
         args = (8, F(1, 2), path17, 3, 7)
         assert max_dist_estimate(*args) == max_dist_estimate_reference(*args)
-        after = _copy_search.cache_info()
-        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        after = [(f.cache_info().misses, f.cache_info().currsize) for f in cached]
+        assert after == before
         rows = C8.adj
         assert _flip_search(8, path17, 1)(rows, 0) is rows
 

@@ -10,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heredit
-from heredit.editing import max_dist_estimate
+from heredit.editing import (
+    MAX_ORACLE_VERTICES,
+    _survivor_commons,
+    _table_copy_search,
+    _vertex_table,
+    max_dist_estimate,
+)
 from heredit.errors import FormatError, ValidationError
 from heredit.graphs import (
     Graph,
+    _bits,
     _copy_search,
     _induced_plan,
-    _survivor_commons,
     build_family,
     complement,
     graph_from_graph6,
@@ -164,13 +170,16 @@ class TestHasInduced:
             assert has_induced(host, pattern) == has_induced_recursive(host, pattern)
 
 
-def _copies_on_both_paths(host, pattern):
-    """Every copy the compiled search of ``pattern`` yields in ``host``,
-    after checking that the recursive reference yields the same copies in
-    the same order."""
-    yielded = list(_copy_search(pattern)(host.adj, host.n))
-    assert yielded == list(induced_copies_recursive(host, pattern))
-    return yielded
+def _first_copy_on_every_path(host, pattern):
+    """The first copy of ``pattern`` in ``host`` (``None`` if there is none),
+    after checking that the compiled search, its table form on hosts of at
+    most ``MAX_ORACLE_VERTICES`` vertices and the recursive reference
+    return the same one."""
+    first = _copy_search(pattern)(host.adj, host.n)
+    assert first == has_induced_recursive(host, pattern)[1]
+    if host.n <= MAX_ORACLE_VERTICES:
+        assert _table_copy_search(pattern)(host.adj, host.n, _vertex_table(host.n)) == first
+    return first
 
 
 def _relabelled(g, rng):
@@ -180,42 +189,49 @@ def _relabelled(g, rng):
 
 
 class TestInducedCopies:
+    PATTERNS = (
+        build_family("path", 3),
+        build_family("path", 4),
+        build_family("cycle", 4),
+        graph_from_graph6("Cs"),  # K_{1,3}, centre 0
+        build_family("c2nstar", 6),
+    )
+
     def test_every_copy_against_brute_force(self):
-        claw = graph_from_graph6("Cs")  # K_{1,3}, centre 0
-        patterns = (
-            build_family("path", 3),
-            build_family("path", 4),
-            build_family("cycle", 4),
-            claw,
-            build_family("c2nstar", 6),
-        )
         rng = random.Random(23)
-        for pattern in patterns:
+        for pattern in self.PATTERNS:
             order = _induced_plan(pattern)[0]
             hosts = 12 if pattern.n == 6 else 40
             for _ in range(hosts):
                 host = random_graph(rng, rng.randrange(pattern.n - 1, 9), rng.random())
-                copies = _copies_on_both_paths(host, pattern)
-                assert len(set(copies)) == len(copies)
-                assert set(copies) == induced_copies_brute(host, pattern)
-                # search order: ascending host vertex at each pattern step
-                assert copies == sorted(copies, key=lambda c: [c[v] for v in order])
-                _, witness = has_induced_recursive(host, pattern)
-                assert (copies[0] if copies else None) == witness
+                first = _first_copy_on_every_path(host, pattern)
+                # search order: ascending host vertex at each pattern step,
+                # so the first copy is the least of all copies in that order
+                copies = induced_copies_brute(host, pattern)
+                assert first == min(copies, key=lambda c: [c[v] for v in order], default=None)
+
+    def test_both_loop_forms_up_to_the_oracle_cap(self):
+        # the table form runs on hosts of up to MAX_ORACLE_VERTICES vertices
+        rng = random.Random(37)
+        for pattern in self.PATTERNS:
+            found = 0
+            for _ in range(30):
+                n = rng.randrange(pattern.n, MAX_ORACLE_VERTICES + 1)
+                host = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+                found += _first_copy_on_every_path(host, pattern) is not None
+            assert 0 < found < 30
 
     @pytest.mark.parametrize("k", [MAX_EMBED_PATTERN - 1, MAX_EMBED_PATTERN])
     def test_patterns_around_the_compiled_size(self, k):
         # the largest patterns the search takes, where brute force is too
-        # slow: checked against the recursive reference, copy for copy
+        # slow: the first copy is an induced copy, and the recursive
+        # reference's first
         rng = random.Random(k)
         for family in ("path", "cycle"):
             pattern = build_family(family, k)
-            order = _induced_plan(pattern)[0]
             # the pattern plus three vertices, joined by random chords that
-            # touch one of the three, so the pattern's own copies survive;
-            # with no chord there is one copy per automorphism.  For the
-            # path also the cycle on k + 3 vertices: one copy per start and
-            # direction.
+            # touch one of the three, so the pattern's own copies survive.
+            # For the path also the cycle on k + 3 vertices.
             hosts = []
             for chords in range(4):
                 edges = set(pattern.edges())
@@ -223,24 +239,16 @@ class TestInducedCopies:
                     u, v = rng.randrange(k, k + 3), rng.randrange(k + 3)
                     if u != v:
                         edges.add((min(u, v), max(u, v)))
-                count = (2 if family == "path" else 2 * k) if chords == 0 else None
-                hosts.append((Graph.from_edges(k + 3, edges), count))
+                hosts.append(Graph.from_edges(k + 3, edges))
             if family == "path":
-                hosts.append((build_family("cycle", k + 3), 2 * (k + 3)))
-            for host, count in hosts:
+                hosts.append(build_family("cycle", k + 3))
+            for host in hosts:
                 host = _relabelled(host, rng)
-                copies = _copies_on_both_paths(host, pattern)
-                _, witness = has_induced_recursive(host, pattern)
-                assert copies and copies[0] == witness
-                for copy in copies:
-                    assert all(
-                        pattern.has_edge(i, j) == host.has_edge(copy[i], copy[j])
-                        for i in range(k) for j in range(i + 1, k)
-                    )
-                assert len(set(copies)) == len(copies)
-                assert copies == sorted(copies, key=lambda c: [c[v] for v in order])
-                if count is not None:
-                    assert len(copies) == count
+                first = _first_copy_on_every_path(host, pattern)
+                assert all(
+                    pattern.has_edge(i, j) == host.has_edge(first[i], first[j])
+                    for i in range(k) for j in range(i + 1, k)
+                )
 
 
 class TestSurvivorCommons:
@@ -254,26 +262,34 @@ class TestSurvivorCommons:
     )
 
     def test_against_every_copy_and_every_single_flip(self):
-        """Per pair of the first copy: the pass agrees with the common vertices
-        of the listed copies that survive the pair's flip, and a ruled-out
-        child holds a copy that no single flip clears."""
+        """The pass returns the reference's first copy and, per pair of it,
+        agrees with the common vertices of the listed copies that survive
+        the pair's flip; a ruled-out child holds a copy that no single flip
+        clears.  A host with no copy gives ``None``."""
         rng = random.Random(43)
         for pattern in self.PATTERNS:
             k = pattern.n
             pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
             wide = _survivor_commons(pattern)
+            for n in range(MAX_ORACLE_VERTICES + 1):
+                # every pattern here has an edge and a non-edge
+                for free in (Graph(n, (0,) * n), complement(Graph(n, (0,) * n))):
+                    assert wide(free.adj, n, _vertex_table(n)) is None
             outcomes = set()
             hosts = 0
             while hosts < 25:
                 host = random_graph(rng, rng.randrange(5, 10), rng.choice((0.3, 0.5, 0.7)))
-                copies = [set(copy) for copy in _copy_search(pattern)(host.adj, host.n)]
-                if not copies:
+                listed = list(induced_copies_recursive(host, pattern))
+                got = wide(host.adj, host.n, _vertex_table(host.n))
+                if not listed:
+                    assert got is None
                     continue
                 hosts += 1
-                first = has_induced(host, pattern)[1]
-                got = wide(host.adj, host.n, first)
-                assert len(got) == len(pairs)
-                for (i, j), open_child in zip(pairs, got):
+                first, flags = got
+                assert first == listed[0]
+                copies = [set(copy) for copy in listed]
+                assert len(flags) == len(pairs)
+                for (i, j), open_child in zip(pairs, flags):
                     u, v = first[i], first[j]
                     survivors = [c for c in copies if not {u, v} <= c]
                     narrow = bool(survivors) and len(set.intersection(*survivors)) <= 1
@@ -295,23 +311,56 @@ def _toggled(g: Graph, u: int, v: int) -> Graph:
 
 
 class TestCompiledCopies:
+    KERNELS = (_copy_search, _table_copy_search, _survivor_commons)
+
     def test_one_kernel_per_pattern_in_an_estimate(self):
-        _copy_search.cache_clear()
-        _survivor_commons.cache_clear()
+        # has_induced's search for the exact runs' roots, and the edit
+        # search's two table-form kernels
+        for kernel in self.KERNELS:
+            kernel.cache_clear()
         max_dist_estimate(8, Fraction(1, 2), build_family("path", 4), 50, 7)
-        for kernel in (_copy_search, _survivor_commons):
+        for kernel in self.KERNELS:
             info = kernel.cache_info()
             assert (info.misses, info.currsize) == (1, 1)
+
+    def test_one_estimate_builds_one_table_and_one_of_each_kernel(self):
+        for cached in (*self.KERNELS, _vertex_table):
+            cached.cache_clear()
+        max_dist_estimate(8, Fraction(1, 2), build_family("path", 4), 50, 7)
+        for cached in (*self.KERNELS, _vertex_table):
+            info = cached.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
+        assert len(_vertex_table(8)) == 256
+        # another pattern on the same host order shares the table
+        max_dist_estimate(8, Fraction(1, 2), build_family("cycle", 4), 50, 7)
+        assert _vertex_table.cache_info().misses == 1
+
+    def test_vertex_table_lists_each_mask_in_ascending_order(self):
+        for n in range(MAX_ORACLE_VERTICES + 1):
+            vb = _vertex_table(n)
+            assert vb == tuple(
+                tuple((v, 1 << v) for v in _bits(c)) for c in range(1 << n)
+            )
+        with pytest.raises(ValidationError, match="vertex table capped at 10 vertices"):
+            _vertex_table(MAX_ORACLE_VERTICES + 1)
 
     @pytest.mark.parametrize("family", ["path", "cycle"])
     def test_kernels_build_at_the_cap(self, family):
         # CPython refuses more than 20 nested blocks, and the loops of a
-        # 21-step pattern no longer compile, so the cap keeps clear of it
+        # 21-step pattern no longer compile, so the cap keeps clear of it:
+        # at 16 both kernels build, and the first-copy search in both loop
+        # forms.  A host of the table's size holds no copy of them.
         pattern = build_family(family, MAX_EMBED_PATTERN)
         search = _copy_search(pattern)
-        assert search.__name__ == "copies"
+        assert search.__name__ == "first_copy"
         assert _copy_search(build_family(family, MAX_EMBED_PATTERN)) is search
+        assert search(pattern.adj, pattern.n) is not None
+        host = build_family(family, MAX_ORACLE_VERTICES)
+        vb = _vertex_table(host.n)
+        assert _table_copy_search(pattern).__name__ == "first_copy"
+        assert _table_copy_search(pattern)(host.adj, host.n, vb) is None
         assert _survivor_commons(pattern).__name__ == "wide"
+        assert _survivor_commons(pattern)(host.adj, host.n, vb) is None
 
     def test_larger_pattern_refused(self):
         large = build_family("path", MAX_EMBED_PATTERN + 1)
@@ -320,18 +369,26 @@ class TestCompiledCopies:
         with pytest.raises(ValidationError, match="capped at 16 vertices"):
             has_induced(build_family("cycle", 20), large)
 
+    @pytest.mark.parametrize("k", [MAX_EMBED_PATTERN + 1, 21])
+    def test_every_kernel_refuses_a_larger_pattern(self, k):
+        # 21 steps is where the loops would stop compiling (SyntaxError)
+        for kernel in self.KERNELS:
+            with pytest.raises(ValidationError, match="capped at 16 vertices"):
+                kernel(build_family("path", k))
+
     def test_import_compiles_nothing(self):
         src = os.path.dirname(os.path.dirname(heredit.__file__))
         code = (
-            "import heredit.cli, heredit.graphs as g;"
-            " print(g._copy_search.cache_info().misses)"
+            "import heredit.cli, heredit.graphs as g, heredit.editing as e;"
+            " print(*(f.cache_info().misses for f in"
+            " (g._copy_search, e._table_copy_search, e._survivor_commons, e._vertex_table)))"
         )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True, timeout=60,
         )
-        assert out.stdout == "0\n"
+        assert out.stdout == "0 0 0 0\n"
 
 
 class TestPathCycleProfile:
