@@ -45,6 +45,7 @@ from .graphs import Graph, graph_to_graph6, parse_graph_spec
 from .limits import (
     CURVE_FAMILIES,
     DEFAULT_NODE_LIMIT,
+    MAX_ANALYZE_POINTS,
     MAX_EMBED_CRG,
     MAX_EMBED_PATTERN,
     MAX_ENUM_SIZE,
@@ -158,7 +159,7 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
                        help="drop grid points outside the closed form's stated interval")
         p.add_argument("--analyze", action="store_true",
                        help="print max/argmax/concavity analysis per source "
-                       "(needs at least 3 points)")
+                       f"(needs 3 to {MAX_ANALYZE_POINTS} points)")
         _grid_options(p)
         _common(p, floats=True, jobs=True)
     elif command == "search":
@@ -285,10 +286,9 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
             points = tuple(p for p in points if lo <= p <= hi)
             if not points:
                 raise ValidationError("grid restriction left no evaluation points")
-        if job.analyze and len(points) < 3:
-            raise ValidationError(
-                f"--analyze needs at least 3 evaluation points, got {len(points)}"
-            )
+        if job.analyze and not 3 <= len(points) <= MAX_ANALYZE_POINTS:
+            bound = "at least 3" if len(points) < 3 else f"at most {MAX_ANALYZE_POINTS}"
+            raise ValidationError(f"--analyze needs {bound} evaluation points, got {len(points)}")
         graph = family_graph(job.family, n)
         if "closed_form" in sources and not job.restrict_grid:
             closed_form_terms(job.family, n, points)
@@ -574,8 +574,7 @@ def _run_estimate(job: argparse.Namespace) -> int:
     result = max_dist_estimate(
         job.n, job.p, job.forbid, job.samples, job.seed, node_limit=job.node_limit
     )
-    witness6 = graph_to_graph6(result.witness) if result.witness else ""
-    rows = [[result.max_normalized, witness6, result.skipped]]
+    rows = [[result.max_normalized, graph_to_graph6(result.witness), result.skipped]]
     _emit(job, _csv_text(["max_normalized", "witness_graph6", "skipped"], rows))
     return 0
 

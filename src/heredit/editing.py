@@ -7,6 +7,11 @@ only on the pairs inside it, since any valid edit set must touch every
 copy.  The search runs on raw adjacency rows.  Only the returned witness
 becomes a ``Graph``.
 
+One driver, ``_flip_search``, fetches the kernels and the vertex table
+once and returns ``run(rows, depths)``; each call keeps one memo and node
+count across its depths.  ``edit_distance`` deepens through one call, in
+which a copy-free host costs one node, its depth-1 root.
+
 Each node the memo does not settle makes one call of one of two kernels,
 compiled once per forbidden graph by ``graphs._compile_loops``: the
 first-copy search ``_table_copy_search`` and, at nodes with two flips
@@ -48,12 +53,6 @@ reports the largest oracle distance seen; that is a lower bound on the
 finite-n maximum at that density, not an estimate of the asymptotic limit.
 It refuses a negative ``n`` and a forbidden graph on fewer than 2 vertices
 with its other argument checks, before the first sample is drawn.
-Once it has a maximum of ``best`` edits, it first asks of each sample
-whether ``best`` flips suffice, with one depth-``best`` run of the same
-search; only a sample for which they do not, or for which that run exceeds
-the node limit, gets the exact ``edit_distance``.  ``skipped`` counts the
-samples that could not be compared with the running maximum within the
-node limit.
 """
 
 from __future__ import annotations
@@ -61,10 +60,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, Value, _compile_loops, _first_copy, _induced_plan, has_induced
+from .graphs import Graph, Value, _compile_loops, _first_copy, _induced_plan
 from .limits import DEFAULT_NODE_LIMIT
 
 MAX_ORACLE_VERTICES = 10
@@ -84,7 +83,7 @@ class EditResult(Value):
 
 class EstimateResult(Value):
     max_normalized: Fraction
-    witness: Graph | None
+    witness: Graph
     skipped: int
 
 
@@ -186,79 +185,83 @@ def _normalized(edits: int, n: int) -> Fraction:
 
 def _flip_search(
     n: int, forbidden: Graph, node_limit: int
-) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
-    """``search(rows, depth)``: rows of a ``forbidden``-free graph within
-    ``depth`` flips of ``rows``, or ``None`` when there is none.
+) -> Callable[[tuple[int, ...], Iterable[int]], Iterator[tuple[int, ...] | None]]:
+    """``run(rows, depths)``: an iterator that yields, for each depth of
+    ``depths`` in turn, rows of a ``forbidden``-free graph within that many
+    flips of ``rows``, or ``None`` when there is none.
 
     Each node finds one induced copy and branches only on the pairs inside
-    it, trying children in copy order.  Every call of one ``search`` shares
-    the memo of failed graphs and the node count; past ``node_limit`` nodes
-    it raises :class:`BudgetError`.  Graphs are searched as raw adjacency
-    rows on vertices 0..n-1.  The pattern's two kernels
-    (``_table_copy_search`` and ``_survivor_commons``) and the vertex table
-    on n vertices (``_vertex_table``) are fetched once, when ``search`` is
-    built; a pattern on more than n vertices has no copy, so its ``search``
-    returns the rows it is given and builds none of them.
+    it, trying children in copy order.  Each ``run`` call has its own memo
+    of failed graphs and node count, shared across its depths; past
+    ``node_limit`` nodes it raises :class:`BudgetError`.  Graphs are
+    searched as raw adjacency rows on vertices 0..n-1.  The pattern's two
+    kernels (``_table_copy_search`` and ``_survivor_commons``), the vertex
+    table on n vertices (``_vertex_table``) and the pattern's pairs are
+    fetched once, when ``run`` is built; a pattern on more than n vertices
+    has no copy, so its ``run`` yields the rows it is given and builds none
+    of them.
 
-    A node that the memo does not settle makes exactly one kernel call.
-    With two flips left that is the survivor pass, which returns the first
-    copy and the children it leaves open, and the node recurses only into
-    those.  Otherwise it is the first-copy search.  A ruled-out child fails
-    at one flip left without a kernel call: it is counted as one node if it
-    is in the memo, and otherwise as itself and one node per pair, then
-    stored as failed at depth 1.  The node count, the memo's verdicts,
-    every ``BudgetError`` and every witness are those of the search that
-    visits each such child.
+    A node that the memo does not settle makes exactly one kernel call:
+    with two flips left the survivor pass, whose ruled-out children are
+    counted and stored as the module docstring says, and otherwise the
+    first-copy search.  The node count, the memo's verdicts, every
+    ``BudgetError`` and every witness are those of the search that visits
+    every child.
     """
     if forbidden.n > n:
-        return lambda adj, remaining: adj  # no copy fits, so every graph is free
+        return lambda adj, depths: (adj for _ in depths)  # no copy fits: every graph is free
     first_copy = _table_copy_search(forbidden)
     survivors_wide = _survivor_commons(forbidden)
     vb = _vertex_table(n)
     pairs = _vertex_pairs(forbidden.n)
     every_pair = (True,) * len(pairs)
     over = f"edit search node limit of {node_limit} exceeded"
-    nodes = 0
-    failed: dict[tuple[int, ...], int] = {}  # rows -> largest depth proven hopeless
 
-    def search(adj: tuple[int, ...], remaining: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise BudgetError(over)
-        if failed.get(adj, -1) >= remaining:
-            return None
-        if remaining == 2:
-            found = survivors_wide(adj, n, vb)
-            if found is None:
-                return adj
-            copy, wide = found
-        else:
-            copy = first_copy(adj, n, vb)
-            if copy is None:
-                return adj
-            if remaining == 0:
-                return None
-            wide = every_pair
-        for (i, j), open_child in zip(pairs, wide):
-            child = _flip(adj, copy[i], copy[j])
-            if open_child:
-                result = search(child, remaining - 1)
-                if result is not None:
-                    return result
-                continue
-            # the pass shows this child fails at one flip left
-            if child in failed:
-                nodes += 1
-            else:
-                nodes += 1 + len(pairs)
-                failed[child] = 1
+    def run(rows: tuple[int, ...], depths: Iterable[int]) -> Iterator[tuple[int, ...] | None]:
+        nodes = 0
+        failed: dict[tuple[int, ...], int] = {}  # rows -> largest depth proven hopeless
+
+        def search(adj: tuple[int, ...], remaining: int) -> tuple[int, ...] | None:
+            nonlocal nodes
+            nodes += 1
             if nodes > node_limit:
                 raise BudgetError(over)
-        failed[adj] = remaining
-        return None
+            if failed.get(adj, -1) >= remaining:
+                return None
+            if remaining == 2:
+                found = survivors_wide(adj, n, vb)
+                if found is None:
+                    return adj
+                copy, wide = found
+            else:
+                copy = first_copy(adj, n, vb)
+                if copy is None:
+                    return adj
+                if remaining == 0:
+                    return None
+                wide = every_pair
+            for (i, j), open_child in zip(pairs, wide):
+                child = _flip(adj, copy[i], copy[j])
+                if open_child:
+                    result = search(child, remaining - 1)
+                    if result is not None:
+                        return result
+                    continue
+                # the pass shows this child fails at one flip left
+                if child in failed:
+                    nodes += 1
+                else:
+                    nodes += 1 + len(pairs)
+                    failed[child] = 1
+                if nodes > node_limit:
+                    raise BudgetError(over)
+            failed[adj] = remaining
+            return None
 
-    return search
+        for depth in depths:
+            yield search(rows, depth)
+
+    return run
 
 
 def edit_distance(
@@ -280,21 +283,16 @@ def edit_distance(
     if node_limit < 1:
         raise ValidationError(f"node limit must be at least 1, got {node_limit}")
 
-    found, _ = has_induced(g, forbidden)
-    if not found:
-        return EditResult(0, _normalized(0, g.n), g)
-
     # some flip set always works: empty the graph if the pattern has an
     # edge, complete it otherwise; that count is the standing upper bound
     pair_count = g.n * (g.n - 1) // 2
-    if forbidden.edge_count() > 0:
-        upper_bound = g.edge_count()
-    else:
-        upper_bound = pair_count - g.edge_count()
-    search = _flip_search(g.n, forbidden, node_limit)
-    for depth in range(1, pair_count + 1):
+    upper_bound = g.edge_count() if forbidden.edge_count() else pair_count - g.edge_count()
+    # depth 1 settles a copy-free host at its root, even one without pairs
+    depths = range(1, max(pair_count, 1) + 1)
+    witnesses = _flip_search(g.n, forbidden, node_limit)(g.adj, depths)
+    for depth in depths:
         try:
-            rows = search(g.adj, depth)
+            rows = next(witnesses)
         except BudgetError as exc:
             raise BudgetError(
                 f"{exc} at depth {depth}; the distance lies in [{depth}, {upper_bound}]",
@@ -359,8 +357,8 @@ def max_dist_estimate(
     keep the earliest sample, so the result is deterministic per seed, and
     once a maximum of ``best`` edits exists a sample needs its exact
     distance only if ``best`` flips cannot make it free of ``forbidden``.
-    That test is one depth-``best`` run of the edit search; when it exceeds
-    the node limit the sample gets the exact run anyway.  ``skipped``
+    That test is a depth-``best`` call of one edit-search ``run`` built per
+    estimate; when it exceeds the node limit the sample gets the exact run.  ``skipped``
     counts the samples that could not be compared with the running maximum
     within the node limit: their exact run exceeded it too.  The maximum
     and its witness are those of the loop that ran the exact search on
@@ -382,19 +380,18 @@ def max_dist_estimate(
         raise ValidationError(f"node limit must be at least 1, got {node_limit}")
     edge_count = int(Fraction(p) * (n * (n - 1) // 2))
     rng = random.Random(seed)
-    best = Fraction(0)
     best_edits = 0
     witness: Graph | None = None
     skipped = 0
     pairs = _vertex_pairs(n)
-    for index in range(samples):
+    check = _flip_search(n, forbidden, node_limit)
+    for _ in range(samples):
         rows = _sample_rows(n, pairs, edge_count, rng)
         if witness is not None:
             # ties keep the earliest sample, so one within best_edits flips
             # of the property cannot raise the maximum
-            search = _flip_search(n, forbidden, node_limit)
             try:
-                if search(rows, best_edits) is not None:
+                if next(check(rows, (best_edits,))) is not None:
                     continue
             except BudgetError:
                 pass  # undecided within the limit: the exact run decides
@@ -404,10 +401,9 @@ def max_dist_estimate(
         except BudgetError:
             skipped += 1
             continue
-        if result.normalized > best or witness is None:
-            best = result.normalized
+        if result.edits > best_edits or witness is None:
             best_edits = result.edits
             witness = g
     if witness is None:
         raise BudgetError(f"all {samples} samples exceeded the node limit")
-    return EstimateResult(best, witness, skipped)
+    return EstimateResult(_normalized(best_edits, n), witness, skipped)

@@ -15,7 +15,7 @@ so the searches return it, indexed by pattern vertex, or ``None``
 candidate bits and take hosts of any size.  The loops' other form reads
 each candidate mask's vertices from a table with one row per mask; the
 edit oracle (``editing``), whose hosts are small, builds its kernels in
-that form.  Patterns are capped at ``MAX_EMBED_PATTERN`` vertices: CPython
+that form, and they return the same first copy.  Patterns are capped at ``MAX_EMBED_PATTERN`` vertices: CPython
 caps nested blocks at 20, and the generated source grows with the square
 of the pattern order.
 """
@@ -263,8 +263,8 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
     per pattern.  Steps follow ``_search_order`` and each step tries its
     candidates in ascending order, so the witness is the first copy in that
     order: the same copy a recursive backtracking search over
-    ``_search_order`` returns.  ``edit_distance`` branches on the witness,
-    so that order is part of the contract.
+    ``_search_order`` returns.  The oracle's table kernels return the same
+    first copy, so that order is part of the contract.
 
     A pattern with more vertices than the host returns ``(False, None)``
     at once.  Otherwise the pattern is capped at ``MAX_EMBED_PATTERN``
@@ -290,7 +290,7 @@ def _copy_search(
     playing pattern vertex i.  Order contract: the first copy of the
     depth-first search whose steps follow the ``_induced_plan`` order and
     try their candidates in ascending host order.  It is ``has_induced``'s
-    witness, which the edit search branches on.
+    witness, and the oracle's table kernels return the same first copy.
 
     Built once per pattern of 1 to ``MAX_EMBED_PATTERN`` vertices, as
     ``_compile_loops``' bit-peeling loops, so the host may have any size;

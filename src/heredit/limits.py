@@ -26,6 +26,8 @@ MAX_QP_SIZE = 12
 DEFAULT_NODE_LIMIT = 2_000_000
 # evaluation grid (rationals.parse_grid): points built, so step 1/100000 fits
 MAX_GRID_POINTS = 100_001
+# curve analysis (edcurve --analyze, whose scan is quadratic): points, as on 1/1024
+MAX_ANALYZE_POINTS = 1_025
 # clique spectrum table (the CLI's spectrum command): rows written
 MAX_SPECTRUM_ROWS = 100_001
 

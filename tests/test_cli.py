@@ -18,7 +18,7 @@ from heredit.cli import main, parse_inputs
 from heredit.crg import crg_to_text, gray_crg
 from heredit.errors import ValidationError
 from heredit.curves import closed_form_curve
-from heredit.limits import MAX_GRID_POINTS, MAX_SPECTRUM_ROWS
+from heredit.limits import MAX_ANALYZE_POINTS, MAX_GRID_POINTS, MAX_SPECTRUM_ROWS
 from heredit.rationals import parse_grid
 
 
@@ -322,6 +322,15 @@ class TestParseInputs:
          "grid 1/1000000000 has 1000000001 points to evaluate; at most 100001 allowed"),
         (["edcurve", "--family", "c8star", "--grid", "1/1000000", "--from", "1/2"],
          "grid 1/1000000 has 500001 points to evaluate; at most 100001 allowed"),
+        # --analyze tests every pair of points, so its points are capped;
+        # --from, --to and --restrict-grid count
+        (["edcurve", "--family", "c8star", "--grid", "1/1025", "--analyze"],
+         "--analyze needs at most 1025 evaluation points, got 1026"),
+        (["edcurve", "--family", "c8star", "--source", "gamma,search", "--m", "3",
+          "--grid", "1/4000", "--from", "1/2", "--analyze", "--jobs", "2"],
+         "--analyze needs at most 1025 evaluation points, got 2001"),
+        (["edcurve", "--family", "path", "--n", "7", "--grid", "1/2050", "--restrict-grid",
+          "--analyze"], "--analyze needs at most 1025 evaluation points, got 1026"),
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv, message):
         def forbidden(*args, **kwargs):
@@ -348,7 +357,7 @@ class TestParseInputs:
         def forbidden(*args, **kwargs):
             raise AssertionError("search started before the node limit was refused")
 
-        for name in ("has_induced", "_flip_search", "_sample_rows"):
+        for name in ("_flip_search", "_sample_rows"):
             monkeypatch.setattr(f"heredit.editing.{name}", forbidden)
         code, stdout, err = run_cli(capsys, argv)
         assert code == 3
@@ -367,7 +376,7 @@ class TestParseInputs:
         def forbidden(*args, **kwargs):
             raise AssertionError("sampling started before the input was refused")
 
-        for name in ("has_induced", "_flip_search", "_sample_rows"):
+        for name in ("_flip_search", "_sample_rows"):
             monkeypatch.setattr(f"heredit.editing.{name}", forbidden)
         out = tmp_path / "estimate.csv"
         code, stdout, err = run_cli(capsys, argv + ["--out", str(out)])
@@ -392,6 +401,21 @@ class TestParseInputs:
         assert (code, stdout) == (3, "")
         assert err == "error: --analyze needs at least 3 evaluation points, got 2\n"
         assert not out.exists()
+        code, stdout, err = run_cli(capsys, [
+            "edcurve", "--family", "c8star", "--grid", "1/100000", "--analyze", "--out", str(out),
+        ])
+        assert (code, stdout) == (3, "")
+        assert err == "error: --analyze needs at most 1025 evaluation points, got 100001\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid", "1/1024"],
+        ["--grid", "1/4096", "--to", "1/4"],
+        ["--grid", "1/2048", "--from", "1/4", "--to", "3/4"],
+    ])
+    def test_analyze_accepts_up_to_1025_points(self, argv):
+        job = parse_inputs(["edcurve", "--family", "c8star", "--analyze", *argv])
+        assert len(job.points) == MAX_ANALYZE_POINTS == 1025
 
     def test_unwritable_output_is_os_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
@@ -483,6 +507,10 @@ GOLDEN = [
      "847c35da4938f18291e880a5232f217b0b6d447ea2fc6257de0c574b1569d617"),
     ("estimate --n 8 --p 1/2 --forbid path:4 --samples 100 --seed 3", 52,
      "2bbeaac8c543621ab71bb72ae6a5c3df09386ce07575278bcfe542181ad08771"),
+    # a limit small enough that skipped > 0 (3/28,GTPQmk,134): pins how the
+    # estimate's checks and exact runs count nodes
+    ("estimate --n 8 --p 1/2 --forbid path:4 --samples 200 --seed 3 --node-limit 60", 54,
+     "3c716e4bfeaf6b61b458852c39f8b82740e1f38a5a09e28ad98b0ef10cc77e26"),
     ("dist --graph cycle:8 --forbid path:4", 46,
      "ae416850045c2c79b92ca270731306739d7e28fdb3abcff6ae1628e9082e039b"),
     ("dist --graph ctilde:9 --forbid path:4", 47,

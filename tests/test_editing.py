@@ -210,6 +210,26 @@ class TestEditDistance:
             else:
                 assert edit_distance(g, pattern, node_limit=limit) == want
 
+    def test_copy_free_host_settled_at_one_node(self):
+        # no separate induced-copy test runs first: the depth-1 root of the
+        # search settles a copy-free host, so a limit of one node suffices,
+        # also for hosts without pairs and for patterns larger than the host
+        k2 = Graph.from_edges(2, [(0, 1)])
+        k10 = Graph.from_edges(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
+        k55 = Graph.from_edges(10, [(i, j) for i in range(5) for j in range(5, 10)])
+        cases = (
+            (Graph.from_edges(0, []), P3),
+            (Graph.from_edges(1, []), k2),
+            (Graph.from_edges(2, []), k2),
+            (k10, P3),
+            (k55, P4),
+            (P3, P4),
+            (k10, build_family("path", 17)),
+        )
+        for host, pattern in cases:
+            res = edit_distance(host, pattern, node_limit=1)
+            assert (res.edits, res.normalized, res.witness) == (0, 0, host)
+
     def test_size_gate(self):
         with pytest.raises(ValidationError):
             edit_distance(build_family("path", 11), P3)
@@ -281,7 +301,7 @@ def test_node_limit_below_one_refused_before_any_search(monkeypatch, limit):
     def forbidden(*args, **kwargs):
         raise AssertionError("search started before the node limit was refused")
 
-    for name in ("has_induced", "_flip_search", "_sample_rows"):
+    for name in ("_flip_search", "_sample_rows"):
         monkeypatch.setattr(editing, name, forbidden)
     with pytest.raises(ValidationError, match=f"node limit must be at least 1, got {limit}"):
         edit_distance(C5, P3, node_limit=limit)
@@ -313,13 +333,13 @@ def _spy_on_runs(monkeypatch) -> list[str]:
         return result
 
     def flip_search(*args):
-        search = real_search(*args)
+        run = real_search(*args)
         if inside_exact:
-            return search
+            return run
 
-        def check(adj, depth):
+        def check(adj, depths):
             try:
-                return search(adj, depth)
+                yield from run(adj, depths)
             except BudgetError:
                 events.append("check-over")
                 raise
@@ -394,14 +414,15 @@ class TestEstimateCheck:
     def test_check_at_zero_is_one_induced_search(self, monkeypatch):
         _, calls = _spy_on_copy_searches(monkeypatch)
         # every edgeless sample is P3-free: the first gets the exact run,
-        # which finds it free at its root, and each later sample is settled
-        # by a depth-0 check that searches its rows once
+        # whose depth-1 root finds it free with one first-copy search, and
+        # each later sample is settled by a depth-0 check that searches its
+        # rows once
         res = max_dist_estimate(6, F(0), P3, samples=5, seed=1)
         assert res.max_normalized == 0
-        assert calls == [(0,) * 6] * 4
+        assert calls == [(0,) * 6] * 5
         calls.clear()
         # a sample that contains a copy fails the depth-0 check at its root
-        assert _flip_search(5, P3, DEFAULT_NODE_LIMIT)(C5.adj, 0) is None
+        assert list(_flip_search(5, P3, DEFAULT_NODE_LIMIT)(C5.adj, [0])) == [None]
         assert calls == [C5.adj]
 
     def test_one_flip_left_searches_each_child_once(self, monkeypatch):
@@ -410,13 +431,13 @@ class TestEstimateCheck:
         # and each of the three children of its first copy search once,
         # the children in copy order
         two_p3 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        assert _flip_search(6, P3, 4)(two_p3.adj, 1) is None
+        assert list(_flip_search(6, P3, 4)(two_p3.adj, [1])) == [None]
         copy = has_induced(two_p3, P3)[1]
         children = [_flip(two_p3.adj, copy[i], copy[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
         assert searched == [two_p3.adj, *children]
         # the root and three children need four nodes
         with pytest.raises(BudgetError):
-            _flip_search(6, P3, 3)(two_p3.adj, 1)
+            list(_flip_search(6, P3, 3)(two_p3.adj, [1]))
 
     def test_two_flips_left_rules_out_children_without_searching_them(
         self, monkeypatch
@@ -427,22 +448,31 @@ class TestEstimateCheck:
         # fail at one flip left and only the root runs a kernel, its
         # survivor pass
         three_p3 = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
-        assert _flip_search(9, P3, 13)(three_p3.adj, 2) is None
+        assert list(_flip_search(9, P3, 13)(three_p3.adj, [2])) == [None]
         assert searched == [three_p3.adj]
         # each ruled-out child still counts as itself and its three
         # children: the root and 3 * (1 + 3) nodes need a limit of 13
         with pytest.raises(BudgetError):
-            _flip_search(9, P3, 12)(three_p3.adj, 2)
-        # a ruled-out child is remembered as failed at one flip left; with
-        # more flips left it searches for its copy, and two flips suffice
-        search = _flip_search(9, P3, DEFAULT_NODE_LIMIT)
-        search(three_p3.adj, 2)
+            list(_flip_search(9, P3, 12)(three_p3.adj, [2]))
+        # a ruled-out child is remembered as failed at one flip left only:
+        # at depth 3 of the same run the root's first child, ruled out at
+        # depth 2, has two flips left and runs its own survivor pass, and
+        # three flips suffice
         searched.clear()
-        child = _flip(three_p3.adj, 0, 1)
-        assert search(child, 1) is None
-        assert searched == []
-        assert search(child, 2) is not None
-        assert searched[0] == child
+        run = _flip_search(9, P3, DEFAULT_NODE_LIMIT)
+        witnesses = list(run(three_p3.adj, [2, 3]))
+        assert witnesses[0] is None and witnesses[1] is not None
+        copy = has_induced(three_p3, P3)[1]
+        child = _flip(three_p3.adj, copy[0], copy[1])
+        assert searched[:3] == [three_p3.adj, three_p3.adj, child]
+        # one run remembers its ruled-out children across its nodes: two
+        # siblings in the P3 search of 'DFw' (distance 4) rule out the same
+        # child, which costs 1 + 3 nodes the first time and 1 the second,
+        # so the run needs 67 nodes where forgetting it would take 70
+        host = graph_from_graph6("DFw")
+        with pytest.raises(BudgetError):
+            list(_flip_search(5, P3, 66)(host.adj, range(1, 5)))
+        assert list(_flip_search(5, P3, 67)(host.adj, range(1, 5)))[3] is not None
 
     def test_copy_searches_of_the_benchmark_estimate(self, monkeypatch):
         # a work pin: every node the memo does not settle makes one kernel
@@ -456,13 +486,34 @@ class TestEstimateCheck:
 
     def test_search_fetched_once_per_search_object(self, monkeypatch):
         fetched, searched = _spy_on_copy_searches(monkeypatch)
-        # C8 is three flips from P4-free: deepen to it on one search object
-        search = _flip_search(8, P4, DEFAULT_NODE_LIMIT)
-        for depth in range(3):
-            assert search(C8.adj, depth) is None
-        assert search(C8.adj, 3) is not None
+        # C8 is three flips from P4-free: deepen to it in one run, then ask
+        # again at depth 3 in a second run of the same search object
+        run = _flip_search(8, P4, DEFAULT_NODE_LIMIT)
+        witnesses = list(run(C8.adj, range(4)))
+        assert witnesses[:3] == [None] * 3 and witnesses[3] is not None
+        assert list(run(C8.adj, [3])) == witnesses[3:]
         assert fetched == [("_table_copy_search", P4), ("_survivor_commons", P4)]
         assert len(searched) > 1
+
+    def test_one_estimate_fetches_each_kernel_once_for_all_its_checks(self, monkeypatch):
+        # the checks share the estimate's one search object, so every fetch
+        # after the first is an exact run's own
+        exact = []
+        real = editing.edit_distance
+
+        def counted(*args, **kwargs):
+            exact.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(editing, "edit_distance", counted)
+        cached = (_table_copy_search, _survivor_commons, _vertex_table)
+        for f in cached:
+            f.cache_clear()
+        max_dist_estimate(8, F(1, 2), P4, 200, 7)
+        assert 1 < len(exact) < 200
+        for f in cached:
+            info = f.cache_info()
+            assert (info.misses, info.hits) == (1, len(exact))
 
     def test_pattern_larger_than_the_host_builds_no_search(self):
         path17 = build_family("path", 17)
@@ -473,7 +524,7 @@ class TestEstimateCheck:
         after = [(f.cache_info().misses, f.cache_info().currsize) for f in cached]
         assert after == before
         rows = C8.adj
-        assert _flip_search(8, path17, 1)(rows, 0) is rows
+        assert next(_flip_search(8, path17, 1)(rows, [0])) is rows
 
     def test_first_sample_over_budget_next_still_exact(self, monkeypatch):
         events = _spy_on_runs(monkeypatch)
