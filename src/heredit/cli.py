@@ -289,7 +289,8 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
         if job.analyze and not 3 <= len(points) <= MAX_ANALYZE_POINTS:
             bound = "at least 3" if len(points) < 3 else f"at most {MAX_ANALYZE_POINTS}"
             raise ValidationError(f"--analyze needs {bound} evaluation points, got {len(points)}")
-        graph = family_graph(job.family, n)
+        # the closed form needs no graph, so an order above the graph cap is fine
+        graph = family_graph(job.family, n) if {"gamma", "search"} & set(sources) else None
         if "closed_form" in sources and not job.restrict_grid:
             closed_form_terms(job.family, n, points)
         if "search" in sources:

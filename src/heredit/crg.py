@@ -6,16 +6,18 @@ whose edges are colored white, gray, or black.  Edge colors are stored in a
 flat tuple in column-major pair order ((0,1), (0,2), (1,2), (0,3), ...),
 which lets a CRG grow by one vertex by appending a contiguous block.
 CRGs are immutable and hashable.
+
+``embeds`` runs the pattern search that ``graphs.has_induced`` runs too
+(``graphs._pattern_search``), on rows built from the CRG's colors.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .errors import BudgetError, FormatError, ValidationError
-from .graphs import Graph, Value, _bits, _induced_plan
+from .errors import FormatError, ValidationError
+from .graphs import Graph, Value, _bits, _pattern_search
 from .limits import MAX_EMBED_CRG, MAX_EMBED_PATTERN, MAX_ENUM_SIZE
 
 VERTEX_COLORS = ("W", "B")
@@ -206,60 +208,6 @@ def _twin_pairs(rows: list[list[int]]) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@lru_cache
-def _embed_search(h: Graph) -> Callable:
-    """``embeds``'s search for ``h``: ``search(can_edge, can_non, base,
-    twins, budget)``, one ``while`` loop per step of ``_induced_plan(h)``.
-
-    Step t's candidates are ``scan(u_t) & <one & over the can_edge/can_non
-    rows of the earlier steps>``: ``u_t`` holds the CRG vertices the earlier
-    steps use, and ``scan(u)`` is ``u``, ``base`` and the lowest vertex
-    outside ``u`` of each ``twins`` class.  ``r_t`` holds step t's scan bits
-    not yet counted.  Returns the placements by pattern vertex, or ``None``.
-    """
-    order, steps = _induced_plan(h)
-    n = len(order)
-    witness = "".join(f"v{t}, " for t in sorted(range(n), key=order.__getitem__))
-    lines = ["def search(ce, cn, base, twins, budget):", "    nodes = u0 = 0"]
-    tails = []
-    for t in range(n):
-        pad = "    " * (t + 1)
-        cands = "".join(f" & ce[v{s}]" if edge else f" & cn[v{s}]" for s, edge in steps[t])
-        lines += [
-            f"{pad}s = base | u{t}",
-            f"{pad}for c in twins:",
-            f"{pad}    c &= ~u{t}",
-            f"{pad}    s |= c & -c",
-            f"{pad}r{t} = s",
-            f"{pad}c{t} = s{cands}",
-            f"{pad}while c{t}:",
-            f"{pad}    b{t} = c{t} & -c{t}",
-            f"{pad}    c{t} ^= b{t}",
-            f"{pad}    x = r{t} & (b{t} << 1) - 1",
-            f"{pad}    nodes += x.bit_count()",
-            f"{pad}    if nodes > budget:",
-            f"{pad}        raise over(budget, {t})",
-            f"{pad}    r{t} ^= x",
-            f"{pad}    v{t} = b{t}.bit_length() - 1",
-            f"{pad}    u{t + 1} = u{t} | b{t}",
-        ]
-        tails[:0] = [
-            f"{pad}nodes += r{t}.bit_count()",
-            f"{pad}if nodes > budget:",
-            f"{pad}    raise over(budget, {t})",
-        ]
-    lines.append(f"{'    ' * (n + 1)}return ({witness})")
-    lines += tails
-    namespace = {
-        "over": lambda budget, t: BudgetError(
-            f"embedding search budget of {budget} placements exceeded "
-            f"at pattern step {t} of {n}"
-        )
-    }
-    exec("\n".join(lines), namespace)
-    return namespace["search"]
-
-
 def embeds(
     h: Graph, k: CRG, budget: int = DEFAULT_EMBED_BUDGET
 ) -> tuple[bool, EmbeddingWitness | None]:
@@ -270,11 +218,11 @@ def embeds(
     or a white/gray edge.  The map need not be injective.
 
     Backtracking with bit-parallel candidate sets (Ullmann 1976), compiled
-    once per pattern (``_embed_search``): per CRG vertex a, ``can_edge[a]``
-    holds the b whose pair with a is not white (the diagonal is a's own
-    color) and ``can_non[a]`` those whose pair is not black; a step's
-    candidates are the AND of these masks over the earlier placements,
-    taken lowest vertex first.  Unused vertices of one ``_equiv_classes``
+    once per pattern (``graphs._pattern_search``): per CRG vertex a,
+    ``can_edge[a]`` holds the b whose pair with a is not white (the diagonal
+    is a's own color) and ``can_non[a]`` those whose pair is not black; a
+    step's candidates are the AND of these masks over the earlier
+    placements, taken lowest vertex first.  Unused vertices of one ``_equiv_classes``
     class are interchangeable, so a step tries only the lowest unused one.
 
     Placement count: a step scans the CRG vertices in ascending order,
@@ -304,7 +252,7 @@ def embeds(
         members[c] |= 1 << v
     twins = [c for c in members if c & c - 1]
     base = (1 << k.m) - 1 - sum(twins)  # the vertices without a twin
-    mapping = _embed_search(h)(can_edge, can_non, base, twins, budget)
+    mapping = _pattern_search(h)(can_edge, can_non, base, twins, budget)
     if mapping is None:
         return False, None
     return True, EmbeddingWitness(mapping)

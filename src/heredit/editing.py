@@ -13,15 +13,16 @@ count across its depths.  ``edit_distance`` deepens through one call, in
 which a copy-free host costs one node, its depth-1 root.
 
 Each node the memo does not settle makes one call of one of two kernels,
-compiled once per forbidden graph by ``graphs._compile_loops``: the
-first-copy search ``_table_copy_search`` and, at nodes with two flips
-left, the survivor pass ``_survivor_commons``.  Both return the node's
-first copy, indexed by pattern vertex: the copy ``has_induced`` returns.
+compiled once per forbidden graph by ``_compile_loops``: the first-copy
+search ``_table_copy_search`` and, at nodes with two flips left, the
+survivor pass ``_survivor_commons``.  Both return the node's first copy,
+indexed by pattern vertex: the copy ``has_induced`` returns.
 Their loops take each step's candidates from ``_vertex_table(n)``, which
 lists the vertices of every mask on the host's n vertices and is built
 once per n; the oracle's cap of ``MAX_ORACLE_VERTICES`` host vertices
-bounds it at 1,024 rows.  These kernels live here, not in ``graphs``, so
-that only the commands that run the oracle compile their source.
+bounds it at 1,024 rows.  These kernels and their loop compiler live
+here, not in ``graphs``, so that only the commands that run the oracle
+compile their source.
 
 Every graph whose subtree fails with at least one flip left is remembered
 with the largest remaining depth it failed at; a graph that still holds a
@@ -63,8 +64,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetError, ValidationError
-from .graphs import Graph, Value, _compile_loops, _first_copy, _induced_plan
-from .limits import DEFAULT_NODE_LIMIT
+from .graphs import Graph, Value, _check_order, _induced_plan
+from .limits import DEFAULT_NODE_LIMIT, MAX_EMBED_PATTERN
 
 MAX_ORACLE_VERTICES = 10
 MAX_ESTIMATE_VERTICES = 9
@@ -91,10 +92,14 @@ class EstimateResult(Value):
 def _table_copy_search(
     pattern: Graph,
 ) -> Callable[[tuple[int, ...], int, tuple], tuple[int, ...] | None]:
-    """``first_copy(adj, n, vb)``: the result of
-    ``graphs._copy_search(pattern)(adj, n)``, from the table form of
-    ``graphs._compile_loops`` over ``vb = _vertex_table(n)``."""
-    return _first_copy(pattern, table=True)
+    """``first_copy(adj, n, vb)``: the first induced copy of ``pattern`` in
+    the host rows ``adj`` on vertices 0..n-1, indexed by pattern vertex, or
+    ``None``, where ``vb`` is ``_vertex_table(n)``.  It is the copy
+    ``graphs.has_induced`` returns, found by ``_compile_loops``' loops."""
+    plan = _induced_plan(pattern)
+    where = sorted(range(pattern.n), key=plan[0].__getitem__)  # step placing each vertex
+    copy = "".join(f"v{t}, " for t in where)
+    return _compile_loops(plan, "first_copy", [], [f"return ({copy})"])
 
 
 @lru_cache
@@ -114,11 +119,11 @@ def _survivor_commons(
     single flip after it clears all the survivors.  ``True`` means the AND
     keeps two or more vertices, or that no copy survives.
 
-    One pass over the copies in ``graphs._compile_loops``' table form.  The
-    first copy met sets the pair masks from its vertex bits; it holds every
-    pair it has, so it survives none of their flips.  Every later copy feeds
-    one unrolled accumulator per pair, and the pass returns as soon as
-    every accumulator has at most one vertex.  Built once per pattern of 2
+    One pass over the copies in ``_compile_loops``' loops.  The first copy
+    met sets the pair masks from its vertex bits; it holds every pair it
+    has, so it survives none of their flips.  Every later copy feeds one
+    unrolled accumulator per pair, and the pass returns as soon as every
+    accumulator has at most one vertex.  Built once per pattern of 2
     to ``MAX_EMBED_PATTERN`` vertices, larger ones raising
     ``ValidationError``.
     """
@@ -145,7 +150,53 @@ def _survivor_commons(
         "    return None",
         f"return copy, ({''.join(f'{a} & {a} - 1 != 0, ' for a in acc)})",
     ]
-    return _compile_loops(plan, "wide", head, leaf, tail, table=True)
+    return _compile_loops(plan, "wide", head, leaf, tail)
+
+
+def _compile_loops(
+    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
+    name: str,
+    head: Iterable[str],
+    leaf: Iterable[str],
+    tail: Iterable[str] = (),
+) -> Callable:
+    """Compile ``def <name>(adj, n, vb):``, running one nested loop per step
+    of ``plan`` over the host rows ``adj`` on vertices 0..n-1.
+
+    The body is the ``head`` lines, then the loops, with the ``leaf`` lines
+    run once per induced copy at the innermost level, then the ``tail``
+    lines.  Loop t, ``for v_t, b_t in vb[c_t]:``, takes each candidate of
+    ``c_t`` in ascending order as the host vertex ``v_t`` with bit ``b_t``,
+    read from ``vb = _vertex_table(n)``.  Then the candidates of step t + 1
+    are one ``&`` over the earlier steps: ``adj[v_s]`` for a pattern edge,
+    ``non_s`` for a non-edge.  ``non_s = full ^ adj[v_s] ^ b_s`` is every
+    other host vertex not adjacent to ``v_s``; it is computed once per
+    placement, and only for a step that some later step is not adjacent
+    to, so a search costs nothing per host vertex up front.  Every step after the first is constrained by
+    every earlier step, and neither row holds its own vertex, so no placed
+    vertex is a candidate again and no mask of used vertices is kept.  The
+    leaf sees ``v_t`` and ``b_t`` of every step t.  A plan of more than
+    ``MAX_EMBED_PATTERN`` steps raises ``ValidationError``.
+    """
+    _, steps = plan
+    k = len(steps)
+    if k > MAX_EMBED_PATTERN:
+        raise ValidationError(f"induced-copy pattern capped at {MAX_EMBED_PATTERN} vertices")
+    lines = [f"def {name}(adj, n, vb):", *(f"    {line}" for line in head)]
+    lines += ["    full = (1 << n) - 1", "    c0 = full"]
+    for t in range(k):
+        pad = "    " * (t + 1)
+        lines.append(f"{pad}for v{t}, b{t} in vb[c{t}]:")
+        if any(not steps[u][t][1] for u in range(t + 1, k)):
+            lines.append(f"{pad}    non{t} = full ^ adj[v{t}] ^ b{t}")
+        if t + 1 < k:
+            terms = (f"adj[v{s}]" if edge else f"non{s}" for s, edge in steps[t + 1])
+            lines.append(f"{pad}    c{t + 1} = {' & '.join(terms)}")
+    lines += [f"{'    ' * (k + 1)}{line}" for line in leaf]
+    lines += [f"    {line}" for line in tail]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
 
 
 def _vertex_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -315,8 +366,10 @@ def sample_graph(n: int, edge_count: int, rng: random.Random) -> Graph:
     Selection is a partial Fisher-Yates shuffle over the lexicographically
     ordered pair list, driven by ``rng.randrange``; with
     ``random.Random(seed)`` (MT19937) the output is reproducible
-    bit-for-bit for a fixed seed.
+    bit-for-bit for a fixed seed.  An order outside the ``Graph`` range is
+    refused before the pair list is built.
     """
+    _check_order(n)
     return Graph(n, _sample_rows(n, _vertex_pairs(n), edge_count, rng))
 
 

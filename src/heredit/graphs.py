@@ -6,18 +6,18 @@ per vertex, which keeps the subgraph searches fast without third-party
 dependencies.  Graph values are immutable; every operation returns a fresh
 value and is safe to call from concurrent workers.
 
-The induced-copy searches are built once per pattern and held by their
-callers.  ``_induced_plan`` fixes the pattern's step order, and
-``_compile_loops`` compiles a plain function with one nested loop per step,
-so no search interprets its plan.  Every caller takes only the first copy,
-so the searches return it, indexed by pattern vertex, or ``None``
-(``_first_copy``).  ``has_induced`` uses ``_copy_search``, whose loops peel
-candidate bits and take hosts of any size.  The loops' other form reads
-each candidate mask's vertices from a table with one row per mask; the
-edit oracle (``editing``), whose hosts are small, builds its kernels in
-that form, and they return the same first copy.  Patterns are capped at ``MAX_EMBED_PATTERN`` vertices: CPython
-caps nested blocks at 20, and the generated source grows with the square
-of the pattern order.
+One compiled search asks both of the paper's questions of a pattern H:
+does H embed in a colored regularity graph (``crg.embeds``), and does a
+graph hold an induced copy of H (``has_induced``)?  ``_induced_plan`` fixes
+the pattern's step order, and ``_pattern_search`` compiles a plain function
+with one nested loop per step, once per pattern, so no search interprets
+its plan.  A step's candidates are one AND over the edge or non-edge rows
+of the earlier steps: a CRG's color rows for ``embeds``, a host's
+adjacency rows and their complements for ``has_induced``.  The edit
+oracle's table-driven kernels are compiled from the same plan in
+``editing``.  Patterns are capped at ``MAX_EMBED_PATTERN`` vertices:
+CPython caps nested blocks at 20, and the generated source grows with the
+square of the pattern order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import FormatError, ValidationError
+from .errors import BudgetError, FormatError, ValidationError
 from .limits import MAX_EMBED_PATTERN, parse_int
 
 MAX_VERTICES = 4096
@@ -113,6 +113,12 @@ def _bind(cls: type, args: tuple, kwargs: dict) -> list:
     return [values[field] for field in fields]
 
 
+def _check_order(n: int) -> None:
+    """Refuse a vertex count outside 0..``MAX_VERTICES``."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValidationError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 class Graph(Value):
     """Immutable simple undirected graph on vertices 0..n-1.
 
@@ -124,8 +130,7 @@ class Graph(Value):
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValidationError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValidationError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -141,8 +146,7 @@ class Graph(Value):
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValidationError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -176,12 +180,14 @@ def build_family(family: str, n: int) -> Graph:
 
     ``c2nstar`` takes the full (even) order, so ``build_family("c2nstar", 8)``
     is the 8-cycle with the long chord {0, 4}.  ``ctilde`` is the n-cycle with
-    the short chord {0, 2}.
+    the short chord {0, 2}.  The edges are generated lazily, so
+    ``Graph.from_edges`` refuses an order above ``MAX_VERTICES`` before any
+    is built.
     """
     if family == "path":
         if n < 1:
             raise ValidationError(f"path needs order >= 1, got {n}")
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
     if family == "cycle":
         if n < 3:
             raise ValidationError(f"cycle needs order >= 3, got {n}")
@@ -189,16 +195,19 @@ def build_family(family: str, n: int) -> Graph:
     if family == "c2nstar":
         if n < 6 or n % 2:
             raise ValidationError(f"c2nstar needs an even order >= 6, got {n}")
-        return Graph.from_edges(n, _cycle_edges(n) + [(0, n // 2)])
+        return Graph.from_edges(n, _cycle_edges(n, (0, n // 2)))
     if family == "ctilde":
         if n < 4:
             raise ValidationError(f"ctilde needs order >= 4, got {n}")
-        return Graph.from_edges(n, _cycle_edges(n) + [(0, 2)])
+        return Graph.from_edges(n, _cycle_edges(n, (0, 2)))
     raise ValidationError(f"unknown family {family!r} (expected one of {FAMILIES})")
 
 
-def _cycle_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, (i + 1) % n) for i in range(n)]
+def _cycle_edges(n: int, *chords: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """The edges of the n-cycle, then ``chords``."""
+    for i in range(n):
+        yield i, (i + 1) % n
+    yield from chords
 
 
 def complement(g: Graph) -> Graph:
@@ -228,7 +237,6 @@ def _search_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-@lru_cache
 def _induced_plan(
     pattern: Graph,
 ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]]:
@@ -236,9 +244,9 @@ def _induced_plan(
 
     Step t places pattern vertex ``order[t]``; for every earlier step s the
     pair says whether ``order[t]`` and ``order[s]`` are adjacent in the
-    pattern, so the search never asks the pattern again.  Cached per pattern:
-    it is the one plan of a pattern that ``crg.embeds`` reads and that the
-    pattern's ``_copy_search`` is built from.
+    pattern, so the search never asks the pattern again.  Every search
+    compiled from it (``_pattern_search`` and the oracle's kernels in
+    ``editing``) is cached per pattern, so a plan is built once per kernel.
     """
     order = _search_order(pattern)
     steps = tuple(
@@ -257,14 +265,21 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
     non-edge).
 
     The search is a depth-first search over bitsets in the manner of
-    Ullmann (1976): step t narrows the host vertices that may play pattern
-    vertex ``order[t]`` by the host rows of every earlier step.  The
-    witness is the first copy of the pattern's ``_copy_search``, built once
-    per pattern.  Steps follow ``_search_order`` and each step tries its
-    candidates in ascending order, so the witness is the first copy in that
-    order: the same copy a recursive backtracking search over
-    ``_search_order`` returns.  The oracle's table kernels return the same
-    first copy, so that order is part of the contract.
+    Ullmann (1976), the pattern's ``_pattern_search``: the one
+    ``crg.embeds`` runs.  Its edge rows are the host's adjacency rows, its
+    non-edge rows their complements less the vertex itself, every host
+    vertex is in its scan base, there are no twin classes and its budget is
+    unbounded.  Its first copy is the witness: the first copy in the order
+    of a recursive backtracking search over ``_search_order`` that tries
+    each step's candidates in ascending order.  The oracle's table kernels
+    return the same first copy, so that order is part of the contract.  It
+    holds because:
+
+    - with no twins and the full base, step t's candidates are the AND of
+      the earlier steps' rows, tried lowest vertex first along
+      ``_induced_plan``;
+    - no row holds its own vertex, so every placement is injective;
+    - the edge and non-edge rows make adjacency match edge for edge.
 
     A pattern with more vertices than the host returns ``(False, None)``
     at once.  Otherwise the pattern is capped at ``MAX_EMBED_PATTERN``
@@ -275,100 +290,74 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
         return False, None
     if pattern.n == 0:
         return True, ()
-    copy = _copy_search(pattern)(host.adj, host.n)
+    search = _pattern_search(pattern)
+    full = (1 << host.n) - 1
+    non = [full ^ row ^ (1 << v) for v, row in enumerate(host.adj)]
+    copy = search(host.adj, non, full, (), float("inf"))
     return copy is not None, copy
 
 
 @lru_cache
-def _copy_search(
-    pattern: Graph,
-) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
-    """The induced-copy search of ``pattern``: ``first_copy(adj, n)``.
+def _pattern_search(h: Graph) -> Callable:
+    """The compiled search of ``h``: ``search(can_edge, can_non, base,
+    twins, budget)``, one ``while`` loop per step of ``_induced_plan(h)``.
 
-    It returns the first induced copy of ``pattern`` in the host rows
-    ``adj`` on vertices 0..n-1, or ``None``: ``copy[i]`` is the host vertex
-    playing pattern vertex i.  Order contract: the first copy of the
-    depth-first search whose steps follow the ``_induced_plan`` order and
-    try their candidates in ascending host order.  It is ``has_induced``'s
-    witness, and the oracle's table kernels return the same first copy.
-
-    Built once per pattern of 1 to ``MAX_EMBED_PATTERN`` vertices, as
-    ``_compile_loops``' bit-peeling loops, so the host may have any size;
-    a larger pattern raises ``ValidationError``.
+    It places the pattern's vertices on target vertices: ``can_edge[a]``
+    holds the targets that a pattern edge at target a may meet, and
+    ``can_non[a]`` those a non-edge may meet.  Step t's candidates are
+    ``scan(u_t) & <one & over the can_edge/can_non rows of the earlier
+    steps>``: ``u_t`` holds the targets the earlier steps use, and
+    ``scan(u)`` is ``u``, ``base`` and the lowest vertex outside ``u`` of
+    each ``twins`` class.  ``r_t`` holds step t's scan bits not yet counted
+    as placements; past ``budget`` placements it raises ``BudgetError``.
+    Returns the placements by pattern vertex, or ``None``.  Its callers
+    are ``crg.embeds`` and ``has_induced``.  Built once per pattern of up
+    to ``MAX_EMBED_PATTERN`` vertices; a larger one raises
+    ``ValidationError``.
     """
-    return _first_copy(pattern, table=False)
-
-
-def _first_copy(pattern: Graph, table: bool) -> Callable:
-    """Compile the first-copy search of ``pattern``: ``first_copy(adj, n)``,
-    or with ``table`` ``first_copy(adj, n, vb)`` (``_compile_loops``)."""
-    plan = _induced_plan(pattern)
-    where = sorted(range(pattern.n), key=plan[0].__getitem__)  # step placing each vertex
-    copy = "".join(f"v{t}, " for t in where)
-    return _compile_loops(plan, "first_copy", [], [f"return ({copy})"], table=table)
-
-
-def _compile_loops(
-    plan: tuple[tuple[int, ...], tuple[tuple[tuple[int, bool], ...], ...]],
-    name: str,
-    head: Iterable[str],
-    leaf: Iterable[str],
-    tail: Iterable[str] = (),
-    table: bool = False,
-) -> Callable:
-    """Compile ``def <name>(adj, n):``, or with ``table`` ``def <name>(adj,
-    n, vb):``, running one nested loop per step of ``plan`` over the host
-    rows ``adj`` on vertices 0..n-1.
-
-    The body is the ``head`` lines, then the loops, with the ``leaf`` lines
-    run once per induced copy at the innermost level, then the ``tail``
-    lines.  Loop t takes each candidate of ``c_t`` in ascending order as
-    the host vertex ``v_t`` with bit ``b_t``, in one of two forms:
-
-    - ``while c_t:`` peels the lowest bit, ``b_t = c_t & -c_t``, clears it
-      and sets ``v_t = b_t.bit_length() - 1``; it takes hosts of any size.
-    - with ``table``, ``for v_t, b_t in vb[c_t]:`` reads them from
-      ``vb``, whose row c lists the ``(v, 1 << v)`` pairs of the set bits
-      of c in ascending v (``editing._vertex_table``).
-
-    Then the candidates of step t + 1 are one ``&`` over the earlier steps:
-    ``adj[v_s]`` for a pattern edge, ``non_s`` for a non-edge.
-    ``non_s = full ^ adj[v_s] ^ b_s`` is every other host vertex not
-    adjacent to ``v_s``; it is computed once per placement, and only for a
-    step that some later step is not adjacent to, so a search costs nothing
-    per host vertex up front.  Every step after the first is constrained by
-    every earlier step, and neither row holds its own vertex, so no placed
-    vertex is a candidate again and no mask of used vertices is kept.  The
-    leaf sees ``v_t`` and ``b_t`` of every step t.  A plan of more than
-    ``MAX_EMBED_PATTERN`` steps raises ``ValidationError``.
-    """
-    _, steps = plan
-    k = len(steps)
-    if k > MAX_EMBED_PATTERN:
+    if h.n > MAX_EMBED_PATTERN:
         raise ValidationError(f"induced-copy pattern capped at {MAX_EMBED_PATTERN} vertices")
-    lines = [f"def {name}(adj, n{', vb' if table else ''}):", *(f"    {line}" for line in head)]
-    lines += ["    full = (1 << n) - 1", "    c0 = full"]
-    for t in range(k):
+    order, steps = _induced_plan(h)
+    n = len(order)
+    witness = "".join(f"v{t}, " for t in sorted(range(n), key=order.__getitem__))
+    lines = ["def search(ce, cn, base, twins, budget):", "    nodes = u0 = 0"]
+    tails = []
+    for t in range(n):
         pad = "    " * (t + 1)
-        if table:
-            lines.append(f"{pad}for v{t}, b{t} in vb[c{t}]:")
-        else:
-            lines += [
-                f"{pad}while c{t}:",
-                f"{pad}    b{t} = c{t} & -c{t}",
-                f"{pad}    c{t} ^= b{t}",
-                f"{pad}    v{t} = b{t}.bit_length() - 1",
-            ]
-        if any(not steps[u][t][1] for u in range(t + 1, k)):
-            lines.append(f"{pad}    non{t} = full ^ adj[v{t}] ^ b{t}")
-        if t + 1 < k:
-            terms = (f"adj[v{s}]" if edge else f"non{s}" for s, edge in steps[t + 1])
-            lines.append(f"{pad}    c{t + 1} = {' & '.join(terms)}")
-    lines += [f"{'    ' * (k + 1)}{line}" for line in leaf]
-    lines += [f"    {line}" for line in tail]
-    namespace: dict = {}
+        cands = "".join(f" & ce[v{s}]" if edge else f" & cn[v{s}]" for s, edge in steps[t])
+        lines += [
+            f"{pad}s = base | u{t}",
+            f"{pad}for c in twins:",
+            f"{pad}    c &= ~u{t}",
+            f"{pad}    s |= c & -c",
+            f"{pad}r{t} = s",
+            f"{pad}c{t} = s{cands}",
+            f"{pad}while c{t}:",
+            f"{pad}    b{t} = c{t} & -c{t}",
+            f"{pad}    c{t} ^= b{t}",
+            f"{pad}    x = r{t} & (b{t} << 1) - 1",
+            f"{pad}    nodes += x.bit_count()",
+            f"{pad}    if nodes > budget:",
+            f"{pad}        raise over(budget, {t})",
+            f"{pad}    r{t} ^= x",
+            f"{pad}    v{t} = b{t}.bit_length() - 1",
+            f"{pad}    u{t + 1} = u{t} | b{t}",
+        ]
+        tails[:0] = [
+            f"{pad}nodes += r{t}.bit_count()",
+            f"{pad}if nodes > budget:",
+            f"{pad}    raise over(budget, {t})",
+        ]
+    lines.append(f"{'    ' * (n + 1)}return ({witness})")
+    lines += tails
+    namespace = {
+        "over": lambda budget, t: BudgetError(
+            f"embedding search budget of {budget} placements exceeded "
+            f"at pattern step {t} of {n}"
+        )
+    }
     exec("\n".join(lines), namespace)
-    return namespace[name]
+    return namespace["search"]
 
 
 class PathCycleProfile(NamedTuple):

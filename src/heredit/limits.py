@@ -13,8 +13,8 @@ import sys
 
 from .errors import ValidationError
 
-# every pattern search (crg.embeds and graphs._copy_search, so has_induced):
-# pattern vertex count
+# every pattern search (graphs._pattern_search, so crg.embeds and
+# graphs.has_induced, and the edit oracle's kernels): pattern vertex count
 MAX_EMBED_PATTERN = 16
 # embedding (crg.embeds): target vertex count
 MAX_EMBED_CRG = 12

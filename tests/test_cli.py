@@ -428,6 +428,7 @@ class TestParseInputs:
 
 
 SOLVER = ("heredit.crg", "heredit.curves", "heredit.gfun", "heredit.spectrum")
+ORACLE = ("heredit.editing",)  # with the edit oracle's loop compiler
 HASHLIB = ("hashlib", "_hashlib")
 POOL = ("concurrent", "multiprocessing")
 CODEGEN = ("dataclasses", "inspect")  # the value types generate no code at import
@@ -448,8 +449,8 @@ class TestImports:
                      "--samples", "5", "--no-cache"]), SOLVER + HASHLIB + POOL + CODEGEN),
         (_main_code(["dist", "--graph", "cycle:5", "--forbid", "path:3", "--no-cache"]),
          SOLVER + HASHLIB + POOL + CODEGEN),
-        (_main_code(SEARCH_ARGV + ["--no-cache"]), HASHLIB + POOL + CODEGEN),
-        (_main_code(CURVE_ARGV), HASHLIB + POOL + CODEGEN),
+        (_main_code(SEARCH_ARGV + ["--no-cache"]), ORACLE + HASHLIB + POOL + CODEGEN),
+        (_main_code(CURVE_ARGV), ORACLE + HASHLIB + POOL + CODEGEN),
     ], ids=["cli-no-pool", "package-no-submodule", "graph-no-solver", "estimate",
             "dist", "search-no-cache", "edcurve"])
     def test_import_footprint(self, code, absent):
@@ -554,6 +555,13 @@ class TestSpectrumCommand:
         }
         assert (2, 0) in members and (3, 0) not in members
 
+    @pytest.mark.parametrize("order", ["3000000", "9" * 30])
+    def test_family_order_capped_before_its_edges_are_built(self, order):
+        done = _run_capped(["dist", "--graph", f"path:{order}", "--forbid", "path:3"],
+                           400 << 20)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == f"error: vertex count {order} outside 0..4096\n"
+
     def test_table_capped_before_the_spectrum_runs(self, capsys):
         done = _run_capped(
             ["spectrum", "--graph", "path:4", "--r-max", "100000", "--s-max", "100000"],
@@ -616,6 +624,18 @@ class TestCurveCommands:
         )
         assert code == 3
         assert "stated on" in err
+
+    def test_edcurve_closed_form_builds_no_graph(self, capsys):
+        # the closed form is a formula in n, so an order above the graph
+        # cap is evaluated; a graph is built only for gamma and search
+        argv = ["edcurve", "--family", "cycle", "--n", "5001", "--grid", "1/4"]
+        code, stdout, _ = run_cli(capsys, argv + ["--source", "closed_form"])
+        assert code == 0
+        grid = [Fraction(k, 4) for k in range(5)]
+        assert stdout == cli._curve_csv(closed_form_curve("cycle", 5001, grid), "closed_form")
+        code, stdout, err = run_cli(capsys, argv + ["--source", "closed_form,gamma"])
+        assert (code, stdout) == (3, "")
+        assert err == "error: vertex count 5001 outside 0..4096\n"
 
     def test_edcurve_restrict_grid(self, capsys):
         code, stdout, _ = run_cli(

@@ -20,7 +20,7 @@ from heredit.editing import (
 from heredit.errors import BudgetError, ValidationError
 from heredit.graphs import (
     Graph,
-    _copy_search,
+    _pattern_search,
     build_family,
     graph_from_graph6,
     graph_to_graph6,
@@ -249,6 +249,18 @@ class TestSampleGraph:
         a = sample_graph(7, 10, random.Random(99))
         b = sample_graph(7, 10, random.Random(99))
         assert a == b
+
+    def test_order_above_the_cap_refused_before_the_pairs_are_built(self, monkeypatch):
+        def unbuilt(n):
+            raise AssertionError(f"built the {n}-vertex pair list")
+
+        monkeypatch.setattr(editing, "_vertex_pairs", unbuilt)
+        rng = random.Random(1)
+        state = rng.getstate()
+        for n in (4097, 10 ** 30, -1):
+            with pytest.raises(ValidationError, match=f"vertex count {n} outside 0..4096"):
+                sample_graph(n, 3, rng)
+        assert rng.getstate() == state
 
     def test_rows_are_the_reference_draws(self):
         """The estimate's unvalidated rows, ``sample_graph`` and the
@@ -517,7 +529,7 @@ class TestEstimateCheck:
 
     def test_pattern_larger_than_the_host_builds_no_search(self):
         path17 = build_family("path", 17)
-        cached = (_copy_search, _table_copy_search, _survivor_commons, _vertex_table)
+        cached = (_pattern_search, _table_copy_search, _survivor_commons, _vertex_table)
         before = [(f.cache_info().misses, f.cache_info().currsize) for f in cached]
         args = (8, F(1, 2), path17, 3, 7)
         assert max_dist_estimate(*args) == max_dist_estimate_reference(*args)

@@ -17,12 +17,12 @@ from heredit.editing import (
     _vertex_table,
     max_dist_estimate,
 )
-from heredit.errors import FormatError, ValidationError
+from heredit.errors import BudgetError, FormatError, ValidationError
 from heredit.graphs import (
     Graph,
     _bits,
-    _copy_search,
     _induced_plan,
+    _pattern_search,
     build_family,
     complement,
     graph_from_graph6,
@@ -78,6 +78,9 @@ class TestFamilies:
 
     @pytest.mark.parametrize("family,n", [
         ("path", 0), ("cycle", 2), ("ctilde", 3), ("c2nstar", 7), ("c2nstar", 4),
+        # above the graph cap: the edges are generated lazily, so a 30-digit
+        # order is refused before any is built
+        ("path", 10 ** 30), ("cycle", 4097), ("c2nstar", 10 ** 30), ("ctilde", 4098),
     ])
     def test_rejects_bad_orders(self, family, n):
         with pytest.raises(ValidationError):
@@ -169,13 +172,65 @@ class TestHasInduced:
             pattern = random_graph(rng, rng.randrange(0, 6), density)
             assert has_induced(host, pattern) == has_induced_recursive(host, pattern)
 
+    def test_witness_matches_recursive_reference_on_larger_hosts(self):
+        # above the oracle's 10-vertex cap, where the table kernels never run
+        rng = random.Random(43)
+        found = 0
+        for _ in range(200):
+            host = random_graph(rng, rng.randrange(11, 41), rng.choice((0.1, 0.5, 0.9)))
+            density = rng.choice((0.0, 1.0, rng.random()))
+            pattern = random_graph(rng, rng.randrange(1, 9), density)
+            want = has_induced_recursive(host, pattern)
+            assert has_induced(host, pattern) == want
+            found += want[0]
+        assert 0 < found < 200
+
+    def test_witness_matches_recursive_reference_on_twin_rich_hosts(self):
+        # hosts whose vertices fall into few classes of twins: the search
+        # is given no twin classes, so it must still place every vertex
+        def cliques(*sizes):
+            edges, start = [], 0
+            for size in sizes:
+                edges += [(start + i, start + j) for j in range(size) for i in range(j)]
+                start += size
+            return Graph.from_edges(start, edges)
+
+        def bipartite(a, b):
+            return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+        hosts = [Graph(12, (0,) * 12), cliques(12), bipartite(4, 8), bipartite(6, 6),
+                 cliques(3, 4, 5), cliques(2, 2, 2, 2, 2, 2)]
+        patterns = [Graph(3, (0,) * 3), cliques(4), cliques(2, 1), bipartite(2, 3),
+                    bipartite(3, 3), cliques(3, 3), build_family("path", 3),
+                    build_family("cycle", 4), build_family("cycle", 5),
+                    build_family("c2nstar", 8), cliques(4, 4), bipartite(4, 4)]
+        found = 0
+        for host in hosts:
+            for pattern in patterns:
+                want = has_induced_recursive(host, pattern)
+                assert has_induced(host, pattern) == want
+                found += want[0]
+        assert 0 < found < len(hosts) * len(patterns)
+
+    def test_exhausted_search_is_false_not_over_budget(self):
+        # the search is unbounded: K(20, 20) holds no induced C5, and proving
+        # it takes more placements than a small budget allows
+        host = Graph.from_edges(40, [(i, 20 + j) for i in range(20) for j in range(20)])
+        pattern = build_family("cycle", 5)
+        assert has_induced(host, pattern) == (False, None)
+        full = (1 << host.n) - 1
+        non = [full ^ row ^ (1 << v) for v, row in enumerate(host.adj)]
+        with pytest.raises(BudgetError, match="budget of 10000 placements exceeded"):
+            _pattern_search(pattern)(host.adj, non, full, (), 10_000)
+
 
 def _first_copy_on_every_path(host, pattern):
     """The first copy of ``pattern`` in ``host`` (``None`` if there is none),
-    after checking that the compiled search, its table form on hosts of at
-    most ``MAX_ORACLE_VERTICES`` vertices and the recursive reference
-    return the same one."""
-    first = _copy_search(pattern)(host.adj, host.n)
+    after checking that ``has_induced``'s witness, the oracle's table kernel
+    on hosts of at most ``MAX_ORACLE_VERTICES`` vertices and the recursive
+    reference are the same one."""
+    found, first = has_induced(host, pattern)
+    assert found is (first is not None)
     assert first == has_induced_recursive(host, pattern)[1]
     if host.n <= MAX_ORACLE_VERTICES:
         assert _table_copy_search(pattern)(host.adj, host.n, _vertex_table(host.n)) == first
@@ -211,7 +266,8 @@ class TestInducedCopies:
                 assert first == min(copies, key=lambda c: [c[v] for v in order], default=None)
 
     def test_both_loop_forms_up_to_the_oracle_cap(self):
-        # the table form runs on hosts of up to MAX_ORACLE_VERTICES vertices
+        # the pattern search and the oracle's table loops, which run on
+        # hosts of up to MAX_ORACLE_VERTICES vertices
         rng = random.Random(37)
         for pattern in self.PATTERNS:
             found = 0
@@ -311,17 +367,17 @@ def _toggled(g: Graph, u: int, v: int) -> Graph:
 
 
 class TestCompiledCopies:
-    KERNELS = (_copy_search, _table_copy_search, _survivor_commons)
+    KERNELS = (_pattern_search, _table_copy_search, _survivor_commons)
 
     def test_one_kernel_per_pattern_in_an_estimate(self):
         # the edit search's two table-form kernels; the exact runs' roots
-        # use them too, so has_induced's search is never built
+        # use them too, so the pattern search is never built
         for kernel in self.KERNELS:
             kernel.cache_clear()
         max_dist_estimate(8, Fraction(1, 2), build_family("path", 4), 50, 7)
         for kernel in self.KERNELS:
             info = kernel.cache_info()
-            assert (info.misses, info.currsize) == ((0, 0) if kernel is _copy_search else (1, 1))
+            assert (info.misses, info.currsize) == ((0, 0) if kernel is _pattern_search else (1, 1))
 
     def test_one_estimate_builds_one_table_and_one_of_each_kernel(self):
         for cached in (*self.KERNELS, _vertex_table):
@@ -329,7 +385,7 @@ class TestCompiledCopies:
         max_dist_estimate(8, Fraction(1, 2), build_family("path", 4), 50, 7)
         for cached in (*self.KERNELS, _vertex_table):
             info = cached.cache_info()
-            assert (info.misses, info.currsize) == ((0, 0) if cached is _copy_search else (1, 1))
+            assert (info.misses, info.currsize) == ((0, 0) if cached is _pattern_search else (1, 1))
         assert len(_vertex_table(8)) == 256
         # another pattern on the same host order shares the table
         max_dist_estimate(8, Fraction(1, 2), build_family("cycle", 4), 50, 7)
@@ -348,13 +404,13 @@ class TestCompiledCopies:
     def test_kernels_build_at_the_cap(self, family):
         # CPython refuses more than 20 nested blocks, and the loops of a
         # 21-step pattern no longer compile, so the cap keeps clear of it:
-        # at 16 both kernels build, and the first-copy search in both loop
-        # forms.  A host of the table's size holds no copy of them.
+        # at 16 the pattern search and both oracle kernels build.  A host
+        # of the table's size holds no copy of them.
         pattern = build_family(family, MAX_EMBED_PATTERN)
-        search = _copy_search(pattern)
-        assert search.__name__ == "first_copy"
-        assert _copy_search(build_family(family, MAX_EMBED_PATTERN)) is search
-        assert search(pattern.adj, pattern.n) is not None
+        search = _pattern_search(pattern)
+        assert search.__name__ == "search"
+        assert _pattern_search(build_family(family, MAX_EMBED_PATTERN)) is search
+        assert has_induced(pattern, pattern)[0]
         host = build_family(family, MAX_ORACLE_VERTICES)
         vb = _vertex_table(host.n)
         assert _table_copy_search(pattern).__name__ == "first_copy"
@@ -365,8 +421,8 @@ class TestCompiledCopies:
     def test_larger_pattern_refused(self):
         large = build_family("path", MAX_EMBED_PATTERN + 1)
         with pytest.raises(ValidationError, match="capped at 16 vertices"):
-            _copy_search(large)
-        with pytest.raises(ValidationError, match="capped at 16 vertices"):
+            _pattern_search(large)
+        with pytest.raises(ValidationError, match="^induced-copy pattern capped at 16 vertices$"):
             has_induced(build_family("cycle", 20), large)
 
     @pytest.mark.parametrize("k", [MAX_EMBED_PATTERN + 1, 21])
@@ -381,7 +437,7 @@ class TestCompiledCopies:
         code = (
             "import heredit.cli, heredit.graphs as g, heredit.editing as e;"
             " print(*(f.cache_info().misses for f in"
-            " (g._copy_search, e._table_copy_search, e._survivor_commons, e._vertex_table)))"
+            " (g._pattern_search, e._table_copy_search, e._survivor_commons, e._vertex_table)))"
         )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
