@@ -255,8 +255,8 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
 
     if job.command == "spectrum":
         # clique_spectrum raises each bound to at most the graph's order,
-        # and refuses a graph above MAX_EMBED_CRG + 1 vertices
-        order = min(job.graph.n, MAX_EMBED_CRG + 1)
+        # and embeds refuses a pattern above MAX_EMBED_PATTERN vertices
+        order = min(job.graph.n, MAX_EMBED_PATTERN)
         r_max, s_max = (max(bound or 0, order) for bound in (job.r_max, job.s_max))
         rows = (r_max + 1) * (s_max + 1) - 1
         if rows > MAX_SPECTRUM_ROWS:

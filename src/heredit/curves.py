@@ -91,8 +91,10 @@ def family_terms(family: str, n: int) -> tuple[tuple[tuple[int, int], ...], tupl
             (Fraction(0), Fraction(1)),
         )
     if family == "cycle":
-        if n < 3:
-            raise ValidationError(f"cycle closed form needs order >= 3, got {n}")
+        # C3 = K3 embeds in K(0, 1), so the (0, ceil(n/2) - 1) term first
+        # holds at order 4
+        if n < 4:
+            raise ValidationError(f"cycle closed form needs order >= 4, got {n}")
         third = _ceil_div(n, 3)
         terms_tail = ((1, third - 1), (0, _ceil_div(n, 2) - 1))
         if n % 2:

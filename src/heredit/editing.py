@@ -309,8 +309,11 @@ def _flip_search(
             failed[adj] = remaining
             return None
 
-        for depth in depths:
-            yield search(rows, depth)
+        try:
+            for depth in depths:
+                yield search(rows, depth)
+        finally:
+            search = None  # the closure refers to itself: break the cycle
 
     return run
 

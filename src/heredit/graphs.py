@@ -267,11 +267,12 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
     The search is a depth-first search over bitsets in the manner of
     Ullmann (1976), the pattern's ``_pattern_search``: the one
     ``crg.embeds`` runs.  Its edge rows are the host's adjacency rows, its
-    non-edge rows their complements less the vertex itself, every host
-    vertex is in its scan base, there are no twin classes and its budget is
-    unbounded.  Its first copy is the witness: the first copy in the order
-    of a recursive backtracking search over ``_search_order`` that tries
-    each step's candidates in ascending order.  The oracle's table kernels
+    non-edge rows their complements less the vertex itself (built only for
+    the host vertices the search places), every host vertex is in its scan
+    base, there are no twin classes and its budget is unbounded.  Its first
+    copy is the witness: the first copy in the order of a recursive
+    backtracking search over ``_search_order`` that tries each step's
+    candidates in ascending order.  The oracle's table kernels
     return the same first copy, so that order is part of the contract.  It
     holds because:
 
@@ -292,9 +293,22 @@ def has_induced(host: Graph, pattern: Graph) -> tuple[bool, tuple[int, ...] | No
         return True, ()
     search = _pattern_search(pattern)
     full = (1 << host.n) - 1
-    non = [full ^ row ^ (1 << v) for v, row in enumerate(host.adj)]
-    copy = search(host.adj, non, full, (), float("inf"))
+    copy = search(host.adj, _NonEdgeRows(host.adj, full), full, (), float("inf"))
     return copy is not None, copy
+
+
+class _NonEdgeRows(dict):
+    """A host's non-edge rows by vertex, each built when first read, so a
+    search that places few vertices in a large host builds few of them."""
+
+    __slots__ = ("adj", "full")
+
+    def __init__(self, adj: tuple[int, ...], full: int):
+        self.adj, self.full = adj, full
+
+    def __missing__(self, v: int) -> int:
+        row = self[v] = self.full ^ self.adj[v] ^ (1 << v)
+        return row
 
 
 @lru_cache

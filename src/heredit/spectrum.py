@@ -1,9 +1,14 @@
 """Clique spectra of single-forbidden-graph properties and the gamma bound.
 
 The clique spectrum of Forb(H) is the set of pairs (r, s) such that H does
-not embed in the all-gray CRG K(r, s).  It is downward closed, so it is
-fully described by its maximal points; gamma is the minimum of the K(r, s)
-closed form over the spectrum and upper-bounds the edit distance function.
+not embed in the all-gray CRG K(r, s).  H embeds in K(r, s) exactly when
+V(H) splits into r independent sets and s cliques, so the spectrum is
+downward closed: a split for K(r, s) is one for K(r + 1, s) and K(r, s + 1)
+too.  Its frontier s_min(r), the fewest cliques that complete r independent
+sets to such a split, therefore never grows with r, and one walk along it
+finds the whole spectrum.  gamma is the minimum of the K(r, s) closed form
+over the spectrum's maximal points and upper-bounds the edit distance
+function.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from .crg import embeds, gray_crg
 from .errors import ValidationError
 from .gfun import closed_form_gray
 from .graphs import Graph, Value
-from .limits import MAX_EMBED_CRG
 
 
 class CliqueSpectrum(Value):
@@ -36,16 +40,13 @@ class CliqueSpectrum(Value):
         return tuple(sorted(best.items()))
 
     def extreme_points(self) -> tuple[tuple[int, int], ...]:
-        """Maximal members under the coordinatewise order, r descending."""
-        out = []
-        for point in self.members:
-            r, s = point
-            dominated = any(
-                q != point and q[0] >= r and q[1] >= s for q in self.members
-            )
-            if not dominated:
-                out.append(point)
-        return tuple(sorted(out, reverse=True))
+        """Maximal members under the coordinatewise order, r descending: the
+        row maxima of ``boundary_profile`` larger than every one above them."""
+        out: list[tuple[int, int]] = []
+        for r, s in reversed(self.boundary_profile()):
+            if not out or s > out[-1][1]:
+                out.append((r, s))
+        return tuple(out)
 
 
 def clique_spectrum(
@@ -53,32 +54,46 @@ def clique_spectrum(
 ) -> CliqueSpectrum:
     """Compute the whole spectrum; report bounds of at least r_max and s_max.
 
-    Every member has r + s < |V(h)|: once r + s reaches |V(h)| the graph
-    embeds by mapping its vertices injectively to the CRG's vertices, which
-    sends every pair to a gray edge.  So one pass over 1 <= r + s < |V(h)|
-    finds every member, whatever bounds are requested.  The reported bounds
+    One staircase walk finds s_min(r), the least s with H embedded in
+    K(r, s), for r = 0, 1, ... until it is 0; row r's members are then
+    (r, s) for s < s_min(r).  Row 0 scans up from K(0, 1) (K(0, 0) is not
+    a CRG); each later row scans down from the row before, since s_min
+    never grows with r.  A pair with r + s >= |V(h)| admits h without a
+    test, mapping its vertices injectively to the CRG's, which sends every
+    pair to a gray edge, so the largest target tested has |V(h)| - 1
+    vertices.  With theta = s_min(0) and chi the first r with s_min(r) = 0
+    (the clique-cover and chromatic numbers of h), row 0 makes at most
+    theta tests, the down-scans at most theta that lower s and chi - 1
+    that end a row.  As theta + chi <= |V(h)| + 1 (Nordhaus-Gaddum), that
+    is at most 2|V(h)| embedding tests, one per pair.  The reported bounds
     (default |V(h)|) are raised to one past the largest member coordinate,
     so no member ever touches the box edge.
 
-    The largest K(r, s) tested has |V(h)| - 1 vertices, and ``embeds``
-    takes targets of at most ``MAX_EMBED_CRG`` vertices, so ``h`` may have
-    at most ``MAX_EMBED_CRG + 1``.
+    The only size limits are those of ``embeds``: a pattern above
+    ``MAX_EMBED_PATTERN`` vertices, or a tested target above
+    ``MAX_EMBED_CRG``, raises its ``ValidationError``.
     """
     if h.n < 1:
         raise ValidationError("clique spectrum needs a nonempty forbidden graph")
-    if h.n > MAX_EMBED_CRG + 1:
-        raise ValidationError(
-            f"clique spectrum capped at {MAX_EMBED_CRG + 1}-vertex forbidden graphs"
-        )
     r_bound = h.n if r_max is None else r_max
     s_bound = h.n if s_max is None else s_max
     if r_bound < 1 or s_bound < 1:
         raise ValidationError("spectrum bounds must be at least 1")
+
+    def admits(r: int, s: int) -> bool:
+        return r + s >= h.n or embeds(h, gray_crg(r, s))[0]
+
+    s = 1
+    while not admits(0, s):
+        s += 1
+    frontier = [s]
+    while s:
+        r = len(frontier)
+        while s and admits(r, s - 1):
+            s -= 1
+        frontier.append(s)
     members = frozenset(
-        (r, s)
-        for r in range(h.n)
-        for s in range(h.n - r)
-        if r + s >= 1 and not embeds(h, gray_crg(r, s))[0]
+        (r, s) for r, top in enumerate(frontier) for s in range(top) if r + s >= 1
     )
     return CliqueSpectrum(
         members,

@@ -6,8 +6,8 @@ and bijection, exhaustive map enumeration for embeddings, recursive
 path/cycle enumeration, breadth-first edit search, a Burnside count of CRG
 classes, a canonical key minimized over every vertex order, the simplex
 program g solved over every support by Gaussian elimination in
-``Fraction``, the p-core test over every proper sub-CRG, and the clique
-spectrum by box widening.
+``Fraction``, the p-core test over every proper sub-CRG, the clique
+spectrum by box widening, and its extreme points by pairwise dominance.
 
 Nine are plain versions of fast paths, kept to pin exact outputs rather
 than to be independent: ``has_induced_recursive`` and
@@ -37,7 +37,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from heredit.crg import (
     CRG,
@@ -751,6 +751,17 @@ def clique_spectrum_widening(
             r_bound += 1
         if touches_s:
             s_bound += 1
+
+
+def extreme_points_reference(members: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The members no other member dominates coordinatewise, r descending,
+    by comparing every pair."""
+    points = set(members)
+    maximal = [
+        (r, s) for r, s in points
+        if not any(q != (r, s) and q[0] >= r and q[1] >= s for q in points)
+    ]
+    return tuple(sorted(maximal, reverse=True))
 
 
 def bounded_min_g_reference(candidates: tuple[CRG, ...], p: Fraction) -> SearchResult:

@@ -42,18 +42,20 @@ def _report(number: int, name: str, started: float, budget_s: float, ok: bool, d
 def test_criterion_1_spectrum_reproduction():
     started = time.time()
     cases = []
-    for order in (8, 12):
+    # up to the 16-vertex pattern cap of embeds; c2nstar:14 is bipartite,
+    # so it has no (2, 0) point and is left out
+    for order in (8, 12, 16):
         n = order // 2
         cases.append((
             "c2nstar", order,
             {(2, 0), (1, _ceil_div(2 * n - 1, 3) - 1), (0, n - 1)},
         ))
-    for n in (9, 10, 11, 12):
+    for n in range(9, 17):
         cases.append((
             "ctilde", n,
             {(2, 0), (1, _ceil_div(n - 1, 3) - 1), (0, _ceil_div(n - 3, 2))},
         ))
-    for n in range(5, 11):
+    for n in range(5, 17):
         cases.append((
             "path", n,
             {(1, _ceil_div(n - 1, 3) - 1), (0, _ceil_div(n, 2) - 1)},

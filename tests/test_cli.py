@@ -488,6 +488,11 @@ GOLDEN = [
      "ccdd09e0c010d7f41a93b925a0e92f59fecbeb93c3a0103d7dd45b72bda18848"),
     ("gamma --graph ctilde:9 --grid 1/16 --jobs 2 --float", 621,
      "a244bbc428ad87cf437e912d1f9982e2b958e3d52a787b90806ae1b2838a1254"),
+    # the largest forbidden graphs the per-pair spectrum took, pinned there
+    ("spectrum --graph cycle:13", 1293,
+     "f86ffee0489e4ff909dfa0513e1b7db856a5c80ffbec9b410dd8e6b9db1cfd4f"),
+    ("gamma --graph ctilde:13 --grid 1/8", 256,
+     "cf287c19dbc4180540099a5490f7cb66339827b81abea7123139ae9a277b3b0e"),
     ("edcurve --family c8star --source closed_form,gamma,search --m 4 --grid 1/4 --analyze",
      409, "9f0f04f777fdd2671bee1545b408e478150ab30049aa2d9fff493201b32e9ccb"),
     ("edcurve --family c8star --source search --m 3 --grid 1/16 --jobs 2", 1539,
@@ -617,6 +622,41 @@ class TestCurveCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "p,value_closed_form,value_gamma,value_search,diff"
         assert all(line.rsplit(",", 1)[1] == "0/1" for line in lines[1:])
+
+    @pytest.mark.parametrize(("family", "n", "grid"), [("ctilde", "16", "1/8"),
+                                                       ("cycle", "15", "1/4")])
+    def test_gamma_meets_the_closed_form_at_the_pattern_cap(self, capsys, family, n, grid):
+        argv = ["edcurve", "--family", family, "--n", n, "--source", "closed_form,gamma",
+                "--grid", grid]
+        code, stdout, _ = run_cli(capsys, argv)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[0] == "p,value_closed_form,value_gamma,diff"
+        assert len(lines) == 2 + int(grid[2:])
+        assert all(line.rsplit(",", 1)[1] == "0/1" for line in lines[1:])
+
+    def test_gamma_takes_a_16_vertex_graph(self, capsys):
+        code, stdout, _ = run_cli(capsys, ["gamma", "--graph", "cycle:16", "--grid", "1/4"])
+        assert code == 0
+        assert stdout.splitlines()[2] == '1/4,3/32,gamma,"K(1,5)"'
+
+    @pytest.mark.parametrize(("graph", "message"), [
+        ("path:17", "embedding pattern capped at 16 vertices"),
+        ("M????????????????", "embedding target capped at 12 vertices"),
+    ])
+    def test_spectrum_refused_by_the_caps_of_embeds(self, capsys, graph, message):
+        for argv in (["spectrum"], ["gamma", "--p", "1/2"]):
+            code, stdout, err = run_cli(capsys, argv + ["--graph", graph])
+            assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+    def test_cycle3_closed_form_refused_gamma_and_search_still_run(self, capsys):
+        argv = ["edcurve", "--family", "cycle", "--n", "3", "--grid", "1/4", "--m", "3"]
+        code, stdout, err = run_cli(capsys, argv + ["--source", "closed_form,gamma,search"])
+        assert (code, stdout) == (3, "")
+        assert err == "error: cycle closed form needs order >= 4, got 3\n"
+        code, stdout, _ = run_cli(capsys, argv + ["--source", "gamma,search"])
+        assert code == 0
+        assert stdout.splitlines()[-2:] == ["3/4,3/8,3/8,0/1", "1/1,1/2,1/2,0/1"]
 
     def test_edcurve_refuses_out_of_range_grid(self, capsys):
         code, _, err = run_cli(

@@ -20,6 +20,7 @@ from heredit.curves import (
     core_min_g,
     curve_scan,
     family_graph,
+    family_terms,
     gamma_curve,
     search_curve,
     valid_interval,
@@ -28,9 +29,9 @@ from heredit.errors import RangeError, ValidationError
 from heredit.gfun import core_regime, core_structured
 from heredit.graphs import Graph, build_family, complement, parse_graph_spec
 from heredit.rationals import parse_grid
-from heredit.spectrum import clique_spectrum
+from heredit.spectrum import clique_spectrum, gamma_points
 
-from oracle_utils import bounded_min_g_reference
+from oracle_utils import bounded_min_g_reference, extreme_points_reference
 
 GRID16 = parse_grid("1/16")
 
@@ -89,6 +90,9 @@ class TestClosedFormCurve:
             closed_form_curve("c8star", 10, [F(1, 2)])
         with pytest.raises(ValidationError):
             closed_form_curve("ctilde", 8, [F(1, 2)])
+        # C3 = K3 embeds in K(0, 1), so the (0, 1) term of the formula fails
+        with pytest.raises(ValidationError, match=r"^cycle closed form needs order >= 4, got 3$"):
+            closed_form_curve("cycle", 3, [F(1, 2)])
 
     def test_lipschitz_bound_on_dense_grid(self):
         grid = parse_grid("1/64")
@@ -99,6 +103,17 @@ class TestClosedFormCurve:
 
 
 class TestEqualityOfSources:
+    @pytest.mark.parametrize(
+        ("family", "orders"),
+        [("cycle", range(4, 17)), ("path", range(3, 17)), ("ctilde", range(9, 17)),
+         ("c8star", (8,))],
+    )
+    def test_maximal_terms_are_the_spectrum_extreme_points(self, family, orders):
+        # from each closed form's least order up to the 16-vertex pattern cap
+        for n in orders:
+            terms = family_terms(family, n)[0]
+            assert extreme_points_reference(terms) == gamma_points(family_graph(family, n)), n
+
     def test_c8star_three_way_on_coarse_grid(self):
         h = family_graph("c8star", 8)
         assert curve_values(closed_form_curve("c8star", 8, GRID16)) == \

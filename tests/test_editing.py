@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 
@@ -495,6 +496,24 @@ class TestEstimateCheck:
             F(5, 28), "G|AYUK", 0
         )
         assert len(searched) == 12_042
+
+    def test_runs_leave_no_cyclic_garbage(self):
+        # a run breaks its recursive closure's reference to itself when it
+        # ends, so its memo and rows are freed without the cyclic collector
+        max_dist_estimate(8, F(1, 2), P4, 800, 7)  # builds the kernels
+        jobs = (
+            lambda: max_dist_estimate(8, F(1, 2), P4, 800, 7),
+            lambda: edit_distance(build_family("c2nstar", 8), P4),
+            lambda: max_dist_estimate(8, F(1, 2), P4, 200, 3, node_limit=60),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            for job in jobs:
+                job()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_search_fetched_once_per_search_object(self, monkeypatch):
         fetched, searched = _spy_on_copy_searches(monkeypatch)

@@ -185,6 +185,20 @@ class TestHasInduced:
             found += want[0]
         assert 0 < found < 200
 
+    def test_witness_matches_recursive_reference_on_large_sparse_hosts(self):
+        # non-edge rows are built only for the host vertices the search
+        # places; each host holds a copy, so the search stops early
+        rng = random.Random(47)
+        patterns = [build_family("path", 4), build_family("path", 3),
+                    build_family("cycle", 5), Graph(3, (0,) * 3)]
+        for n in (200, 1000, 4096):
+            edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)}
+            host = Graph.from_edges(n, edges)
+            for pattern in patterns:
+                want = has_induced_recursive(host, pattern)
+                assert want[0]
+                assert has_induced(host, pattern) == want
+
     def test_witness_matches_recursive_reference_on_twin_rich_hosts(self):
         # hosts whose vertices fall into few classes of twins: the search
         # is given no twin classes, so it must still place every vertex

@@ -1,12 +1,46 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from heredit import spectrum
 from heredit.errors import ValidationError
 from heredit.gfun import closed_form_gray
-from heredit.graphs import build_family
+from heredit.graphs import Graph, build_family, graph_from_graph6
 from heredit.spectrum import clique_spectrum, gamma
-from oracle_utils import clique_spectrum_widening
+from oracle_utils import clique_spectrum_widening, extreme_points_reference, random_graph
+
+
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pq for i, pq in enumerate(pairs) if mask >> i & 1])
+
+
+def _random_graphs(count, seed):
+    rng = random.Random(seed)
+    return [random_graph(rng, rng.randint(6, 13), rng.random()) for _ in range(count)]
+
+
+def _assert_matches_references(h, bounds=None):
+    for r_max, s_max in bounds or ((None, None), (1, 1), (2, 5), (h.n + 2, 1)):
+        spect = clique_spectrum(h, r_max, s_max)
+        assert spect == clique_spectrum_widening(h, r_max, s_max)
+        assert spect.extreme_points() == extreme_points_reference(spect.members)
+
+
+def _tested_pairs(monkeypatch):
+    """The (r, s) of every K(r, s) that ``clique_spectrum`` tests, in order."""
+    tested = []
+    real = spectrum.embeds
+
+    def counted(h, k, *args, **kwargs):
+        tested.append((k.vcolors.count("W"), k.vcolors.count("B")))
+        return real(h, k, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "embeds", counted)
+    return tested
 
 
 class TestMembership:
@@ -49,13 +83,18 @@ class TestMembership:
         [("c2nstar", 8), ("path", 5), ("path", 7), ("cycle", 6), ("ctilde", 9)],
     )
     def test_one_pass_matches_widening_oracle(self, family, n):
-        h = build_family(family, n)
-        for r_max, s_max in (
+        _assert_matches_references(build_family(family, n), (
             (None, None), (1, 1), (1, 2), (2, 1), (3, 4), (5, 5), (1, n + 2), (n + 2, 1),
-        ):
-            assert clique_spectrum(h, r_max, s_max) == clique_spectrum_widening(
-                h, r_max, s_max
-            )
+        ))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_walk_matches_widening_oracle_on_every_small_graph(self, n):
+        for h in _labelled_graphs(n):
+            _assert_matches_references(h)
+
+    def test_walk_matches_widening_oracle_on_random_graphs(self):
+        for h in _random_graphs(60, 7):
+            _assert_matches_references(h)
 
     def test_rejects_empty_graph(self):
         from heredit.graphs import Graph
@@ -64,10 +103,45 @@ class TestMembership:
             clique_spectrum(Graph.from_edges(0, []))
 
     def test_rejects_graph_above_embedding_cap(self):
-        # the largest K(r, s) tested has |V(h)| - 1 vertices, at most MAX_EMBED_CRG
+        # the walk never tests a target above |V(h)| - 1 vertices, so only
+        # the caps of embeds refuse a graph: 14 vertices now reach the paper
+        assert clique_spectrum(build_family("path", 14)).extreme_points() == ((1, 4), (0, 6))
         with pytest.raises(ValidationError) as exc:
-            clique_spectrum(build_family("path", 14))
-        assert str(exc.value) == "clique spectrum capped at 13-vertex forbidden graphs"
+            clique_spectrum(build_family("path", 17))
+        assert str(exc.value) == "embedding pattern capped at 16 vertices"
+        # the empty graph on 14 vertices needs 14 cliques, so the walk reaches K(0, 13)
+        with pytest.raises(ValidationError) as exc:
+            clique_spectrum(graph_from_graph6("M????????????????"))
+        assert str(exc.value) == "embedding target capped at 12 vertices"
+
+
+class TestWalk:
+    def test_c8star_tests_one_pair_per_step(self, monkeypatch):
+        tested = _tested_pairs(monkeypatch)
+        clique_spectrum(build_family("c2nstar", 8))
+        # row 0 up to K(0, 4), then down the frontier 4, 3, 1, 0
+        assert tested == [
+            (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 2), (2, 2), (2, 1), (2, 0), (3, 0)
+        ]
+
+    def test_at_most_twice_the_order_tests_and_no_target_of_the_order(self, monkeypatch):
+        tested = _tested_pairs(monkeypatch)
+        graphs = [g for n in range(1, 6) for g in _labelled_graphs(n)] + _random_graphs(60, 11)
+        for h in graphs:
+            tested.clear()
+            clique_spectrum(h)
+            assert len(tested) <= 2 * h.n
+            assert len(set(tested)) == len(tested)
+            assert all(r + s < h.n for r, s in tested)
+
+    @pytest.mark.parametrize("family", ["cycle", "path", "ctilde"])
+    def test_families_at_the_pattern_cap(self, family, monkeypatch):
+        tested = _tested_pairs(monkeypatch)
+        h = build_family(family, 16)
+        spect = clique_spectrum(h)
+        assert len(tested) <= 2 * h.n
+        assert max(r + s for r, s in tested) <= 8
+        assert spect.extreme_points() == extreme_points_reference(spect.members)
 
 
 class TestExtremePoints:
