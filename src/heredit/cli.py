@@ -46,11 +46,9 @@ from .limits import (
     CURVE_FAMILIES,
     DEFAULT_NODE_LIMIT,
     MAX_ANALYZE_POINTS,
-    MAX_EMBED_CRG,
     MAX_EMBED_PATTERN,
     MAX_ENUM_SIZE,
     MAX_QP_SIZE,
-    MAX_SPECTRUM_ROWS,
     SOURCES,
     parse_int,
 )
@@ -127,8 +125,6 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     if command == "spectrum":
         p.add_argument("--graph", required=True,
                        help="graph6 string or family spec like c2nstar:8")
-        p.add_argument("--r-max", type=int, help="white-count bound (default: vertex count)")
-        p.add_argument("--s-max", type=int, help="black-count bound (default: vertex count)")
         p.add_argument("--extremes-out", help="also write the extreme points to this file")
         _common(p)
     elif command == "gamma":
@@ -185,8 +181,9 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
         _common(p, floats=True)
 
 
-def _load_crg(args, cap: int) -> CRG:
-    """The ``--crg`` or ``--gray`` CRG; a K(r, s) above ``cap`` vertices is never built."""
+def _load_crg(args) -> CRG:
+    """The ``--crg`` or ``--gray`` CRG, of at most ``MAX_QP_SIZE`` vertices;
+    a larger K(r, s) is never built."""
     from .crg import crg_from_text, gray_crg
 
     if bool(args.crg) == bool(args.gray):
@@ -196,13 +193,20 @@ def _load_crg(args, cap: int) -> CRG:
             text = Path(args.crg).read_text()
         except OSError as exc:
             raise ValidationError(f"cannot read CRG file {args.crg}: {exc}") from exc
-        return crg_from_text(text)
+        k = crg_from_text(text)
+        if k.m > MAX_QP_SIZE:
+            raise ValidationError(
+                f"CRG file {args.crg} has {k.m} vertices; at most {MAX_QP_SIZE} allowed"
+            )
+        return k
     parts = args.gray.split(",")
     if len(parts) != 2 or not all(part.strip().isdecimal() for part in parts):
         raise ValidationError(f"--gray expects 'r,s' with integers, got {args.gray!r}")
     r, s = parse_int(parts[0].strip(), "--gray r"), parse_int(parts[1].strip(), "--gray s")
-    if r + s > cap:
-        raise ValidationError(f"--gray K({r},{s}) has {r + s} vertices; at most {cap} allowed")
+    if r + s > MAX_QP_SIZE:
+        raise ValidationError(
+            f"--gray K({r},{s}) has {r + s} vertices; at most {MAX_QP_SIZE} allowed"
+        )
     return gray_crg(r, s)
 
 
@@ -247,23 +251,13 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
     if hasattr(job, "graph"):
         job.graph = parse_graph_spec(job.graph)
     if hasattr(job, "crg"):
-        job.crg = _load_crg(job, MAX_EMBED_CRG if job.command == "embed" else MAX_QP_SIZE)
+        job.crg = _load_crg(job)
     if hasattr(job, "p") and not hasattr(job, "grid"):
         job.p = parse_probability(job.p)
     if hasattr(job, "forbid"):
         job.forbid = parse_graph_spec(job.forbid)
 
-    if job.command == "spectrum":
-        # clique_spectrum raises each bound to at most the graph's order,
-        # and embeds refuses a pattern above MAX_EMBED_PATTERN vertices
-        order = min(job.graph.n, MAX_EMBED_PATTERN)
-        r_max, s_max = (max(bound or 0, order) for bound in (job.r_max, job.s_max))
-        rows = (r_max + 1) * (s_max + 1) - 1
-        if rows > MAX_SPECTRUM_ROWS:
-            raise ValidationError(
-                f"spectrum table would have {rows} rows; at most {MAX_SPECTRUM_ROWS} allowed"
-            )
-    elif job.command == "gamma":
+    if job.command == "gamma":
         job.points = _points_from(job)
     elif job.command == "edcurve":
         from .curves import closed_form_terms, family_graph, valid_interval
@@ -394,19 +388,18 @@ def _curve_csv(curve: Curve, source: str) -> str:
 
 
 def _run_spectrum(job: argparse.Namespace) -> int:
+    """The membership table over 0 <= r, s <= |V(H)|, which holds every
+    member; ``--extremes-out`` is written first, so an unwritable one
+    leaves no table behind."""
     from .spectrum import clique_spectrum
 
-    spect = clique_spectrum(job.graph, job.r_max, job.s_max)
-    rows = [
-        [r, s, 1 if (r, s) in spect.members else 0]
-        for r in range(spect.r_max + 1)
-        for s in range(spect.s_max + 1)
-        if r + s >= 1
-    ]
-    _emit(job, _csv_text(["r", "s", "member"], rows))
+    spect = clique_spectrum(job.graph)
     extremes_text = _csv_text(["r", "s"], spect.extreme_points())
     if job.extremes_out:
         Path(job.extremes_out).write_text(extremes_text)
+    order = range(job.graph.n + 1)
+    rows = [[r, s, int((r, s) in spect.members)] for r in order for s in order if r + s >= 1]
+    _emit(job, _csv_text(["r", "s", "member"], rows))
     if job.out or job.extremes_out:
         sys.stdout.write(extremes_text)
     return 0
@@ -441,12 +434,12 @@ def _run_embed(job: argparse.Namespace) -> int:
 
 
 def _run_pcore(job: argparse.Namespace) -> int:
-    from .gfun import g_value, is_p_core
+    """One solve: K is a p-core exactly when ``g_value``'s minimal-support
+    witness uses every vertex (``gfun.is_p_core``)."""
+    from .gfun import g_value
 
-    payload = {
-        "p_core": is_p_core(job.crg, job.p),
-        "g": format_fraction(g_value(job.crg, job.p).value),
-    }
+    res = g_value(job.crg, job.p)
+    payload = {"p_core": len(res.support) == job.crg.m, "g": format_fraction(res.value)}
     _emit(job, json.dumps(payload) + "\n")
     return 0
 

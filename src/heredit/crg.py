@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import FormatError, ValidationError
 from .graphs import Graph, Value, _bits, _pattern_search
-from .limits import MAX_EMBED_CRG, MAX_EMBED_PATTERN, MAX_ENUM_SIZE
+from .limits import MAX_EMBED_PATTERN, MAX_ENUM_SIZE
 
 VERTEX_COLORS = ("W", "B")
 EDGE_COLORS = ("W", "G", "B")
@@ -236,11 +236,15 @@ def embeds(
     when the count exceeds ``budget``, so a ``False`` always means the
     search space was exhausted.  The message names the pattern step
     (0-based, of ``h.n``) that was being placed when the budget ran out.
+
+    A pattern above ``MAX_EMBED_PATTERN`` vertices is a
+    :class:`ValidationError`.  The target has no size cap: the budget
+    bounds the work, and the callers bound their targets (the clique
+    spectrum's walk tests fewer than ``h.n`` vertices, the CRG search at
+    most ``MAX_ENUM_SIZE``).
     """
     if h.n > MAX_EMBED_PATTERN:
         raise ValidationError(f"embedding pattern capped at {MAX_EMBED_PATTERN} vertices")
-    if k.m > MAX_EMBED_CRG:
-        raise ValidationError(f"embedding target capped at {MAX_EMBED_CRG} vertices")
     if h.n == 0:
         return True, EmbeddingWitness(())
     rows = _color_rows(k)

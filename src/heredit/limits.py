@@ -3,8 +3,15 @@
 This module imports nothing but the error types, so the CLI can build its
 parser and validate every command's input without loading a solver.  The
 modules that enforce a cap (``crg``, ``graphs``, ``gfun``, ``editing``,
-``curves``) import it from here, so it stays importable from its old home
-too.
+``rationals``, ``curves``) import it from here, so it stays importable from
+its old home too.  Every name defined here is read by another module of the
+package, so a cap goes with its last user.
+
+Embedding targets have no cap of their own: the library's callers bound
+them (the clique spectrum's walk tests fewer than ``MAX_EMBED_PATTERN``
+vertices, the CRG search at most ``MAX_ENUM_SIZE``), ``crg.embeds``'
+placement budget bounds the work, and the CLI reads no CRG above
+``MAX_QP_SIZE`` vertices.
 """
 
 from __future__ import annotations
@@ -16,11 +23,10 @@ from .errors import ValidationError
 # every pattern search (graphs._pattern_search, so crg.embeds and
 # graphs.has_induced, and the edit oracle's kernels): pattern vertex count
 MAX_EMBED_PATTERN = 16
-# embedding (crg.embeds): target vertex count
-MAX_EMBED_CRG = 12
 # CRG enumeration (crg.enumerate_crgs): largest class size
 MAX_ENUM_SIZE = 5
-# simplex program (gfun.g_value, gfun.is_p_core): largest CRG
+# simplex program (gfun.g_value, gfun.is_p_core), and every CRG the CLI's
+# gfun, pcore and embed read: largest CRG
 MAX_QP_SIZE = 12
 # edit search (editing): nodes before a BudgetError
 DEFAULT_NODE_LIMIT = 2_000_000
@@ -28,8 +34,6 @@ DEFAULT_NODE_LIMIT = 2_000_000
 MAX_GRID_POINTS = 100_001
 # curve analysis (edcurve --analyze, whose scan is quadratic): points, as on 1/1024
 MAX_ANALYZE_POINTS = 1_025
-# clique spectrum table (the CLI's spectrum command): rows written
-MAX_SPECTRUM_ROWS = 100_001
 
 # built-in curve families and curve sources (curves)
 CURVE_FAMILIES = ("c8star", "ctilde", "path", "cycle")

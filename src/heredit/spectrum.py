@@ -23,14 +23,13 @@ from .graphs import Graph, Value
 
 
 class CliqueSpectrum(Value):
-    """Membership of (r, s) points inside the computed bounds.
+    """The members (r, s) of a clique spectrum.
 
-    ``members`` excludes the vacuous point (0, 0); bounds are inclusive.
+    ``members`` excludes the vacuous point (0, 0); every member has
+    r + s < |V(H)|.
     """
 
     members: frozenset[tuple[int, int]]
-    r_max: int
-    s_max: int
 
     def boundary_profile(self) -> tuple[tuple[int, int], ...]:
         """For each r that appears, the pair (r, max s); sorted by r."""
@@ -49,10 +48,8 @@ class CliqueSpectrum(Value):
         return tuple(out)
 
 
-def clique_spectrum(
-    h: Graph, r_max: int | None = None, s_max: int | None = None
-) -> CliqueSpectrum:
-    """Compute the whole spectrum; report bounds of at least r_max and s_max.
+def clique_spectrum(h: Graph) -> CliqueSpectrum:
+    """Compute the whole clique spectrum of Forb(h).
 
     One staircase walk finds s_min(r), the least s with H embedded in
     K(r, s), for r = 0, 1, ... until it is 0; row r's members are then
@@ -60,25 +57,20 @@ def clique_spectrum(
     a CRG); each later row scans down from the row before, since s_min
     never grows with r.  A pair with r + s >= |V(h)| admits h without a
     test, mapping its vertices injectively to the CRG's, which sends every
-    pair to a gray edge, so the largest target tested has |V(h)| - 1
-    vertices.  With theta = s_min(0) and chi the first r with s_min(r) = 0
-    (the clique-cover and chromatic numbers of h), row 0 makes at most
-    theta tests, the down-scans at most theta that lower s and chi - 1
-    that end a row.  As theta + chi <= |V(h)| + 1 (Nordhaus-Gaddum), that
-    is at most 2|V(h)| embedding tests, one per pair.  The reported bounds
-    (default |V(h)|) are raised to one past the largest member coordinate,
-    so no member ever touches the box edge.
+    pair to a gray edge, so every member has r + s < |V(h)| and the largest
+    target tested has |V(h)| - 1 vertices.  With theta = s_min(0) and chi
+    the first r with s_min(r) = 0 (the clique-cover and chromatic numbers
+    of h), row 0 makes at most theta tests, the down-scans at most theta
+    that lower s and chi - 1 that end a row.  As theta + chi <= |V(h)| + 1
+    (Nordhaus-Gaddum), that is at most 2|V(h)| embedding tests, one per
+    pair.
 
-    The only size limits are those of ``embeds``: a pattern above
-    ``MAX_EMBED_PATTERN`` vertices, or a tested target above
-    ``MAX_EMBED_CRG``, raises its ``ValidationError``.
+    The only size limit is ``embeds``' pattern cap: a graph above
+    ``MAX_EMBED_PATTERN`` vertices raises its ``ValidationError`` at the
+    walk's first test.
     """
     if h.n < 1:
         raise ValidationError("clique spectrum needs a nonempty forbidden graph")
-    r_bound = h.n if r_max is None else r_max
-    s_bound = h.n if s_max is None else s_max
-    if r_bound < 1 or s_bound < 1:
-        raise ValidationError("spectrum bounds must be at least 1")
 
     def admits(r: int, s: int) -> bool:
         return r + s >= h.n or embeds(h, gray_crg(r, s))[0]
@@ -92,14 +84,9 @@ def clique_spectrum(
         while s and admits(r, s - 1):
             s -= 1
         frontier.append(s)
-    members = frozenset(
+    return CliqueSpectrum(frozenset(
         (r, s) for r, top in enumerate(frontier) for s in range(top) if r + s >= 1
-    )
-    return CliqueSpectrum(
-        members,
-        max([r_bound] + [r + 1 for r, _ in members]),
-        max([s_bound] + [s + 1 for _, s in members]),
-    )
+    ))
 
 
 def gamma_points(

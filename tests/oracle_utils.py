@@ -42,7 +42,6 @@ from typing import Iterable, Iterator
 from heredit.crg import (
     CRG,
     DEFAULT_EMBED_BUDGET,
-    MAX_EMBED_CRG,
     MAX_EMBED_PATTERN,
     VERTEX_COLORS,
     EmbeddingWitness,
@@ -216,8 +215,6 @@ def embeds_reference(
     """
     if h.n > MAX_EMBED_PATTERN:
         raise ValidationError(f"embedding pattern capped at {MAX_EMBED_PATTERN} vertices")
-    if k.m > MAX_EMBED_CRG:
-        raise ValidationError(f"embedding target capped at {MAX_EMBED_CRG} vertices")
     if h.n == 0:
         return True, EmbeddingWitness(())
 
@@ -729,11 +726,12 @@ def is_p_core_brute(k: CRG, p: Fraction) -> bool:
 def clique_spectrum_widening(
     h: Graph, r_max: int | None = None, s_max: int | None = None
 ) -> CliqueSpectrum:
-    """Spectrum membership in the box [0, r_max] x [0, s_max], widened and
-    recomputed from scratch until no member touches the box edge.
+    """Spectrum members found by testing every pair of the box
+    [0, r_max] x [0, s_max] (default |V(h)| each), widened and recomputed
+    from scratch until no member touches the box edge.
 
-    Membership uses the library's ``embeds``; the reference is the box
-    handling, not the embedding search.
+    Membership uses the library's ``embeds``; the reference is the
+    exhaustive scan of the box, not the embedding search.
     """
     r_bound = h.n if r_max is None else r_max
     s_bound = h.n if s_max is None else s_max
@@ -746,7 +744,7 @@ def clique_spectrum_widening(
         touches_r = any(r == r_bound for r, _ in members)
         touches_s = any(s == s_bound for _, s in members)
         if not touches_r and not touches_s:
-            return CliqueSpectrum(frozenset(members), r_bound, s_bound)
+            return CliqueSpectrum(frozenset(members))
         if touches_r:
             r_bound += 1
         if touches_s:

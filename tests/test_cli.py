@@ -15,11 +15,11 @@ import pytest
 
 from heredit import cli, curves
 from heredit.cli import main, parse_inputs
-from heredit.crg import crg_to_text, gray_crg
+from heredit.crg import CRG, crg_to_text, enumerate_crgs, gray_crg
 from heredit.errors import ValidationError
 from heredit.curves import closed_form_curve
-from heredit.limits import MAX_ANALYZE_POINTS, MAX_GRID_POINTS, MAX_SPECTRUM_ROWS
-from heredit.rationals import parse_grid
+from heredit.limits import MAX_ANALYZE_POINTS, MAX_GRID_POINTS, MAX_QP_SIZE
+from heredit.rationals import format_fraction, parse_grid
 
 
 SEARCH_ARGV = ["search", "--forbid", "c2nstar:8", "--max-size", "3", "--p", "1/3"]
@@ -124,7 +124,11 @@ class TestParseInputs:
         (["spectrum", "--graph", "path:4"], "--jobs 2"),
         (["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:4"], "--jobs 2"),
         (["dist", "--graph", "cycle:5", "--forbid", "path:3"], "--cache-dir D"),
-    ], ids=["gfun --float", "spectrum --jobs", "estimate --jobs", "dist --cache-dir"])
+        # the spectrum table is always 0 <= r, s <= |V(H)|, which holds every member
+        (["spectrum", "--graph", "path:4"], "--r-max 3"),
+        (["spectrum", "--graph", "path:4"], "--s-max 3"),
+    ], ids=["gfun --float", "spectrum --jobs", "estimate --jobs", "dist --cache-dir",
+            "spectrum --r-max", "spectrum --s-max"])
     def test_option_a_command_does_not_use_is_usage_error(
         self, capsys, monkeypatch, argv, option
     ):
@@ -465,6 +469,31 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
 
+    def test_every_limit_is_read_by_another_module(self):
+        """Each constant and function ``heredit.limits`` defines is imported
+        from it, or read as ``limits.NAME``, by another module of the
+        package, so a cap cannot outlive its last user."""
+        import ast
+
+        import heredit
+
+        package = Path(heredit.__file__).parent
+        tree = ast.parse((package / "limits.py").read_text())
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        read = set()
+        for path in package.glob("*.py"):
+            if path.name == "limits.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module in ("limits", "heredit.limits"):
+                    read |= {alias.name for alias in node.names}
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "limits"):
+                    read.add(node.attr)
+        assert defined and defined <= read, sorted(defined - read)
+
     def test_lazy_exports(self):
         import heredit
 
@@ -567,26 +596,15 @@ class TestSpectrumCommand:
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == f"error: vertex count {order} outside 0..4096\n"
 
-    def test_table_capped_before_the_spectrum_runs(self, capsys):
-        done = _run_capped(
-            ["spectrum", "--graph", "path:4", "--r-max", "100000", "--s-max", "100000"],
-            1 << 30,
-        )
-        assert (done.returncode, done.stdout) == (3, "")
-        assert done.stderr == (
-            f"error: spectrum table would have 10000200000 rows; "
-            f"at most {MAX_SPECTRUM_ROWS} allowed\n"
-        )
-        # a bound below the graph's order counts as the order (4), which
-        # caps the bounds clique_spectrum reports: 5 * 20000 - 1 rows run,
-        # 5 * 20001 - 1 do not
-        argv = ["spectrum", "--graph", "path:4", "--r-max", "1", "--s-max"]
-        code, stdout, _ = run_cli(capsys, argv + ["19999"])
-        assert code == 0
-        assert len(stdout.splitlines()) - 1 <= MAX_SPECTRUM_ROWS
-        code, _, err = run_cli(capsys, argv + ["20000"])
-        assert code == 3
-        assert err.startswith("error: spectrum table would have 100004 rows")
+    @pytest.mark.parametrize("out", [False, True])
+    def test_unwritable_extremes_out_writes_nothing(self, tmp_path, capsys, out):
+        argv = ["spectrum", "--graph", "c2nstar:8",
+                "--extremes-out", str(tmp_path / "missing" / "e.csv")]
+        table = tmp_path / "table.csv"
+        code, stdout, err = run_cli(capsys, argv + (["--out", str(table)] if out else []))
+        assert (code, stdout) == (6, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not table.exists()
 
 
 class TestCurveCommands:
@@ -642,12 +660,19 @@ class TestCurveCommands:
 
     @pytest.mark.parametrize(("graph", "message"), [
         ("path:17", "embedding pattern capped at 16 vertices"),
-        ("M????????????????", "embedding target capped at 12 vertices"),
     ])
     def test_spectrum_refused_by_the_caps_of_embeds(self, capsys, graph, message):
         for argv in (["spectrum"], ["gamma", "--p", "1/2"]):
             code, stdout, err = run_cli(capsys, argv + ["--graph", graph])
             assert (code, stdout, err) == (3, "", f"error: {message}\n")
+
+    def test_spectrum_and_gamma_take_the_empty_14_vertex_graph(self, tmp_path, capsys):
+        # 14 cliques cover it, so the walk tests K(0, 13)
+        graph = ["--graph", "M????????????????"]
+        code, stdout, _ = run_cli(capsys, ["spectrum", *graph, "--out", str(tmp_path / "t")])
+        assert (code, stdout) == (0, "r,s\n0,13\n")
+        code, stdout, _ = run_cli(capsys, ["gamma", *graph, "--p", "1/2"])
+        assert (code, stdout) == (0, 'p,value,source,witness\n1/2,1/26,gamma,"K(0,13)"\n')
 
     def test_cycle3_closed_form_refused_gamma_and_search_still_run(self, capsys):
         argv = ["edcurve", "--family", "cycle", "--n", "3", "--grid", "1/4", "--m", "3"]
@@ -923,6 +948,38 @@ class TestCrgCommands:
         )
         assert code == 0
         assert json.loads(stdout) == {"embeds": False, "witness": None}
+
+    @pytest.mark.parametrize("command", ["embed", "gfun", "pcore"])
+    def test_crg_file_above_the_cap_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the input was refused")
+
+        for name in ("crg.embeds", "gfun.g_value", "gfun.is_p_core"):
+            monkeypatch.setattr(f"heredit.{name}", forbidden)
+        path = tmp_path / "k13.crg"
+        path.write_text(crg_to_text(CRG(("W",) * 13, ("G",) * 78)))
+        extra = ["--graph", "path:3"] if command == "embed" else ["--p", "1/2"]
+        code, stdout, err = run_cli(capsys, [command, "--crg", str(path), *extra])
+        assert (code, stdout) == (3, "")
+        assert err == f"error: CRG file {path} has 13 vertices; at most {MAX_QP_SIZE} allowed\n"
+
+    def test_pcore_payload_is_is_p_core_and_g(self, tmp_path, capsys):
+        from heredit.gfun import g_value, is_p_core
+
+        path = tmp_path / "k.crg"
+        verdicts = set()
+        for k in enumerate_crgs(3):
+            path.write_text(crg_to_text(k))
+            for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+                code, stdout, _ = run_cli(capsys, ["pcore", "--crg", str(path), "--p", str(p)])
+                assert code == 0
+                assert json.loads(stdout) == {
+                    "p_core": is_p_core(k, p), "g": format_fraction(g_value(k, p).value)
+                }, (k, p)
+                verdicts.add((k.m, is_p_core(k, p)))
+        assert verdicts == {(1, True), (2, True), (2, False), (3, True), (3, False)}
 
     def test_pcore(self, capsys):
         code, stdout, _ = run_cli(

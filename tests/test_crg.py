@@ -31,7 +31,7 @@ from heredit.crg import (
 from heredit.errors import BudgetError, FormatError, ValidationError
 from heredit.gfun import core_regime, core_structured, g_value
 from heredit.graphs import build_family, complement, parse_graph_spec
-from heredit.limits import MAX_EMBED_CRG, MAX_EMBED_PATTERN
+from heredit.limits import MAX_EMBED_PATTERN
 from oracle_utils import (
     _refined_cells_reference,
     black_white_gray,
@@ -167,15 +167,20 @@ def _random_crgs(seed: int) -> list[CRG]:
     ]
 
 
+# the largest target the clique spectrum's walk tests: K(r, s) with
+# r + s < MAX_EMBED_PATTERN
+LARGEST_WALK_TARGET = MAX_EMBED_PATTERN - 1
+
+
 @functools.cache
 def _twin_targets() -> list[CRG]:
     """Every 40th class on 5 vertices, and every K(r, s) up to
-    ``MAX_EMBED_CRG`` vertices with its vertices shuffled, so that twin
-    classes are not runs of consecutive vertices."""
+    ``LARGEST_WALK_TARGET`` vertices with its vertices shuffled, so that
+    twin classes are not runs of consecutive vertices."""
     rng = random.Random(31)
     targets = [k for k in _classes_with_parents(5)[0] if k.m == 5][::40]
-    for r, s in itertools.product(range(MAX_EMBED_CRG + 1), repeat=2):
-        if 1 <= r + s <= MAX_EMBED_CRG:
+    for r, s in itertools.product(range(LARGEST_WALK_TARGET + 1), repeat=2):
+        if 1 <= r + s <= LARGEST_WALK_TARGET:
             perm = list(range(r + s))
             rng.shuffle(perm)
             targets.append(_relabel(gray_crg(r, s), perm))
@@ -230,7 +235,7 @@ class TestEmbedsAgainstReference:
     @pytest.mark.parametrize("spec", ["path:4", "path:7", "cycle:5", "c2nstar:8", "ctilde:6"])
     def test_targets_with_twin_classes(self, spec):
         targets = _twin_targets()
-        assert max(k.m for k in targets) == MAX_EMBED_CRG
+        assert max(k.m for k in targets) == LARGEST_WALK_TARGET
         kinds = self._check([parse_graph_spec(spec)], targets)
         assert {True, False} <= kinds and len(kinds) > 2, "every outcome is exercised"
 

@@ -18,16 +18,18 @@ def _labelled_graphs(n):
         yield Graph.from_edges(n, [pq for i, pq in enumerate(pairs) if mask >> i & 1])
 
 
-def _random_graphs(count, seed):
+def _random_graphs(count, seed, orders=(6, 13)):
     rng = random.Random(seed)
-    return [random_graph(rng, rng.randint(6, 13), rng.random()) for _ in range(count)]
+    return [random_graph(rng, rng.randint(*orders), rng.random()) for _ in range(count)]
 
 
-def _assert_matches_references(h, bounds=None):
-    for r_max, s_max in bounds or ((None, None), (1, 1), (2, 5), (h.n + 2, 1)):
-        spect = clique_spectrum(h, r_max, s_max)
+def _assert_matches_references(h, boxes=None):
+    """The walk against the widening scan started from each box, and its
+    extreme points against the pairwise reference."""
+    spect = clique_spectrum(h)
+    for r_max, s_max in boxes or ((None, None), (1, 1), (2, 5), (h.n + 2, 1)):
         assert spect == clique_spectrum_widening(h, r_max, s_max)
-        assert spect.extreme_points() == extreme_points_reference(spect.members)
+    assert spect.extreme_points() == extreme_points_reference(spect.members)
 
 
 def _tested_pairs(monkeypatch):
@@ -68,15 +70,10 @@ class TestMembership:
                             assert (rr, ss) in spect.members
 
     def test_members_stay_inside_box(self):
-        spect = clique_spectrum(build_family("cycle", 7))
-        assert all(r < spect.r_max and s < spect.s_max for r, s in spect.members)
-
-    def test_small_bounds_widen_automatically(self):
-        g = build_family("c2nstar", 8)
-        spect = clique_spectrum(g, r_max=1, s_max=1)
-        # (2, 0) is a member, so the box cannot stay at r_max=1
-        assert (2, 0) in spect.members
-        assert spect.r_max >= 3
+        # the spectrum command's table, 0 <= r, s <= |V(H)|, holds every member
+        h = build_family("cycle", 7)
+        spect = clique_spectrum(h)
+        assert spect.members and all(r + s < h.n for r, s in spect.members)
 
     @pytest.mark.parametrize(
         ("family", "n"),
@@ -86,6 +83,13 @@ class TestMembership:
         _assert_matches_references(build_family(family, n), (
             (None, None), (1, 1), (1, 2), (2, 1), (3, 4), (5, 5), (1, n + 2), (n + 2, 1),
         ))
+
+    def test_walk_matches_widening_oracle_above_the_old_target_cap(self):
+        # 14-16 vertices: the walk may test targets of 13-15 vertices
+        graphs = _random_graphs(40, 29, (14, 16))
+        graphs += [Graph.from_edges(n, []) for n in (14, 15, 16)]
+        for h in graphs:
+            _assert_matches_references(h, ((None, None),))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_walk_matches_widening_oracle_on_every_small_graph(self, n):
@@ -104,15 +108,14 @@ class TestMembership:
 
     def test_rejects_graph_above_embedding_cap(self):
         # the walk never tests a target above |V(h)| - 1 vertices, so only
-        # the caps of embeds refuse a graph: 14 vertices now reach the paper
+        # the pattern cap of embeds refuses a graph
         assert clique_spectrum(build_family("path", 14)).extreme_points() == ((1, 4), (0, 6))
         with pytest.raises(ValidationError) as exc:
             clique_spectrum(build_family("path", 17))
         assert str(exc.value) == "embedding pattern capped at 16 vertices"
-        # the empty graph on 14 vertices needs 14 cliques, so the walk reaches K(0, 13)
-        with pytest.raises(ValidationError) as exc:
-            clique_spectrum(graph_from_graph6("M????????????????"))
-        assert str(exc.value) == "embedding target capped at 12 vertices"
+        # the empty graph on 14 vertices needs 14 cliques, so the walk tests K(0, 13)
+        empty = clique_spectrum(graph_from_graph6("M????????????????"))
+        assert empty.extreme_points() == ((0, 13),)
 
 
 class TestWalk:
@@ -127,6 +130,7 @@ class TestWalk:
     def test_at_most_twice_the_order_tests_and_no_target_of_the_order(self, monkeypatch):
         tested = _tested_pairs(monkeypatch)
         graphs = [g for n in range(1, 6) for g in _labelled_graphs(n)] + _random_graphs(60, 11)
+        graphs += _random_graphs(20, 13, (14, 16))
         for h in graphs:
             tested.clear()
             clique_spectrum(h)

@@ -35,7 +35,7 @@ SAMPLES = {
                   "black_weight": F(0), "gray_degree": 1},
     WeightStats: {"vertices": (STATS,), "gray_codegree_weight": {(0, 1): F(0)},
                   "gray_codegree_count": {(0, 1): 0}},
-    CliqueSpectrum: {"members": frozenset({(1, 0), (0, 1)}), "r_max": 2, "s_max": 2},
+    CliqueSpectrum: {"members": frozenset({(1, 0), (0, 1)})},
     Curve: {"samples": ((F(0), F(0)), (F(1, 2), F(1, 4))), "source": "gamma",
             "witnesses": (("K(1,0)",), ("K(1,0)", "K(0,1)"))},
     CurveAnalysis: {"d_star": F(1, 4), "p_star": F(1, 2), "concavity_violations": ()},
