@@ -1,35 +1,32 @@
 """Command-line interface: one binary with subcommands and CSV/JSON emission.
 
 ``parse_inputs`` validates argv into one ``argparse.Namespace`` per run: each
-validated value (a ``Graph``, ``CRG``, ``Fraction``, the evaluation points,
-the resolved cache directory) replaces its option's string under the
-option's own name, and the handlers read those attributes.  Each handler
-builds its artifact as one string and hands it to ``_emit``, the one
-writer: the exact artifact goes to ``--out`` or stdout, and ``--float``
-shows stdout as decimals.  Files, cached payloads and piped stdout without
-``--float`` carry rationals as ``num/den`` strings.
+validated value (a ``Graph``, ``CRG``, ``Fraction``, the evaluation points)
+replaces its option's string under the option's own name, and the handlers
+read those attributes.  Each handler builds its artifact as one string and
+hands it to ``_emit``, the one writer: the exact artifact goes to ``--out``
+or stdout, and ``--float`` shows stdout as decimals.  Files and piped stdout
+without ``--float`` carry rationals as ``num/den`` strings.  Every command
+computes its artifact afresh; nothing is cached between runs.
 
 Each subcommand takes only the options that act on it: ``--out`` everywhere,
-``--float`` where stdout is a CSV holding rationals, ``--jobs`` where a grid
-is evaluated, and ``--cache-dir`` on ``search``, the one command whose
-artifact is cached (in ``_run_search``).  ``--no-cache`` is accepted
-everywhere for compatibility and acts only on ``search``.  A run that
-names its command builds that command's options and no other's
+``--float`` where stdout is a CSV holding rationals, and ``--jobs`` where a
+grid is evaluated.  ``--no-cache`` (every command) and ``search
+--allow-large`` are accepted for compatibility and have no effect.  A run
+that names its command builds that command's options and no other's
 (``_build_parser``); help and usage errors read as on the full tree.
 
 Each command imports only the layers it runs: the module level holds what
 ``parse_inputs`` needs for every command (errors, graphs, rationals and
-the caps in ``limits``), and each handler, each command's branch of
-``parse_inputs`` and the result cache import the rest when they run.  So
-``estimate`` and ``dist`` never load the CRG solver, and only a cached
-``search`` loads ``hashlib``.  A name imported inside a function is read
-from its defining module at call time.
+the caps in ``limits``), and each handler and each command's branch of
+``parse_inputs`` import the rest when they run.  So ``estimate`` and
+``dist`` never load the CRG solver.  A name imported inside a function is
+read from its defining module at call time.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import re
@@ -94,8 +91,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _common(p: argparse.ArgumentParser, *, floats: bool = False, jobs: bool = False,
-            cache: bool = False) -> None:
+def _common(p: argparse.ArgumentParser, *, floats: bool = False, jobs: bool = False) -> None:
+    """``--out`` and the inert ``--no-cache``, plus ``--float`` and ``--jobs``
+    where the command takes them."""
     p.add_argument("--out", help="write the artifact to this file instead of stdout")
     if floats:
         p.add_argument("--float", action="store_true", dest="float_display",
@@ -104,12 +102,8 @@ def _common(p: argparse.ArgumentParser, *, floats: bool = False, jobs: bool = Fa
         p.add_argument("--jobs", type=int,
                        help="worker processes for grid evaluation (default 1; "
                        "at most the CPU count are started)")
-    if cache:
-        p.add_argument("--cache-dir", help="result cache directory "
-                       "(default: $HEREDIT_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the result cache" if cache
-                   else "accepted for compatibility; has no effect")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(jobs=1, float_display=False)
 
 
@@ -149,8 +143,6 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
                        "(default closed_form)")
         p.add_argument("--m", type=int, default=3,
                        help=f"CRG size bound for the search source (1..{MAX_ENUM_SIZE})")
-        p.add_argument("--allow-large", action="store_true",
-                       help="accepted for compatibility; has no effect")
         p.add_argument("--restrict-grid", action="store_true",
                        help="drop grid points outside the closed form's stated interval")
         p.add_argument("--analyze", action="store_true",
@@ -165,7 +157,7 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--allow-large", action="store_true",
                        help="accepted for compatibility; has no effect")
         _grid_options(p)
-        _common(p, floats=True, jobs=True, cache=True)
+        _common(p, floats=True, jobs=True)
     elif command == "dist":
         p.add_argument("--graph", required=True)
         p.add_argument("--forbid", required=True)
@@ -294,8 +286,6 @@ def parse_inputs(argv: list[str]) -> argparse.Namespace:
     elif job.command == "search":
         _search_size(job.max_size, "--max-size")
         job.points = _points_from(job)
-        cache_dir = job.cache_dir or os.environ.get("HEREDIT_CACHE_DIR")
-        job.cache_dir = Path(cache_dir) if cache_dir and not job.no_cache else None
         _search_pattern(job.forbid)
     return job
 
@@ -484,72 +474,11 @@ def _run_edcurve(job: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_entry(directory: Path, inputs: dict) -> Path:
-    """The cache file of a job: the SHA-256 of its inputs' canonical JSON.
-
-    The inputs hold the package version, so an upgrade misses cleanly.
-    """
-    import hashlib  # loads OpenSSL, so only a cached search pays for it
-
-    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
-    return directory / f"{hashlib.sha256(canonical.encode()).hexdigest()}.json"
-
-
-def _cache_read(entry: Path) -> str | None:
-    """The artifact stored in ``entry``, or None when it is missing or is not
-    a JSON object holding a string ``payload``; such an entry is recomputed."""
-    try:
-        stored = json.loads(entry.read_text())
-    except (OSError, ValueError):
-        return None
-    payload = stored.get("payload") if isinstance(stored, dict) else None
-    return payload if isinstance(payload, str) else None
-
-
-def _cache_write(entry: Path, payload: str) -> None:
-    """Store ``payload`` as ``{"key", "payload"}`` in ``entry``.
-
-    The atomic rename keeps concurrent same-key writers safe.  When the
-    directory is unwritable this prints one warning line on stderr and
-    removes its temp file, and the run goes on without the cache.
-    """
-    import tempfile
-
-    tmp = None
-    try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as handle:
-            json.dump({"key": entry.stem, "payload": payload}, handle)
-        os.replace(tmp, entry)
-    except OSError as exc:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-        print(f"warning: cache directory {entry.parent} not writable ({exc}); "
-              "continuing without cache", file=sys.stderr)
-
-
 def _run_search(job: argparse.Namespace) -> int:
     from .curves import search_curve
 
-    h, m = job.forbid, job.max_size
-    entry = None
-    if job.cache_dir is not None:
-        entry = _cache_entry(job.cache_dir, {
-            "command": "search", "version": __version__,
-            "forbid": graph_to_graph6(h), "m": m,
-            "points": [format_fraction(p) for p in job.points],
-        })
-        cached = _cache_read(entry)
-        if cached is not None:
-            _emit(job, cached)
-            return 0
-    curve = _evaluate_curve(job, partial(search_curve, h, m), job.points)
-    artifact = _curve_csv(curve, f"search-m{m}")
-    _emit(job, artifact)
-    if entry is not None:
-        _cache_write(entry, artifact)
+    curve_of = partial(search_curve, job.forbid, job.max_size)
+    _emit(job, _curve_csv(_evaluate_curve(job, curve_of, job.points), f"search-m{job.max_size}"))
     return 0
 
 

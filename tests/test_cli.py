@@ -23,8 +23,7 @@ from heredit.rationals import format_fraction, parse_grid
 
 
 SEARCH_ARGV = ["search", "--forbid", "c2nstar:8", "--max-size", "3", "--p", "1/3"]
-# the cache file of SEARCH_ARGV: a changed key format would orphan existing caches
-SEARCH_ENTRY = "38d0eb94c65316e62fc0b9298f7a675c9062c83b7dc86bc3e40ddce332fa47dd.json"
+SEARCH_ROW = "1/3,1/6,search-m3,"  # the start of SEARCH_ARGV's one row
 INT_DIGITS = sys.get_int_max_str_digits()  # CPython's int() conversion limit
 
 
@@ -124,11 +123,16 @@ class TestParseInputs:
         (["spectrum", "--graph", "path:4"], "--jobs 2"),
         (["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:4"], "--jobs 2"),
         (["dist", "--graph", "cycle:5", "--forbid", "path:3"], "--cache-dir D"),
+        # search has no result cache
+        (SEARCH_ARGV, "--cache-dir D"),
+        # the no-op --allow-large stays on search only
+        (["edcurve", "--family", "c8star", "--grid", "1/4"], "--allow-large"),
         # the spectrum table is always 0 <= r, s <= |V(H)|, which holds every member
         (["spectrum", "--graph", "path:4"], "--r-max 3"),
         (["spectrum", "--graph", "path:4"], "--s-max 3"),
     ], ids=["gfun --float", "spectrum --jobs", "estimate --jobs", "dist --cache-dir",
-            "spectrum --r-max", "spectrum --s-max"])
+            "search --cache-dir", "edcurve --allow-large", "spectrum --r-max",
+            "spectrum --s-max"])
     def test_option_a_command_does_not_use_is_usage_error(
         self, capsys, monkeypatch, argv, option
     ):
@@ -433,7 +437,7 @@ class TestParseInputs:
 
 SOLVER = ("heredit.crg", "heredit.curves", "heredit.gfun", "heredit.spectrum")
 ORACLE = ("heredit.editing",)  # with the edit oracle's loop compiler
-HASHLIB = ("hashlib", "_hashlib")
+CACHE_IO = ("hashlib", "_hashlib", "tempfile")
 POOL = ("concurrent", "multiprocessing")
 CODEGEN = ("dataclasses", "inspect")  # the value types generate no code at import
 CURVE_ARGV = ["edcurve", "--family", "c8star", "--source", "closed_form,gamma,search",
@@ -450,21 +454,23 @@ class TestImports:
         ("import heredit", ("heredit.",)),
         ("import heredit; assert heredit.Graph is heredit.graphs.Graph", SOLVER),
         (_main_code(["estimate", "--n", "6", "--p", "1/2", "--forbid", "path:4",
-                     "--samples", "5", "--no-cache"]), SOLVER + HASHLIB + POOL + CODEGEN),
+                     "--samples", "5", "--no-cache"]), SOLVER + CACHE_IO + POOL + CODEGEN),
         (_main_code(["dist", "--graph", "cycle:5", "--forbid", "path:3", "--no-cache"]),
-         SOLVER + HASHLIB + POOL + CODEGEN),
-        (_main_code(SEARCH_ARGV + ["--no-cache"]), ORACLE + HASHLIB + POOL + CODEGEN),
-        (_main_code(CURVE_ARGV), ORACLE + HASHLIB + POOL + CODEGEN),
+         SOLVER + CACHE_IO + POOL + CODEGEN),
+        (_main_code(SEARCH_ARGV), ORACLE + CACHE_IO + POOL + CODEGEN),
+        (_main_code(CURVE_ARGV), ORACLE + CACHE_IO + POOL + CODEGEN),
     ], ids=["cli-no-pool", "package-no-submodule", "graph-no-solver", "estimate",
-            "dist", "search-no-cache", "edcurve"])
-    def test_import_footprint(self, code, absent):
+            "dist", "search", "edcurve"])
+    def test_import_footprint(self, tmp_path, code, absent):
         """Each command imports only the layers it runs: the modules named
-        in ``absent`` are never loaded by ``code``."""
+        in ``absent`` are never loaded by ``code``, even with
+        ``HEREDIT_CACHE_DIR`` set.  ``-S`` keeps site hooks (``.pth``
+        files) from loading modules before ``code`` runs."""
         script = (f"import sys; {code}; print(sorted(m for m in sys.modules"
                   f" if m.startswith({absent!r})))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        env.pop("HEREDIT_CACHE_DIR", None)
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   HEREDIT_CACHE_DIR=str(tmp_path / "cache"))
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
@@ -493,6 +499,38 @@ class TestImports:
                       and node.value.id == "limits"):
                     read.add(node.attr)
         assert defined and defined <= read, sorted(defined - read)
+
+    def test_every_option_is_read(self):
+        """Each option ``cli`` registers is read as ``job.<dest>`` in
+        ``cli.py``, so an option cannot outlive its last use.  The
+        compatibility flags in ``INERT`` are the exception: they must be
+        read nowhere in the package, so they stay without effect."""
+        import ast
+
+        import heredit
+
+        INERT = {"no_cache", "allow_large"}
+        package = Path(heredit.__file__).parent
+        tree = ast.parse((package / "cli.py").read_text())
+        dests, read = set(), set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                keywords = {kw.arg: kw.value.value for kw in node.keywords
+                            if isinstance(kw.value, ast.Constant)}
+                if keywords.get("action") == "version":  # stores no attribute
+                    continue
+                dests.add(keywords.get("dest")
+                          or node.args[0].value.lstrip("-").replace("-", "_"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        assert INERT <= dests
+        assert dests - INERT <= read, sorted(dests - INERT - read)
+        for path in package.glob("*.py"):
+            names = {node.attr if isinstance(node, ast.Attribute) else node.value
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.Attribute, ast.Constant))}
+            assert not INERT & names, (path.name, sorted(INERT & names))
 
     def test_lazy_exports(self):
         import heredit
@@ -739,6 +777,13 @@ class TestCurveCommands:
         )
         assert code == 0
         assert "0.5" in stdout
+        # a search row: the file keeps num/den, stdout shows decimals
+        code, stdout, _ = run_cli(capsys, SEARCH_ARGV + ["--float", "--out", str(out)])
+        assert (code, stdout) == (0, "")
+        assert out.read_text().splitlines()[1].startswith(SEARCH_ROW)
+        code, stdout, _ = run_cli(capsys, SEARCH_ARGV + ["--float"])
+        assert code == 0
+        assert stdout.splitlines()[1].startswith("0.3333333333333333,0.16666666666666666,")
 
     def test_jobs_parallelism_is_deterministic(self, tmp_path, capsys):
         seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
@@ -790,113 +835,20 @@ class TestValuesOnlyWork:
 
 
 class TestSearchCommand:
-    def test_search_with_cache(self, tmp_path, capsys):
+    def test_cache_dir_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        """``search`` recomputes every run: ``HEREDIT_CACHE_DIR`` is not
+        read, and nothing is written there."""
         cache = tmp_path / "cache"
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = SEARCH_ARGV + ["--cache-dir", str(cache)]
-        assert main(argv + ["--out", str(out1)]) == 0
-        assert main(argv + ["--out", str(out2)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
-        first = out1.read_text().splitlines()[1].split(",")
-        assert first[0] == "1/3" and first[1] == "1/6"
-
-    def test_cache_hit_reproduces_bytes(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "cache"
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = SEARCH_ARGV + ["--cache-dir", str(cache)]
-        assert main(base + ["--out", str(out1)]) == 0
-        capsys.readouterr()
-        assert list(cache.glob("*.json")), "first run must populate the cache"
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("searched again although the cache holds the job")
-
-        monkeypatch.setattr("heredit.curves.search_curve", forbidden)
-        assert main(base + ["--out", str(out2)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_cache_hit_honours_float(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "cache"
-        argv = SEARCH_ARGV + ["--cache-dir", str(cache), "--float"]
-        code, first, _ = run_cli(capsys, argv)
-        assert code == 0
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("searched again although the cache holds the job")
-
-        monkeypatch.setattr("heredit.curves.search_curve", forbidden)
-        code, second, _ = run_cli(capsys, argv)
-        assert code == 0
-        assert second == first
-        assert first.splitlines()[1].startswith("0.3333333333333333,0.16666666666666666,")
-        payload = json.loads((cache / SEARCH_ENTRY).read_text())["payload"]
-        assert payload.splitlines()[1].startswith("1/3,1/6,search-m3,")
-
-    def test_corrupt_cache_entry_recomputes(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        out = tmp_path / "a.csv"
-        base = SEARCH_ARGV + ["--cache-dir", str(cache)]
-        assert main(base + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        entry = cache / SEARCH_ENTRY
-        good = out.read_bytes()
-        # anything but an object holding a string payload is a miss
-        for corrupt in ('{ not json', '[1]', '"x"', '{"payload": 3}'):
-            entry.write_text(corrupt)
-            out.unlink()
-            assert main(base + ["--out", str(out)]) == 0
-            assert capsys.readouterr().err == ""
-            assert out.read_bytes() == good
-
-    def test_cache_entry_name_and_format_are_pinned(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        code, stdout, err = run_cli(capsys, SEARCH_ARGV + ["--cache-dir", str(cache)])
-        assert (code, err) == (0, "")
-        assert [path.name for path in cache.iterdir()] == [SEARCH_ENTRY]
-        stored = json.loads((cache / SEARCH_ENTRY).read_text())
-        assert stored == {"key": SEARCH_ENTRY.removesuffix(".json"), "payload": stdout}
-
-    def test_cache_dir_from_environment(self, tmp_path, capsys, monkeypatch):
-        env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
-        monkeypatch.setenv("HEREDIT_CACHE_DIR", str(env_dir))
-        assert main(SEARCH_ARGV + ["--no-cache"]) == 0
-        assert not env_dir.exists(), "--no-cache overrides HEREDIT_CACHE_DIR"
-        assert main(SEARCH_ARGV + ["--cache-dir", str(flag_dir)]) == 0
-        assert not env_dir.exists(), "--cache-dir wins over HEREDIT_CACHE_DIR"
-        assert (flag_dir / SEARCH_ENTRY).is_file()
-        assert main(SEARCH_ARGV) == 0
-        assert (env_dir / SEARCH_ENTRY).is_file()
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("blocked", ["under_a_file", "entry_is_a_directory"])
-    def test_unwritable_cache_warns_once_and_keeps_bytes(self, tmp_path, capsys, blocked):
-        _, want, _ = run_cli(capsys, SEARCH_ARGV + ["--no-cache"])
-        if blocked == "under_a_file":
-            (tmp_path / "file").write_text("")
-            cache = tmp_path / "file" / "cache"
-        else:
-            cache = tmp_path / "cache"
-            (cache / SEARCH_ENTRY).mkdir(parents=True)
-        code, stdout, err = run_cli(capsys, SEARCH_ARGV + ["--cache-dir", str(cache)])
-        assert (code, stdout) == (0, want)
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"warning: cache directory {cache} not writable (")
-        assert err.endswith("); continuing without cache\n")
-        assert not list(tmp_path.rglob("*.tmp")), "a failed write leaves no temp file"
-
-    def test_version_bump_misses_cache(self, tmp_path, capsys, monkeypatch):
-        cache = tmp_path / "cache"
-        out = tmp_path / "a.csv"
-        base = SEARCH_ARGV + ["--cache-dir", str(cache)]
-        assert main(base + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        before = len(list(cache.glob("*.json")))
-        monkeypatch.setattr("heredit.cli.__version__", "0.1.0+test")
-        assert main(base + ["--out", str(out)]) == 0
-        capsys.readouterr()
-        assert len(list(cache.glob("*.json"))) == before + 1
+        cache.mkdir()
+        monkeypatch.setenv("HEREDIT_CACHE_DIR", str(cache))
+        for _ in range(2):
+            code, stdout, err = run_cli(capsys, SEARCH_ARGV)
+            assert (code, err) == (0, "")
+            assert stdout == (
+                "p,value,source,witness\n" + SEARCH_ROW + "WW:G;BBW:GGG;BWW:BBG;BWW:BGG;"
+                "BWW:BWG;BWW:WWG;WWW:BBG;WWW:BGG;WWW:BGW;WWW:GGW;WWW:GWW\n"
+            )
+        assert list(cache.iterdir()) == []
 
     # --allow-large is accepted for compatibility and changes nothing
     @pytest.mark.parametrize("flags", [["--allow-large"], []], ids=["allow-large", "plain"])
